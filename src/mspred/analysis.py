@@ -6,15 +6,16 @@ hidden motion), transition swapping, intra-orbit homogeneity, spectra of
 the transition family, orthogonality, and a linear probe regressing the
 hidden transition parameters from the fitted operators.
 
-The prediction routines repeat the training loss's operations in the same
-order (one batched encode, per-sequence closed-form solve, one batched
-decode), so their numbers coincide with the tape loss on identical
-inputs.
+The prediction routines call the model's one forward path
+(``model.fit_np`` then ``model.predict_np``), which repeats the training
+loss's arithmetic, so their numbers coincide with the tape loss on
+identical inputs. Each batch is fitted once; cross-sequence predictions
+pair one batch's operators with another batch's latents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,44 +26,19 @@ from .errors import ContractError, DimensionError, NumericError
 RATIO_FLOOR = 1e-15
 
 
-def _prediction_error(model, transitions, obs, T_c, T_p):
-    """Mean squared frame error using externally supplied transitions.
-
-    Mirrors the training loss step for step: batched encode of the
-    conditional frames, per-sequence rollout from the last conditional
-    latent, one batched decode, mean over sequences and frames.
-    """
-    obs = np.asarray(obs, dtype=np.float64)
-    n_seq, t_len, n_dim = obs.shape
-    if t_len < T_c + T_p:
-        raise DimensionError(f"need T >= {T_c + T_p}, got {t_len}")
-    a, m = model.a, model.m
-    enc = mm.encode_rows_np(model, obs[:, :T_c].reshape(n_seq * T_c, n_dim))
-    pred_rows = np.empty((n_seq * T_p, a * m))
-    for i in range(n_seq):
-        cur = enc[i * T_c + T_c - 1].reshape(a, m)
-        mat = transitions[i]
-        for j in range(T_p):
-            cur = mat @ cur
-            pred_rows[i * T_p + j] = cur.reshape(-1)
-    decoded = mm.decode_rows_np(model, pred_rows)
+def _prediction_error(pred, obs, T_c):
+    """Mean squared frame error of (N, T_p, n) predictions, as ``loss_pred``."""
+    n_seq, T_p, n_dim = pred.shape
+    if obs.shape[1] < T_c + T_p:
+        raise DimensionError(f"need T >= {T_c + T_p}, got {obs.shape[1]}")
     targets = obs[:, T_c : T_c + T_p].reshape(n_seq * T_p, n_dim)
-    return float(((decoded - targets) ** 2).sum() * (1.0 / (n_seq * T_p)))
+    diff = pred.reshape(n_seq * T_p, n_dim) - targets
+    return float((diff ** 2).sum() * (1.0 / (n_seq * T_p)))
 
 
 def fitted_transitions(model, obs, T_c):
     """Per-sequence least-squares transitions from batched encodings."""
-    obs = np.asarray(obs, dtype=np.float64)
-    n_seq, _, n_dim = obs.shape
-    a, m = model.a, model.m
-    enc = mm.encode_rows_np(model, obs[:, :T_c].reshape(n_seq * T_c, n_dim))
-    out = np.empty((n_seq, a, a))
-    for i in range(n_seq):
-        lat = enc[i * T_c : (i + 1) * T_c].reshape(T_c, a, m)
-        h0 = lat[0] if T_c == 2 else np.concatenate(list(lat[:-1]), axis=1)
-        h1 = lat[1] if T_c == 2 else np.concatenate(list(lat[1:]), axis=1)
-        out[i] = h1 @ mm._pinv_right_np(h0)
-    return out
+    return mm.fit_np(model, obs, T_c).op
 
 
 @dataclass
@@ -90,10 +66,10 @@ def equivariance_error(model, paired: PairedBatch, T_c: int, T_p: int) -> Equiva
     first, second = paired.first, paired.second
     if first.num_sequences != second.num_sequences:
         raise ContractError("paired batches differ in length")
-    own = fitted_transitions(model, second.observations, T_c)
-    cross = fitted_transitions(model, first.observations, T_c)
-    lp = _prediction_error(model, own, second.observations, T_c, T_p)
-    lp_equiv = _prediction_error(model, cross, second.observations, T_c, T_p)
+    own = mm.fit_np(model, second.observations, T_c)
+    cross = replace(own, op=mm.fit_np(model, first.observations, T_c).op)
+    lp = _prediction_error(mm.predict_np(model, own, T_p), second.observations, T_c)
+    lp_equiv = _prediction_error(mm.predict_np(model, cross, T_p), second.observations, T_c)
     ratio = (lp_equiv / lp) if lp >= RATIO_FLOOR else None
     return EquivarianceReport(lp=lp, lp_equiv=lp_equiv, ratio=ratio,
                               sample_count=first.num_sequences)
@@ -120,32 +96,20 @@ class SwapResult:
                 "err_self_b": self.err_self_b.tolist()}
 
 
-def _single_prediction(model, mat, obs, T_c, T_p):
-    a, m = model.a, model.m
-    enc = mm.encode_rows_np(model, obs[:T_c])
-    cur = enc[T_c - 1].reshape(a, m)
-    rows = np.empty((T_p, a * m))
-    for j in range(T_p):
-        cur = mat @ cur
-        rows[j] = cur.reshape(-1)
-    decoded = mm.decode_rows_np(model, rows)
-    errors = ((decoded - obs[T_c : T_c + T_p]) ** 2).sum(axis=1)
-    return decoded, errors
-
-
 def transition_swap(model, seq_a, seq_b, T_c: int, T_p: int) -> SwapResult:
     """Apply each sequence's fitted transition to the other sequence."""
-    seq_a = np.asarray(seq_a, dtype=np.float64)
-    seq_b = np.asarray(seq_b, dtype=np.float64)
-    mat_a = mm.fit_transition_np(model, seq_a[:T_c])
-    mat_b = mm.fit_transition_np(model, seq_b[:T_c])
-    pred_ab, err_ab = _single_prediction(model, mat_a, seq_b, T_c, T_p)
-    pred_ba, err_ba = _single_prediction(model, mat_b, seq_a, T_c, T_p)
-    _, err_self_a = _single_prediction(model, mat_a, seq_a, T_c, T_p)
-    _, err_self_b = _single_prediction(model, mat_b, seq_b, T_c, T_p)
-    return SwapResult(pred_a_on_b=pred_ab, pred_b_on_a=pred_ba,
-                      err_a_on_b=err_ab, err_b_on_a=err_ba,
-                      err_self_a=err_self_a, err_self_b=err_self_b)
+    seqs = [np.asarray(s, dtype=np.float64) for s in (seq_a, seq_b)]
+    if min(len(s) for s in seqs) < T_c + T_p:
+        raise DimensionError(f"both sequences need T >= {T_c + T_p}")
+    seqs = np.stack([s[: T_c + T_p] for s in seqs])
+    fit = mm.fit_np(model, seqs, T_c)
+    # rows: a's transition on b, b's on a, then each on itself
+    ops, lats = [0, 1, 0, 1], [1, 0, 0, 1]
+    pred = mm.predict_np(model, mm.TransitionFit(last=fit.last[lats], op=fit.op[ops]), T_p)
+    err = ((pred - seqs[lats, T_c:]) ** 2).sum(axis=2)
+    return SwapResult(pred_a_on_b=pred[0], pred_b_on_a=pred[1],
+                      err_a_on_b=err[0], err_b_on_a=err[1],
+                      err_self_a=err[2], err_self_b=err[3])
 
 
 def transition_distance(m1, m2) -> tuple[float, np.ndarray]:

@@ -129,36 +129,43 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_for_eval(cfg, args, dataset):
-    if getattr(args, "oracle", False):
-        log.info("using the oracle model (debug flag)")
-        return mm.OracleModel(dataset.spec), cfg.train
-    ckpt_path = os.path.join(cfg.out_dir, CHECKPOINT_FILE)
-    if not os.path.exists(ckpt_path):
-        log.error("checkpoint missing: %s (run train first)", ckpt_path)
-        return None, None
-    params, train_cfg = tr.load_checkpoint(ckpt_path)
-    return params, (train_cfg if train_cfg is not None else cfg.train)
+def _load_eval_inputs(cfg, args):
+    """Dataset, model and resolved train config that eval and sbd analyse.
 
-
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+    The model is the checkpoint, or the generator's oracle with --oracle.
+    Returns an exit code instead when an input is missing or the
+    checkpoint does not fit the dataset.
+    """
     data_path = os.path.join(cfg.out_dir, DATASET_FILE)
     if not os.path.exists(data_path):
         log.error("dataset missing: %s", data_path)
         return EXIT_MISSING
     dataset = datagen.load_dataset(data_path)
-    params, train_cfg = _load_model_for_eval(cfg, args, dataset)
-    if params is None:
+    if args.oracle:
+        log.info("using the oracle model (debug flag)")
+        return dataset, mm.OracleModel(dataset.spec), cfg.train.resolved()
+    ckpt_path = os.path.join(cfg.out_dir, CHECKPOINT_FILE)
+    if not os.path.exists(ckpt_path):
+        log.error("checkpoint missing: %s (run train first)", ckpt_path)
         return EXIT_MISSING
-    if not getattr(args, "oracle", False) and params.obs_dim != dataset.spec.obs_dim:
+    params, train_cfg = tr.load_checkpoint(ckpt_path)
+    if params.obs_dim != dataset.spec.obs_dim:
         log.error("checkpoint expects obs_dim=%d but dataset has %d",
                   params.obs_dim, dataset.spec.obs_dim)
         return EXIT_SHAPE
-    train_cfg = train_cfg.resolved()
+    return dataset, params, (train_cfg if train_cfg is not None else cfg.train).resolved()
+
+
+def cmd_eval(args) -> int:
+    cfg = _load_config(args)
+    loaded = _load_eval_inputs(cfg, args)
+    if isinstance(loaded, int):
+        return loaded
+    dataset, params, train_cfg = loaded
     ev = cfg.eval_spec
     horizons = ev["horizons"]
-    kind = "neural" if train_cfg.variant == "neural_mstar" and not args.oracle else "lstsq"
+    # the oracle has no neural head; it is scored with the closed-form solve
+    kind = "lstsq" if args.oracle else train_cfg.transition
     spec = dataset.spec
 
     eval_spec = datagen.with_length(
@@ -222,20 +229,10 @@ def cmd_eval(args) -> int:
 
 def cmd_sbd(args) -> int:
     cfg = _load_config(args)
-    data_path = os.path.join(cfg.out_dir, DATASET_FILE)
-    ckpt_path = os.path.join(cfg.out_dir, CHECKPOINT_FILE)
-    if not os.path.exists(data_path):
-        log.error("dataset missing: %s", data_path)
-        return EXIT_MISSING
-    dataset = datagen.load_dataset(data_path)
-    params, train_cfg = _load_model_for_eval(cfg, args, dataset)
-    if params is None:
-        return EXIT_MISSING
-    if not getattr(args, "oracle", False) and params.obs_dim != dataset.spec.obs_dim:
-        log.error("checkpoint expects obs_dim=%d but dataset has %d",
-                  params.obs_dim, dataset.spec.obs_dim)
-        return EXIT_SHAPE
-    train_cfg = train_cfg.resolved()
+    loaded = _load_eval_inputs(cfg, args)
+    if isinstance(loaded, int):
+        return loaded
+    dataset, params, train_cfg = loaded
     sp = cfg.sbd_spec
     spec = dataset.spec
     count = min(sp["num_transitions"], dataset.num_sequences)

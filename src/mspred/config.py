@@ -2,8 +2,10 @@
 
 A run is fully determined by its config, so the config is canonicalized
 (defaults materialized, keys sorted) before hashing; the SHA-256 of that
-canonical JSON identifies every artifact the run produces. Unknown keys
-are rejected rather than ignored.
+canonical JSON, without ``out_dir``, identifies every artifact the run
+produces, wherever it is written. Unknown keys are rejected rather than
+ignored. The ``train`` section's keys and defaults are ``TrainConfig``'s
+fields.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from .datagen import GeneratorSpec
 from .errors import FormatError, ValidationError
 from .model import TrainConfig
-from .training import config_from_dict
+from .training import _config_to_dict, config_from_dict
 
 _GENERATOR_DEFAULTS = {
     "k": 3,
@@ -27,30 +29,6 @@ _GENERATOR_DEFAULTS = {
     "velocity_range": [-math.pi / 2, math.pi / 2],
     "accel_range": [0.0, 0.0],
     "mode": "velocity",
-}
-
-_TRAIN_DEFAULTS = {
-    "a": 8,
-    "m": 16,
-    "enc_hidden": [256, 256],
-    "dec_hidden": [12],
-    "mstar_hidden": [128, 128],
-    "lr": 3e-4,
-    "lr_final": 1e-4,
-    "decay_at": None,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "batch_size": 32,
-    "iterations": 10_000,
-    "seed": 0,
-    "variant": "msp",
-    "order": 1,
-    "T_c": None,
-    "T_p": None,
-    "invertibility_weight": 1.0,
-    "holdout": 0,
-    "log_interval": 100,
 }
 
 _EVAL_DEFAULTS = {
@@ -135,7 +113,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     )
     spec.validate(mode)
 
-    train_raw = _merge_section(raw.get("train", {}), _TRAIN_DEFAULTS, "train")
+    train_raw = _merge_section(raw.get("train", {}), _config_to_dict(TrainConfig()), "train")
     train_cfg = config_from_dict(train_raw).resolved()
     train_cfg.validate()
 
@@ -160,24 +138,13 @@ def from_dict(raw: dict) -> ExperimentConfig:
             "velocity_range": list(spec.velocity_range),
             "accel_range": list(spec.accel_range), "mode": mode,
         },
-        "train": {
-            "a": train_cfg.a, "m": train_cfg.m,
-            "enc_hidden": list(train_cfg.enc_hidden),
-            "dec_hidden": list(train_cfg.dec_hidden),
-            "mstar_hidden": list(train_cfg.mstar_hidden),
-            "lr": train_cfg.lr, "lr_final": train_cfg.lr_final,
-            "decay_at": train_cfg.decay_at, "beta1": train_cfg.beta1,
-            "beta2": train_cfg.beta2, "eps": train_cfg.eps,
-            "batch_size": train_cfg.batch_size, "iterations": train_cfg.iterations,
-            "seed": train_cfg.seed, "variant": train_cfg.variant,
-            "order": train_cfg.order, "T_c": train_cfg.T_c, "T_p": train_cfg.T_p,
-            "invertibility_weight": train_cfg.invertibility_weight,
-            "holdout": train_cfg.holdout, "log_interval": train_cfg.log_interval,
-        },
+        "train": _config_to_dict(train_cfg),
         "eval": dict(sorted(eval_spec.items())),
         "sbd": dict(sorted(sbd_spec.items())),
     }
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    # the hash names what the run computes, not where it writes
+    hashed = {key: val for key, val in canonical.items() if key != "out_dir"}
+    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return ExperimentConfig(master_seed=master_seed, out_dir=out_dir, generator=spec,
                             mode=mode, train=train_cfg, eval_spec=eval_spec,

@@ -8,10 +8,14 @@ solve is a differentiable composite (transpose / matmul / SPD inverse),
 the whole pipeline trains end to end by plain backpropagation.
 
 Losses are averaged over sequences and predicted frames (the summed
-variant only rescales the learning rate). Gradient-free numpy mirrors of
-the encode/decode/estimate path live at the bottom; they perform the same
-operations in the same order as the tape path, so evaluation code and the
-training loss agree on identical inputs.
+variant only rescales the learning rate). Every gradient-free number
+(held-out error by horizon, fitted transitions, equivariance, swaps)
+comes from one forward path at the bottom: ``fit_np`` encodes a batch
+once and fits each sequence's operators with the estimator it is given,
+``predict_np`` rolls them forward and decodes in one batch. That path
+keeps the tape's per-sequence arithmetic (batched encode, per-sequence
+Cholesky solve and 2-D matmul rollout, one batched decode) so that its
+numbers equal the training loss bit for bit on identical inputs.
 """
 
 from __future__ import annotations
@@ -97,6 +101,15 @@ class TrainConfig:
             raise ValidationError("fixed_blocks needs even a", field="a")
         if cfg.lr <= 0 or cfg.lr_final <= 0:
             raise ValidationError("learning rates must be positive", field="lr")
+
+    @property
+    def transition(self) -> str:
+        """The transition estimator this variant trains and is scored with.
+
+        It is the ``transition=`` of ``loss_pred`` and the forward fit;
+        ``order`` applies to "lstsq" only.
+        """
+        return {"fixed_blocks": "blockwise", "neural_mstar": "neural"}.get(self.variant, "lstsq")
 
 
 def _init_mlp(rng, sizes):
@@ -516,23 +529,20 @@ def invertibility_loss(tape_model: TapeModel, obs, T_c: int) -> Var:
 def variant_loss(tape_model: TapeModel, obs, cfg: TrainConfig) -> Var:
     """The training objective for the configured variant."""
     cfg = cfg.resolved()
-    if cfg.variant == "msp":
-        return loss_pred(tape_model, obs, cfg.T_c, cfg.T_p, order=cfg.order)
-    if cfg.variant == "fixed_blocks":
-        return loss_pred(tape_model, obs, cfg.T_c, cfg.T_p, transition="blockwise")
+    if cfg.variant not in VARIANTS:
+        raise ContractError(f"unknown variant {cfg.variant!r}")
     if cfg.variant == "rec_model":
         return loss_rec(tape_model, obs, max(cfg.T_c, 3))
-    if cfg.variant == "neural_mstar":
-        pred = loss_pred(tape_model, obs, cfg.T_c, cfg.T_p, transition="neural")
-        if cfg.invertibility_weight == 0.0:
-            return pred
-        inv = invertibility_loss(tape_model, obs, cfg.T_c)
-        return ad.add(pred, ad.scale(inv, cfg.invertibility_weight))
-    raise ContractError(f"unknown variant {cfg.variant!r}")
+    pred = loss_pred(tape_model, obs, cfg.T_c, cfg.T_p, order=cfg.order,
+                     transition=cfg.transition)
+    if cfg.variant != "neural_mstar" or cfg.invertibility_weight == 0.0:
+        return pred
+    inv = invertibility_loss(tape_model, obs, cfg.T_c)
+    return ad.add(pred, ad.scale(inv, cfg.invertibility_weight))
 
 
 # ---------------------------------------------------------------------------
-# gradient-free numpy mirrors (evaluation path)
+# gradient-free forward path (evaluation)
 
 
 def _mlp_np(layers, x):
@@ -570,46 +580,94 @@ def _pinv_right_np(h):
     return h.T @ spd_solve_identity(cholesky_lower(gram))
 
 
-def fit_transition_np(model, frames: np.ndarray) -> np.ndarray:
-    """First-order transition from raw conditional frames (T_c, n)."""
-    frames = np.asarray(frames, dtype=np.float64)
-    t_c = frames.shape[0]
-    lat = encode_rows_np(model, frames).reshape(t_c, model.a, model.m)
-    h0 = lat[0] if t_c == 2 else np.concatenate(list(lat[:-1]), axis=1)
-    h1 = lat[1] if t_c == 2 else np.concatenate(list(lat[1:]), axis=1)
+def _lstsq_np(lat):
+    """``estimate_transition`` on one sequence's latents, without the tape."""
+    h0 = lat[0] if len(lat) == 2 else np.concatenate(list(lat[:-1]), axis=1)
+    h1 = lat[1] if len(lat) == 2 else np.concatenate(list(lat[1:]), axis=1)
     return h1 @ _pinv_right_np(h0)
 
 
-def fit_transition2_np(model, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order operators (acceleration, last velocity) from frames."""
-    frames = np.asarray(frames, dtype=np.float64)
-    t_c = frames.shape[0]
-    lat = encode_rows_np(model, frames).reshape(t_c, model.a, model.m)
-    vel = [lat[t] @ _pinv_right_np(lat[t - 1]) for t in range(1, t_c)]
-    v0 = vel[0] if len(vel) == 2 else np.concatenate(vel[:-1], axis=1)
-    v1 = vel[1] if len(vel) == 2 else np.concatenate(vel[1:], axis=1)
-    acc = v1 @ _pinv_right_np(v0)
-    return acc, vel[-1]
+@dataclass
+class TransitionFit:
+    """Per-sequence operators fitted on the conditioning frames of a batch.
+
+    ``op`` holds the (N, a, a) first-order transitions, or for a
+    second-order fit the acceleration operators, with ``vel`` the last
+    velocity operators. ``last`` holds the (N, a, m) last conditioning
+    latents that a rollout starts from.
+    """
+
+    last: np.ndarray
+    op: np.ndarray
+    vel: np.ndarray | None = None
 
 
-def neural_transition_np(params: ModelParams, cond_frames: np.ndarray) -> np.ndarray:
-    flat = np.asarray(cond_frames, dtype=np.float64).reshape(1, -1)
-    return transition_rows_np(params, flat).reshape(params.a, params.a)
+def fit_np(model, obs, T_c: int, *, order: int = 1,
+           transition: str = "lstsq") -> TransitionFit:
+    """Encode a batch once and fit every sequence's operators, gradient-free.
 
-
-def batch_transitions_np(model, obs, T_c: int, *,
-                         transition: str = "lstsq") -> np.ndarray:
-    """Per-sequence transition matrices for a whole batch, shape (N, a, a)."""
+    ``transition`` and ``order`` select the estimator as in ``loss_pred``
+    ("lstsq" of either order, "blockwise" or "neural"). The closed-form
+    solves run per sequence in the tape's order, so a fit on the same
+    inputs reproduces ``loss_pred``'s operators bit for bit.
+    """
     obs = _as_batch(obs)
-    out = np.empty((obs.shape[0], model.a, model.a))
-    for i in range(obs.shape[0]):
-        if transition == "lstsq":
-            out[i] = fit_transition_np(model, obs[i, :T_c])
-        elif transition == "neural":
-            out[i] = neural_transition_np(model, obs[i, :T_c])
+    n_seq, _, n_dim = obs.shape
+    a, m = model.a, model.m
+    cond = obs[:, :T_c]
+    lat = encode_rows_np(model, cond.reshape(n_seq * T_c, n_dim)).reshape(n_seq, T_c, a, m)
+    if transition == "neural":
+        op = transition_rows_np(model, cond.reshape(n_seq, T_c * n_dim))
+        return TransitionFit(last=lat[:, -1], op=op.reshape(n_seq, a, a))
+    if transition not in ("lstsq", "blockwise"):
+        raise ContractError(f"unknown transition kind {transition!r}")
+    second = transition == "lstsq" and order == 2
+    op = np.zeros((n_seq, a, a))
+    vel = np.empty((n_seq, a, a)) if second else None
+    for i in range(n_seq):
+        if second:
+            v = [lat[i, t] @ _pinv_right_np(lat[i, t - 1]) for t in range(1, T_c)]
+            op[i] = _lstsq_np(v)
+            vel[i] = v[-1]
+        elif transition == "lstsq":
+            op[i] = _lstsq_np(lat[i])
         else:
-            raise ContractError(f"unknown transition kind {transition!r}")
-    return out
+            for r in range(0, a, 2):  # loss_pred's default 2x2 blocks
+                op[i, r : r + 2, r : r + 2] = _lstsq_np(lat[i, :, r : r + 2])
+    return TransitionFit(last=lat[:, -1], op=op, vel=vel)
+
+
+def predict_np(model, fit: TransitionFit, steps: int) -> np.ndarray:
+    """Roll each fit forward ``steps`` times and decode in one batch.
+
+    The rollout repeats ``rollout`` (or ``rollout_second_order`` when the
+    fit has velocity operators) per sequence; returns (N, steps, n).
+    """
+    n_seq, a, m = fit.last.shape
+    rows = np.empty((n_seq, steps, a * m))
+    for i in range(n_seq):
+        cur = fit.last[i]
+        left = a_pow = None
+        for j in range(steps):
+            if fit.vel is None:
+                cur = fit.op[i] @ cur
+                rows[i, j] = cur.reshape(-1)
+            else:
+                a_pow = fit.op[i] if j == 0 else fit.op[i] @ a_pow
+                step_op = a_pow @ fit.vel[i]
+                left = step_op if j == 0 else step_op @ left
+                rows[i, j] = (left @ fit.last[i]).reshape(-1)
+    return decode_rows_np(model, rows.reshape(n_seq * steps, a * m)).reshape(n_seq, steps, -1)
+
+
+def batch_transitions_np(model, obs, T_c: int, *, order: int = 1,
+                         transition: str = "lstsq") -> np.ndarray:
+    """Per-sequence transitions of a batch, (N, a, a).
+
+    For a second-order fit these are the last velocity operators.
+    """
+    fit = fit_np(model, obs, T_c, order=order, transition=transition)
+    return fit.op if fit.vel is None else fit.vel
 
 
 def horizon_errors_np(model, obs, T_c: int, horizons: int, *,
@@ -621,34 +679,11 @@ def horizon_errors_np(model, obs, T_c: int, horizons: int, *,
     averages ||error||_2^2 over sequences per horizon.
     """
     obs = _as_batch(obs)
-    n_seq, t_len, n_dim = obs.shape
-    if t_len < T_c + horizons:
-        raise DimensionError(f"need T >= {T_c + horizons}, got {t_len}")
-    a, m = model.a, model.m
-    pred_lat = np.empty((n_seq, horizons, a * m))
-    for i in range(n_seq):
-        frames = obs[i, :T_c]
-        lat = encode_rows_np(model, frames).reshape(T_c, a, m)
-        cur = lat[-1]
-        if order == 1:
-            mat = (fit_transition_np(model, frames) if transition == "lstsq"
-                   else neural_transition_np(model, frames))
-            for h in range(horizons):
-                cur = mat @ cur
-                pred_lat[i, h] = cur.reshape(-1)
-        else:
-            acc, vel_last = fit_transition2_np(model, frames)
-            a_pow = None
-            left = None
-            for h in range(horizons):
-                a_pow = acc if h == 0 else acc @ a_pow
-                step_op = a_pow @ vel_last
-                left = step_op if h == 0 else step_op @ left
-                pred_lat[i, h] = (left @ lat[-1]).reshape(-1)
-    decoded = decode_rows_np(model, pred_lat.reshape(n_seq * horizons, a * m))
-    decoded = decoded.reshape(n_seq, horizons, n_dim)
-    targets = obs[:, T_c : T_c + horizons]
-    return ((decoded - targets) ** 2).sum(axis=2).mean(axis=0)
+    if obs.shape[1] < T_c + horizons:
+        raise DimensionError(f"need T >= {T_c + horizons}, got {obs.shape[1]}")
+    fit = fit_np(model, obs, T_c, order=order, transition=transition)
+    pred = predict_np(model, fit, horizons)
+    return ((pred - obs[:, T_c : T_c + horizons]) ** 2).sum(axis=2).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

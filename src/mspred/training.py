@@ -21,7 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mm
 from .datagen import SequenceBatch, mix64
-from .errors import ContractError, FormatError, NumericError, TrainingAbort, ValidationError
+from .errors import (ContractError, FormatError, NumericError, SingularityError,
+                     TrainingAbort, ValidationError)
 
 CHECKPOINT_MAGIC = b"MSPCKP01"
 
@@ -97,19 +98,14 @@ def lr_at(cfg: mm.TrainConfig, iteration: int) -> float:
 def _ortho_defect_of_batch(params, obs, cfg):
     """Minibatch mean of the per-sequence defect ||I - M M^T||_F^2.
 
-    Uses the variant's own transition (neural head for the neural
-    ablation, closed form otherwise); for second-order runs the tracked
-    operator is the final velocity operator. Averaging the defects, not
-    the operators, is what trends toward zero as transitions become
-    rotations; the mean operator of distinct rotations is contractive and
-    its defect has a velocity-distribution-dependent floor.
+    M is the variant's own transition (``cfg.transition``); for
+    second-order runs it is the final velocity operator. Averaging the
+    defects, not the operators, is what trends toward zero as transitions
+    become rotations; the mean operator of distinct rotations is
+    contractive and its defect has a velocity-distribution-dependent floor.
     """
-    kind = "neural" if cfg.variant == "neural_mstar" else "lstsq"
-    if cfg.order == 1:
-        mats = mm.batch_transitions_np(params, obs, cfg.T_c, transition=kind)
-    else:
-        mats = np.stack([mm.fit_transition2_np(params, obs[i, : cfg.T_c])[1]
-                         for i in range(obs.shape[0])])
+    mats = mm.batch_transitions_np(params, obs, cfg.T_c, order=cfg.order,
+                                   transition=cfg.transition)
     eye = np.eye(mats.shape[1])
     defects = ((eye[None] - np.einsum("nij,nkj->nik", mats, mats)) ** 2).sum(axis=(1, 2))
     return float(defects.mean())
@@ -117,8 +113,7 @@ def _ortho_defect_of_batch(params, obs, cfg):
 
 def _holdout_lp(params, obs, cfg):
     errs = mm.horizon_errors_np(params, obs, cfg.T_c, cfg.T_p, order=cfg.order,
-                                transition="neural" if cfg.variant == "neural_mstar"
-                                else "lstsq")
+                                transition=cfg.transition)
     return float(errs.mean())
 
 
@@ -130,8 +125,9 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
     from ``lr`` to ``lr_final`` at ``decay_at`` iterations.
 
     Raises:
-        TrainingAbort: on a non-finite loss or gradient; carries the last
-            finite parameters and the metrics collected so far.
+        TrainingAbort: on a non-finite loss or gradient, or a rank
+            collapse (``SingularityError``) in the transition solve;
+            carries the last good parameters and the metrics so far.
     """
     cfg = cfg.resolved()
     cfg.validate()
@@ -174,7 +170,7 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
             loss_val = float(loss.value[0, 0])
             tape.backward(loss)
             adam_step(adam, params.named_tensors(), bound.gradients())
-        except NumericError as exc:
+        except (NumericError, SingularityError) as exc:
             raise TrainingAbort(str(exc), iteration=it, params=last_good,
                                 metrics=metrics) from exc
         last_good = params.copy()
@@ -278,7 +274,7 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
     if base + payload_len != len(raw):
         raise FormatError("checkpoint payload size disagrees with manifest")
 
-    def collect(group, count, bias_check):
+    def collect(group, count):
         layers = []
         for i in range(count):
             try:
@@ -291,9 +287,9 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
             layers.append((w, b))
         return layers
 
-    enc = collect("enc", layer_counts["enc"], True)
-    dec = collect("dec", layer_counts["dec"], True)
-    mstar = collect("mstar", layer_counts["mstar"], True) if layer_counts["mstar"] else None
+    enc = collect("enc", layer_counts["enc"])
+    dec = collect("dec", layer_counts["dec"])
+    mstar = collect("mstar", layer_counts["mstar"]) if layer_counts["mstar"] else None
     params = mm.ModelParams(a=int(meta["a"]), m=int(meta["m"]),
                             obs_dim=int(meta["obs_dim"]), T_c=int(meta["T_c"]),
                             enc=enc, dec=dec, mstar=mstar)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -75,6 +76,13 @@ def test_config_defaults_and_hash(tmp_path):
     assert cfg.canonical["eval"]["horizons"] == 2
     other = cfgmod.with_overrides(cfg, seed=123)
     assert other.config_hash != cfg.config_hash
+    # the hash names what a run computes, not where it writes
+    moved = cfgmod.with_overrides(cfg, out_dir=str(tmp_path / "elsewhere"))
+    assert moved.out_dir != cfg.out_dir
+    assert moved.config_hash == cfg.config_hash
+    # omitted train fields take TrainConfig's defaults
+    bare = cfgmod.from_dict({"master_seed": 1, "out_dir": "x"})
+    assert bare.train == mm.TrainConfig().resolved()
 
 
 def test_config_rejects_unknown_and_missing_fields(tmp_path):
@@ -127,6 +135,21 @@ def test_train_checkpoint_deterministic(tmp_path):
 def test_train_without_dataset_exits_5(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["train", "--config", str(path)]) == 5
+
+
+def test_train_rank_collapse_exits_3_with_checkpoint(tmp_path):
+    path = write_config(tmp_path)
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    data_file = tmp_path / "run" / cli.DATASET_FILE
+    batch = datagen.load_dataset(data_file)
+    # all-zero frames encode to one latent, so the Gram matrix is singular
+    zeros = dataclasses.replace(batch, observations=np.zeros_like(batch.observations))
+    datagen.save_dataset(zeros, data_file)
+    assert cli.main(["train", "--config", str(path)]) == 3
+    params, cfg = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
+    ref = mm.ModelParams.initialize(cfg, obs_dim=4)
+    for name, arr in params.named_tensors().items():
+        np.testing.assert_array_equal(arr, ref.named_tensors()[name])
 
 
 def test_train_iters_zero_returns_initialization(tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mspred import autodiff as ad
 from mspred import model as mm
 from mspred import training as tr
 from mspred.datagen import GeneratorSpec, SequenceBatch, make_dataset
@@ -102,6 +103,18 @@ def test_train_holdout_reports_eval_loss():
     cfg = small_config(holdout=4, iterations=4, log_interval=2)
     _, metrics = tr.train(cfg, ds)
     assert all(m.loss_eval is not None and m.loss_eval >= 0 for m in metrics)
+
+
+def test_fixed_blocks_holdout_uses_blockwise_solve():
+    ds = small_dataset(n=20)
+    cfg = small_config(a=4, m=5, variant="fixed_blocks", holdout=6, iterations=4,
+                       log_interval=2)
+    params, metrics = tr.train(cfg, ds)
+    holdout = ds.observations[-6:]
+    tape = ad.Tape()
+    ref = mm.loss_pred(mm.TapeModel(tape, params), holdout, 2, 1,
+                       transition="blockwise").value[0, 0]
+    assert abs(metrics[-1].loss_eval - ref) <= 1e-12 * ref
 
 
 def test_train_validates_dataset_length():
