@@ -37,7 +37,11 @@ def _prediction_error(pred, obs, T_c):
 
 
 def fitted_transitions(model, obs, T_c):
-    """Per-sequence least-squares transitions from batched encodings."""
+    """Per-sequence transitions from batched encodings.
+
+    A model with a neural transition head is read through the head; any
+    other model through the first-order least-squares fit.
+    """
     return mm.fit_np(model, obs, T_c).op
 
 
@@ -60,8 +64,9 @@ def equivariance_error(model, paired: PairedBatch, T_c: int, T_p: int) -> Equiva
 
     ``lp`` predicts each partner sequence with its own fitted transition;
     ``lp_equiv`` predicts it with the transition fitted on the sequence
-    that shares its hidden motion. The ratio is None when the baseline is
-    below the floating-point floor.
+    that shares its hidden motion. Transitions come from the model's
+    neural head if it has one, else from the least-squares fit. The ratio
+    is None when the baseline is below the floating-point floor.
     """
     first, second = paired.first, paired.second
     if first.num_sequences != second.num_sequences:

@@ -11,7 +11,7 @@ Design notes, fixed once and relied on by tests:
 * every forward value is checked finite; a NaN/Inf raises ``NumericError``
   at the op that produced it;
 * ``relu`` uses relu'(0) = 0;
-* ``spd_inverse`` factorizes with an in-repo Cholesky (lower triangle only)
+* ``spd_inverse`` factorizes with LAPACK's Cholesky (lower triangle only)
   and rejects matrices whose diagonal-based condition estimate exceeds
   ``COND_LIMIT``;
 * ``sym_eig`` differentiates eigenvalues only (the eigenvector matrix is
@@ -21,8 +21,6 @@ Design notes, fixed once and relied on by tests:
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -333,25 +331,36 @@ def frobenius_sq(a: Var) -> Var:
 # linear-algebra ops
 
 
+def _first_indefinite_minor(s: Array) -> int:
+    """Index j of the first leading (j+1) x (j+1) minor that fails Cholesky."""
+    lo, hi = 0, s.shape[0] - 1  # the full matrix is known to fail
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(s[: mid + 1, : mid + 1])
+            lo = mid + 1
+        except np.linalg.LinAlgError:
+            hi = mid
+    return lo
+
+
 def cholesky_lower(s: Array) -> Array:
     """Lower Cholesky factor of an SPD matrix, reading the lower triangle.
 
     Raises:
-        SingularityError: non-positive pivot, or diagonal-based condition
-            estimate (max diag L / min diag L)^2 above ``COND_LIMIT``;
-            ``pivot`` names the offending index.
+        SingularityError: non-positive or non-finite pivot, or diagonal-based
+            condition estimate (max diag L / min diag L)^2 above
+            ``COND_LIMIT``; ``pivot`` names the offending index.
     """
-    n = s.shape[0]
-    L = np.zeros((n, n))
-    for j in range(n):
-        d = s[j, j] - L[j, :j] @ L[j, :j]
-        if not np.isfinite(d) or d <= 0.0:
-            raise SingularityError(
-                f"Cholesky pivot {j} is not positive (got {d!r})", pivot=j
-            )
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (s[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    try:
+        L = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        j = _first_indefinite_minor(s)
+        raise SingularityError(f"Cholesky pivot {j} is not positive", pivot=j) from None
+    finite_rows = np.isfinite(L).all(axis=1)  # LAPACK passes NaN through
+    if not finite_rows.all():
+        j = int(np.argmin(finite_rows))
+        raise SingularityError(f"Cholesky pivot {j} is not finite", pivot=j)
     diag = np.diagonal(L)
     cond_est = (diag.max() / diag.min()) ** 2
     if cond_est > COND_LIMIT:
@@ -365,16 +374,10 @@ def cholesky_lower(s: Array) -> Array:
 
 
 def spd_solve_identity(L: Array) -> Array:
-    """Invert S = L L^T by forward/back substitution against the identity."""
-    n = L.shape[0]
-    Y = np.zeros((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        Y[i] = (eye[i] - L[i, :i] @ Y[:i]) / L[i, i]
-    X = np.zeros((n, n))
-    for i in range(n - 1, -1, -1):
-        X[i] = (Y[i] - L[i + 1 :, i] @ X[i + 1 :]) / L[i, i]
-    return (X + X.T) / 2.0
+    """Invert S = L L^T from its Cholesky factor: S^{-1} = L^{-T} L^{-1}."""
+    linv = np.linalg.inv(L)
+    x = linv.T @ linv
+    return (x + x.T) / 2.0
 
 
 def spd_inverse(s: Var) -> Var:

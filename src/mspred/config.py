@@ -2,10 +2,10 @@
 
 A run is fully determined by its config, so the config is canonicalized
 (defaults materialized, keys sorted) before hashing; the SHA-256 of that
-canonical JSON, without ``out_dir``, identifies every artifact the run
-produces, wherever it is written. Unknown keys are rejected rather than
-ignored. The ``train`` section's keys and defaults are ``TrainConfig``'s
-fields.
+canonical JSON, without ``out_dir`` and with ``NUMERICS_VERSION``,
+identifies every artifact the run produces, wherever it is written.
+Unknown keys are rejected rather than ignored. The ``train`` section's
+keys and defaults are ``TrainConfig``'s fields.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ _SBD_DEFAULTS = {
 }
 
 _REQUIRED = ("master_seed", "out_dir")
+
+# Version of the training arithmetic, folded into every config hash. Bump it
+# whenever a change moves trained parameters (even at rounding level), so
+# artifacts keyed by the hash, such as cached checkpoints, go stale with it.
+NUMERICS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,10 @@ def from_dict(raw: dict) -> ExperimentConfig:
         "eval": dict(sorted(eval_spec.items())),
         "sbd": dict(sorted(sbd_spec.items())),
     }
-    # the hash names what the run computes, not where it writes
+    # the hash names what the run computes and with which arithmetic, not
+    # where it writes
     hashed = {key: val for key, val in canonical.items() if key != "out_dir"}
+    hashed["numerics_version"] = NUMERICS_VERSION
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return ExperimentConfig(master_seed=master_seed, out_dir=out_dir, generator=spec,

@@ -79,9 +79,11 @@ class GeneratorSpec:
             raise ValidationError(f"unknown mode {mode!r}", field="mode")
         if self.k < 1:
             raise ValidationError("k must be >= 1", field="k")
-        if self.obs_dim < 2 * self.k:
+        if self.obs_dim < 2 * self.k + 1:
+            # the mixing map needs at least one observation direction
+            # beyond the 2k latent ones for its nonlinear part
             raise ValidationError(
-                f"obs_dim {self.obs_dim} < 2k = {2 * self.k}", field="obs_dim"
+                f"obs_dim {self.obs_dim} < 2k + 1 = {2 * self.k + 1}", field="obs_dim"
             )
         min_t = 3 if mode == "velocity" else 4
         if self.T < min_t:
@@ -134,12 +136,13 @@ class MixingMap:
 
     All weights are drawn once from ``mixing_seed``. W3's singular values
     are clamped to [0.5, 2.0]. The nonlinear component is deliberately
-    low-rank and sharply saturated: W2 has rank floor(n/3), so the sharp
-    tanh features live in a fixed subspace of observation space while its
-    orthogonal complement carries W3 z untouched. The map is therefore
-    exactly injective (project the nonlinear subspace away and invert the
-    remaining linear map), and reconstructing an observation is strictly
-    harder than recovering its latent.
+    low-rank and sharply saturated: W2 has rank max(2, floor(n/3)), capped
+    at n - 2k, so the sharp tanh features live in a fixed subspace of
+    observation space while its orthogonal complement carries W3 z
+    untouched. The map is therefore exactly injective (project the
+    nonlinear subspace away and invert the remaining linear map), and
+    reconstructing an observation is strictly harder than recovering its
+    latent.
     """
 
     _SHARPNESS = 14.0        # scale of W1: tanh features are near-binary
@@ -149,7 +152,9 @@ class MixingMap:
         d = spec.latent_dim
         n = spec.obs_dim
         h = 2 * n
-        r = max(2, n // 3)
+        # the nonlinear subspace leaves 2k directions to the linear part,
+        # so projecting it away keeps P W3 of full column rank
+        r = min(max(2, n // 3), n - d)
         rng = np.random.default_rng(mix64(spec.mixing_seed, 0))
         self.w1 = rng.normal(size=(h, d)) * (self._SHARPNESS / math.sqrt(d))
         w2 = (rng.normal(size=(n, r)) @ rng.normal(size=(r, h))) / math.sqrt(r * h)

@@ -603,14 +603,17 @@ class TransitionFit:
 
 
 def fit_np(model, obs, T_c: int, *, order: int = 1,
-           transition: str = "lstsq") -> TransitionFit:
+           transition: str | None = None) -> TransitionFit:
     """Encode a batch once and fit every sequence's operators, gradient-free.
 
     ``transition`` and ``order`` select the estimator as in ``loss_pred``
-    ("lstsq" of either order, "blockwise" or "neural"). The closed-form
+    ("lstsq" of either order, "blockwise" or "neural"); None picks the
+    model's neural head if it has one, else "lstsq". The closed-form
     solves run per sequence in the tape's order, so a fit on the same
     inputs reproduces ``loss_pred``'s operators bit for bit.
     """
+    if transition is None:
+        transition = "neural" if getattr(model, "mstar", None) is not None else "lstsq"
     obs = _as_batch(obs)
     n_seq, _, n_dim = obs.shape
     a, m = model.a, model.m
@@ -661,7 +664,7 @@ def predict_np(model, fit: TransitionFit, steps: int) -> np.ndarray:
 
 
 def batch_transitions_np(model, obs, T_c: int, *, order: int = 1,
-                         transition: str = "lstsq") -> np.ndarray:
+                         transition: str | None = None) -> np.ndarray:
     """Per-sequence transitions of a batch, (N, a, a).
 
     For a second-order fit these are the last velocity operators.
@@ -671,7 +674,7 @@ def batch_transitions_np(model, obs, T_c: int, *, order: int = 1,
 
 
 def horizon_errors_np(model, obs, T_c: int, horizons: int, *,
-                      order: int = 1, transition: str = "lstsq") -> np.ndarray:
+                      order: int = 1, transition: str | None = None) -> np.ndarray:
     """Mean squared frame error at each prediction horizon 1..horizons.
 
     Fits the per-sequence transition on the first T_c frames, rolls the

@@ -9,9 +9,9 @@ dimension of the Laplacian counts the connected components of A's graph,
 so pushing small eigenvalues to zero carves V into blocks; the trace norm
 is the convex surrogate that makes this optimizable.
 
-``U`` stays exactly orthogonal throughout: it is the matrix exponential
-of a skew-symmetric parameter, computed on the tape by scaling and
-squaring with a Taylor series, so the optimization is unconstrained.
+``U`` stays orthogonal to rounding error throughout: it is the exponential
+of a skew-symmetric parameter, one tape op built on the eigendecomposition
+of the Hermitian iS, so the optimization is unconstrained.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .training import AdamState, adam_step
 ABS_EPS = 1e-12      # smoothing of |x| inside the adjacency
 DEGREE_EPS = 1e-10   # guard added to degrees before the inverse square root
 SIGN_EPS = 1e-10     # smoothing of |lambda| in the trace norm
-EXPM_TOL = 1e-13     # Taylor truncation tolerance for the matrix exponential
 
 
 def abs_adjacency(v: Var) -> Var:
@@ -66,33 +65,28 @@ def blockness_loss(v: Var) -> Var:
 
 
 def expm_skew(skew: Var) -> Var:
-    """Matrix exponential by scaling-and-squaring with a Taylor series.
+    """Matrix exponential U = exp(S) of a skew-symmetric S, as one tape op.
 
-    The Taylor term count is chosen from the scaled norm so the
-    truncation error is below EXPM_TOL; for a skew-symmetric input the
-    result is orthogonal to that tolerance. Fully differentiable.
+    With the Hermitian iS = Q diag(w) Q^H, U = Re(Q diag(e^{-iw}) Q^H) is
+    orthogonal to rounding error. The backward pass is Daleckii-Krein:
+    G -> Re(Q (conj(D) o (Q^H G Q)) Q^H) with the divided differences
+    D_jk = e^{-i(w_j + w_k)/2} sinc((w_j - w_k)/2), exact at w_j = w_k.
     """
-    n = skew.shape[0]
-    if skew.shape[1] != n:
+    if skew.shape[0] != skew.shape[1]:
         raise DimensionError(f"expm_skew needs a square matrix, got {skew.shape}")
-    tape = skew.tape
-    norm = float(np.abs(skew.value).sum(axis=1).max())
-    squarings = max(0, math.ceil(math.log2(max(norm, 1e-30) / 0.5))) if norm > 0.5 else 0
-    scaled = ad.scale(skew, 0.5**squarings) if squarings else skew
-    # term count: (norm_scaled)^k / k! < tol with norm_scaled <= 0.5
-    terms = 3
-    bound = 0.5
-    while bound > EXPM_TOL and terms < 30:
-        bound *= 0.5 / terms
-        terms += 1
-    acc = tape.input(np.eye(n))
-    term = None
-    for k in range(1, terms + 1):
-        term = scaled if k == 1 else ad.matmul(ad.scale(scaled, 1.0 / k), term)
-        acc = ad.add(acc, term)
-    for _ in range(squarings):
-        acc = ad.matmul(acc, acc)
-    return acc
+    try:
+        w, q = np.linalg.eigh(1j * skew.value)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"expm_skew eigensolver did not converge: {exc}") from exc
+    qh = q.conj().T
+    u = np.ascontiguousarray(((q * np.exp(-1j * w)) @ qh).real)
+    dw = w[:, None] - w[None, :]
+    div_diff = np.exp(-0.5j * (w[:, None] + w[None, :])) * np.sinc(dw / (2.0 * np.pi))
+
+    def vjp(g):
+        return ((q @ (div_diff.conj() * (qh @ g @ q)) @ qh).real,)
+
+    return skew.tape._push(u, (skew.index,), vjp)
 
 
 def _batched_conjugate(u: Var, stack: Var, n: int) -> Var:

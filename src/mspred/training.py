@@ -126,7 +126,8 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
 
     Raises:
         TrainingAbort: on a non-finite loss or gradient, or a rank
-            collapse (``SingularityError``) in the transition solve;
+            collapse (``SingularityError``) in the transition solve of a
+            step or of its logged held-out and orthogonality fits;
             carries the last good parameters and the metrics so far.
     """
     cfg = cfg.resolved()
@@ -170,20 +171,21 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
             loss_val = float(loss.value[0, 0])
             tape.backward(loss)
             adam_step(adam, params.named_tensors(), bound.gradients())
+            last_good = params.copy()
+            is_log = (it + 1) % cfg.log_interval == 0
+            is_final = (it + 1) == cfg.iterations and cfg.iterations % cfg.log_interval != 0
+            if is_log or is_final:
+                metrics.append(MetricsRecord(
+                    iter=it + 1,
+                    loss=loss_val,
+                    loss_eval=(_holdout_lp(params, eval_obs, cfg)
+                               if eval_obs is not None else None),
+                    ortho_defect=_ortho_defect_of_batch(params, batch, cfg),
+                    wall_ms=(time.perf_counter() - started) * 1000.0,
+                ))
         except (NumericError, SingularityError) as exc:
             raise TrainingAbort(str(exc), iteration=it, params=last_good,
                                 metrics=metrics) from exc
-        last_good = params.copy()
-        is_log = (it + 1) % cfg.log_interval == 0
-        is_final = (it + 1) == cfg.iterations and cfg.iterations % cfg.log_interval != 0
-        if is_log or is_final:
-            metrics.append(MetricsRecord(
-                iter=it + 1,
-                loss=loss_val,
-                loss_eval=_holdout_lp(params, eval_obs, cfg) if eval_obs is not None else None,
-                ortho_defect=_ortho_defect_of_batch(params, batch, cfg),
-                wall_ms=(time.perf_counter() - started) * 1000.0,
-            ))
     return params, metrics
 
 

@@ -40,6 +40,21 @@ def test_equivariance_self_pair_equals_loss_pred_exactly():
     assert report.sample_count == 12
 
 
+def test_equivariance_scores_a_neural_model_with_its_head():
+    cfg = mm.TrainConfig(a=2, m=3, enc_hidden=(8,), dec_hidden=(8,), mstar_hidden=(8,),
+                         seed=4, T_c=2, T_p=1, iterations=1, variant="neural_mstar")
+    params = mm.ModelParams.initialize(cfg, 4)
+    paired = make_paired(small_spec(), master_seed=5)
+    report = an.equivariance_error(params, paired, 2, 1)
+    tape = ad.Tape()
+    ref = mm.loss_pred(mm.TapeModel(tape, params), paired.second.observations, 2, 1,
+                       transition="neural").value[0, 0]
+    assert abs(report.lp - ref) <= 1e-12 * ref
+    np.testing.assert_array_equal(
+        an.fitted_transitions(params, paired.first.observations, 2),
+        mm.batch_transitions_np(params, paired.first.observations, 2, transition="neural"))
+
+
 def test_equivariance_oracle_reports_null_ratio():
     spec = small_spec(k=2, obs_dim=6)
     paired = make_paired(spec, master_seed=8)

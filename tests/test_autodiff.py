@@ -227,6 +227,35 @@ def test_spd_inverse_condition_guard():
     assert exc.value.pivot == 1
 
 
+@pytest.mark.parametrize("bad", range(6))
+def test_cholesky_pivot_is_first_indefinite_leading_minor(bad):
+    rng = make_rng(31)
+    h = rng.normal(size=(6, 9))
+    s = h @ h.T
+    s[bad, bad] = -100.0
+    with pytest.raises(SingularityError) as exc:
+        ad.cholesky_lower(s)
+    assert exc.value.pivot == bad
+
+
+def test_cholesky_reads_lower_triangle_only():
+    rng = make_rng(32)
+    h = rng.normal(size=(4, 7))
+    s = h @ h.T
+    garbage = s + np.triu(rng.normal(size=(4, 4)) * 50.0, k=1)
+    L = ad.cholesky_lower(garbage)
+    np.testing.assert_allclose(L @ L.T, s, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(L, ad.cholesky_lower(s))
+
+
+def test_cholesky_rejects_non_finite_entry():
+    s = 2.0 * np.eye(4)
+    s[2, 0] = s[0, 2] = np.nan
+    with pytest.raises(SingularityError) as exc:
+        ad.cholesky_lower(s)
+    assert exc.value.pivot == 2
+
+
 def test_pinv_right_identity_and_orthogonal_rows():
     tape = ad.Tape()
     np.testing.assert_allclose(ad.pinv_right(tape.input(np.eye(3))).value, np.eye(3), atol=1e-14)

@@ -85,6 +85,15 @@ def test_config_defaults_and_hash(tmp_path):
     assert bare.train == mm.TrainConfig().resolved()
 
 
+def test_config_hash_includes_numerics_version(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    cfg = cfgmod.load(path)
+    monkeypatch.setattr(cfgmod, "NUMERICS_VERSION", cfgmod.NUMERICS_VERSION + 1)
+    bumped = cfgmod.load(path)
+    assert bumped.canonical == cfg.canonical
+    assert bumped.config_hash != cfg.config_hash
+
+
 def test_config_rejects_unknown_and_missing_fields(tmp_path):
     with pytest.raises(ValidationError) as exc:
         cfgmod.from_dict({"master_seed": 1})

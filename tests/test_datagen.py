@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -70,6 +71,25 @@ def test_mixing_demix_recovers_latents():
     z = np.random.default_rng(3).normal(size=(64, 4))
     z_hat = mixing.demix(mixing.apply(z))
     assert np.abs(z_hat - z).max() < 1e-12
+
+
+@pytest.mark.parametrize("k, obs_dim", [(1, 3), (2, 5), (3, 7)])
+def test_mixing_demix_exact_at_tight_obs_dim(k, obs_dim):
+    # the nonlinear rank is clamped to obs_dim - 2k so demixing stays exact
+    for mixing_seed in (3, 7):
+        spec = GeneratorSpec(k=k, obs_dim=obs_dim, T=3, num_sequences=1,
+                             mixing_seed=mixing_seed)
+        mixing = MixingMap(spec)
+        z = np.random.default_rng(4).normal(size=(64, 2 * k))
+        assert np.abs(mixing.demix(mixing.apply(z)) - z).max() < 1e-12
+
+
+@pytest.mark.parametrize("k, obs_dim", [(1, 2), (3, 6)])
+def test_spec_rejects_obs_dim_without_nonlinear_room(k, obs_dim):
+    spec = GeneratorSpec(k=k, obs_dim=obs_dim, T=3, num_sequences=1, mixing_seed=3)
+    with pytest.raises(ValidationError) as exc:
+        make_dataset(spec, master_seed=0)
+    assert exc.value.field == "obs_dim"
 
 
 def test_make_dataset_deterministic():
@@ -238,3 +258,16 @@ def test_default_spec_matches_documented_desk_scale():
     spec = velocity_spec()
     assert (spec.k, spec.obs_dim, spec.T, spec.num_sequences) == (3, 24, 3, 5000)
     assert spec.velocity_range == (-math.pi / 2, math.pi / 2)
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("velocity", "7cdebcc89866560a95cf5669b72eb09be7a945818801f0939ac9fb7f7ccf292b"),
+    ("acceleration", "fe1574bbcd9d529eafa293e8a894953e5266ea133d632b1397feedba1142218b"),
+])
+def test_desk_dataset_bytes_are_pinned(tmp_path, mode, digest):
+    # the acceptance suite's desk datasets (master seed 42); a mixing-map
+    # change that moves them would silently change every trained model
+    spec = velocity_spec() if mode == "velocity" else datagen.acceleration_spec()
+    path = tmp_path / "desk.mspdat"
+    save_dataset(make_dataset(spec, master_seed=42, mode=mode), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

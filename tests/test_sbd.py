@@ -160,6 +160,48 @@ def test_expm_skew_gradient_matches_fd():
     assert rel_err(tape.grad(pv), central_diff(forward, p0)) < 1e-4
 
 
+def test_expm_skew_orthogonal_at_large_norm():
+    for n in (4, 8):
+        for seed in range(8):
+            p = np.random.default_rng(seed).normal(size=(n * (n - 1) // 2, 1))
+            p *= 20.0 / np.linalg.norm(p)
+            tape = ad.Tape()
+            u = sbd.expm_skew(sbd.skew_from_params(tape, tape.input(p), n)).value
+            assert np.abs(u @ u.T - np.eye(n)).max() <= 1e-14
+            assert np.linalg.det(u) > 0.0
+
+
+def test_expm_skew_gradient_at_zero_matches_fd():
+    # S = 0 has all eigenvalues equal: the coincident-eigenvalue limit
+    from oracles import central_diff, rel_err
+
+    target = np.random.default_rng(7).normal(size=(4, 4))  # not symmetric
+
+    def loss(tape, p):
+        u = sbd.expm_skew(sbd.skew_from_params(tape, p, 4))
+        return ad.frobenius_sq(ad.sub(u, tape.input(target)))
+
+    def forward(p):
+        tape = ad.Tape()
+        return float(loss(tape, tape.input(p)).value[0, 0])
+
+    p0 = np.zeros((6, 1))
+    tape = ad.Tape()
+    pv = tape.input(p0)
+    tape.backward(loss(tape, pv))
+    fd = central_diff(forward, p0)
+    assert np.abs(fd).max() > 1e-3
+    assert rel_err(tape.grad(pv), fd) < 1e-8
+
+
+def test_expm_skew_is_one_tape_node():
+    tape = ad.Tape()
+    s = sbd.skew_from_params(tape, tape.input(np.full((3, 1), 0.4)), 3)
+    before = len(tape.values)
+    sbd.expm_skew(s)
+    assert len(tape.values) == before + 1
+
+
 def test_detect_blocks_exact_and_dense():
     v = np.zeros((6, 6))
     v[:2, :2] = rot2(0.5)

@@ -7,7 +7,8 @@ from mspred import autodiff as ad
 from mspred import model as mm
 from mspred import training as tr
 from mspred.datagen import GeneratorSpec, SequenceBatch, make_dataset
-from mspred.errors import FormatError, NumericError, TrainingAbort, ValidationError
+from mspred.errors import (FormatError, NumericError, SingularityError, TrainingAbort,
+                           ValidationError)
 
 
 def small_dataset(n=16, T=3, seed=1):
@@ -140,6 +141,20 @@ def test_train_aborts_on_nonfinite_loss_and_keeps_last_good():
     assert abort.params is not None
     for arr in abort.params.named_tensors().values():
         assert np.all(np.isfinite(arr))
+
+
+def test_rank_collapse_in_a_logging_fit_aborts(monkeypatch):
+    def collapse(params, obs, cfg):
+        raise SingularityError("Cholesky pivot 0 is not positive", pivot=0)
+
+    monkeypatch.setattr(tr, "_holdout_lp", collapse)
+    cfg = small_config(holdout=4, iterations=6, log_interval=2)
+    with pytest.raises(TrainingAbort) as exc:
+        tr.train(cfg, small_dataset(n=20))
+    abort = exc.value
+    assert abort.iteration == 1
+    assert abort.metrics == []
+    assert isinstance(abort.__cause__, SingularityError)
 
 
 def test_smoke_run_beats_variance_fraction():
