@@ -6,11 +6,11 @@ hidden motion), transition swapping, intra-orbit homogeneity, spectra of
 the transition family, orthogonality, and a linear probe regressing the
 hidden transition parameters from the fitted operators.
 
-The prediction routines call the model's one forward path
-(``model.fit_np`` then ``model.predict_np``), which repeats the training
-loss's arithmetic, so their numbers coincide with the tape loss on
-identical inputs. Each batch is fitted once; cross-sequence predictions
-pair one batch's operators with another batch's latents.
+The prediction routines call ``model.fit_np`` then ``model.predict_np``,
+which run the training loss's own estimator and rollout functions on a
+scratch tape, so their numbers coincide with the tape loss on identical
+inputs. Each batch is fitted once; cross-sequence predictions pair one
+batch's operators with another batch's latents.
 """
 
 from __future__ import annotations

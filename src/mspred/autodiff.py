@@ -1,10 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 A :class:`Tape` records every operation as it executes (define-by-run).
-Node values are immutable 2-D float64 numpy arrays; a :class:`Var` is a
-lightweight handle (tape, node index, shape). Calling :meth:`Tape.backward`
-on a scalar loss runs one reverse topological sweep and fills a gradient
-slot per reachable node.
+Node values are immutable float64 numpy arrays, either 2-D matrices or
+batched 3-D stacks of matrices (N, rows, cols); a :class:`Var` is a
+lightweight handle (tape, node index, shape). The matrix ops (``matmul``,
+``transpose``, ``slice_rows``, ``hcat``, ``vcat``, ``spd_inverse``,
+``pinv_right``) act on the last two axes, so one op runs a whole batch
+with the same per-matrix arithmetic as N separate 2-D calls; elementwise
+ops take any shape. Calling :meth:`Tape.backward` on a scalar loss runs
+one reverse topological sweep and fills a gradient slot per reachable
+node.
 
 Design notes, fixed once and relied on by tests:
 
@@ -13,7 +18,7 @@ Design notes, fixed once and relied on by tests:
 * ``relu`` uses relu'(0) = 0;
 * ``spd_inverse`` factorizes with LAPACK's Cholesky (lower triangle only)
   and rejects matrices whose diagonal-based condition estimate exceeds
-  ``COND_LIMIT``;
+  ``COND_LIMIT``, each matrix of a batch on its own;
 * ``sym_eig`` differentiates eigenvalues only (the eigenvector matrix is
   returned as a plain array, deliberately without a gradient path);
 * gradient accumulation order is the reverse of node creation order, so
@@ -33,12 +38,12 @@ COND_LIMIT = 1e12
 
 
 def as_matrix(data) -> Array:
-    """Validate and copy ``data`` into an immutable 2-D float64 array."""
+    """Validate and copy ``data`` into an immutable 2-D or 3-D float64 array."""
     a = np.array(data, dtype=np.float64, copy=True)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise DimensionError(f"matrix must be 2-D, got ndim={a.ndim}")
+    if a.ndim not in (2, 3):
+        raise DimensionError(f"matrix must be 2-D or a 3-D batch, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise NumericError("matrix construction saw a non-finite entry")
     a.flags.writeable = False
@@ -50,7 +55,7 @@ class Var:
 
     __slots__ = ("tape", "index", "shape")
 
-    def __init__(self, tape: "Tape", index: int, shape: tuple[int, int]):
+    def __init__(self, tape: "Tape", index: int, shape: tuple[int, ...]):
         self.tape = tape
         self.index = index
         self.shape = shape
@@ -156,6 +161,11 @@ def _same_tape(*vars_: Var) -> Tape:
     return tape
 
 
+def _mT(x: Array) -> Array:
+    """Transpose of the last two axes (``ndarray.mT`` needs numpy 2)."""
+    return np.swapaxes(x, -1, -2)
+
+
 def _finite(out: Array, op: str) -> Array:
     if not np.all(np.isfinite(out)):
         raise NumericError(f"{op} produced a non-finite value")
@@ -167,14 +177,14 @@ def _finite(out: Array, op: str) -> Array:
 
 
 def matmul(a: Var, b: Var) -> Var:
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul dims differ: {a.shape} @ {b.shape}")
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
     out = _finite(av @ bv, "matmul")
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        return g @ _mT(bv), _mT(av) @ g
 
     return tape._push(out, (a.index, b.index), vjp)
 
@@ -244,66 +254,55 @@ def rsqrt(a: Var) -> Var:
 
 
 def transpose(a: Var) -> Var:
-    out = np.ascontiguousarray(a.value.T)
-    return a.tape._push(out, (a.index,), lambda g: (g.T,))
+    out = np.ascontiguousarray(_mT(a.value))
+    return a.tape._push(out, (a.index,), lambda g: (_mT(g),))
 
 
-def reshape(a: Var, rows: int, cols: int) -> Var:
-    if rows * cols != a.shape[0] * a.shape[1]:
-        raise DimensionError(f"cannot reshape {a.shape} to ({rows}, {cols})")
-    r, c = a.shape
-    out = a.value.reshape(rows, cols).copy()
-    return a.tape._push(out, (a.index,), lambda g: (g.reshape(r, c),))
+def reshape(a: Var, *shape: int) -> Var:
+    """Row-major reshape to ``shape``: (rows, cols) or a batch (N, rows, cols)."""
+    if len(shape) not in (2, 3) or int(np.prod(shape)) != a.value.size:
+        raise DimensionError(f"cannot reshape {a.shape} to {shape}")
+    old = a.shape
+    out = a.value.reshape(shape)  # a read-only view: values are never written
+    return a.tape._push(out, (a.index,), lambda g: (g.reshape(old),))
 
 
 def slice_rows(a: Var, start: int, stop: int) -> Var:
-    if not (0 <= start < stop <= a.shape[0]):
+    if not (0 <= start < stop <= a.shape[-2]):
         raise DimensionError(f"row slice [{start}:{stop}] out of range for {a.shape}")
-    rows, cols = a.shape
-    out = a.value[start:stop].copy()
+    shape = a.shape
+    out = a.value[..., start:stop, :].copy()
 
     def vjp(g):
-        full = np.zeros((rows, cols))
-        full[start:stop] = g
+        full = np.zeros(shape)
+        full[..., start:stop, :] = g
         return (full,)
 
     return a.tape._push(out, (a.index,), vjp)
 
 
-def hcat(parts: list[Var]) -> Var:
+def _concat(parts: list[Var], axis: int, name: str) -> Var:
+    """Concatenate along ``axis`` (-1: columns, -2: rows); other axes must agree."""
     if not parts:
-        raise ContractError("hcat of zero matrices")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != rows:
-            raise DimensionError("hcat row counts differ")
+        raise ContractError(f"{name} of zero matrices")
+    if len({tuple(np.delete(p.shape, axis)) for p in parts}) > 1:
+        raise DimensionError(f"{name} shapes disagree: {[p.shape for p in parts]}")
     tape = _same_tape(*parts)
-    widths = [p.shape[1] for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=1)
-    splits = np.cumsum(widths)[:-1]
+    out = np.concatenate([p.value for p in parts], axis=axis)
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
+        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
 
     return tape._push(out, tuple(p.index for p in parts), vjp)
+
+
+def hcat(parts: list[Var]) -> Var:
+    return _concat(parts, -1, "hcat")
 
 
 def vcat(parts: list[Var]) -> Var:
-    if not parts:
-        raise ContractError("vcat of zero matrices")
-    cols = parts[0].shape[1]
-    for p in parts:
-        if p.shape[1] != cols:
-            raise DimensionError("vcat column counts differ")
-    tape = _same_tape(*parts)
-    heights = [p.shape[0] for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=0)
-    splits = np.cumsum(heights)[:-1]
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=0))
-
-    return tape._push(out, tuple(p.index for p in parts), vjp)
+    return _concat(parts, -2, "vcat")
 
 
 def add_rowvec(a: Var, b: Var) -> Var:
@@ -316,9 +315,9 @@ def add_rowvec(a: Var, b: Var) -> Var:
 
 
 def reduce_sum(a: Var) -> Var:
-    r, c = a.shape
+    shape = a.shape
     out = np.array([[float(a.value.sum())]])
-    return a.tape._push(out, (a.index,), lambda g: (np.full((r, c), g[0, 0]),))
+    return a.tape._push(out, (a.index,), lambda g: (np.full(shape, g[0, 0]),))
 
 
 def frobenius_sq(a: Var) -> Var:
@@ -331,9 +330,10 @@ def frobenius_sq(a: Var) -> Var:
 # linear-algebra ops
 
 
-def _first_indefinite_minor(s: Array) -> int:
-    """Index j of the first leading (j+1) x (j+1) minor that fails Cholesky."""
-    lo, hi = 0, s.shape[0] - 1  # the full matrix is known to fail
+def _first_indefinite_minor(s: Array) -> int | None:
+    """Index j of the first leading (j+1) x (j+1) minor that fails Cholesky,
+    or None if ``s`` factors."""
+    lo, hi = 0, s.shape[0]
     while lo < hi:
         mid = (lo + hi) // 2
         try:
@@ -341,60 +341,62 @@ def _first_indefinite_minor(s: Array) -> int:
             lo = mid + 1
         except np.linalg.LinAlgError:
             hi = mid
-    return lo
+    return lo if lo < s.shape[0] else None
+
+
+def _singular(s: Array, i: int, message: str, pivot: int) -> SingularityError:
+    """The error for matrix ``i`` of ``s``; in a batch the message names it."""
+    where = f"matrix {i}: " if s.ndim == 3 else ""
+    return SingularityError(where + message, pivot=int(pivot))
 
 
 def cholesky_lower(s: Array) -> Array:
-    """Lower Cholesky factor of an SPD matrix, reading the lower triangle.
+    """Lower Cholesky factor of an SPD matrix (or of each matrix in a
+    (N, n, n) batch), reading the lower triangle.
 
     Raises:
         SingularityError: non-positive or non-finite pivot, or diagonal-based
             condition estimate (max diag L / min diag L)^2 above
-            ``COND_LIMIT``; ``pivot`` names the offending index.
+            ``COND_LIMIT``, checked per matrix; ``pivot`` names the
+            offending index and, in a batch, the message names the first
+            failing matrix.
     """
+    stack = s.reshape(-1, *s.shape[-2:])
     try:
         L = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        j = _first_indefinite_minor(s)
-        raise SingularityError(f"Cholesky pivot {j} is not positive", pivot=j) from None
-    finite_rows = np.isfinite(L).all(axis=1)  # LAPACK passes NaN through
-    if not finite_rows.all():
-        j = int(np.argmin(finite_rows))
-        raise SingularityError(f"Cholesky pivot {j} is not finite", pivot=j)
-    diag = np.diagonal(L)
-    cond_est = (diag.max() / diag.min()) ** 2
-    if cond_est > COND_LIMIT:
-        worst = int(np.argmin(diag))
-        raise SingularityError(
-            f"condition estimate {cond_est:.3e} exceeds {COND_LIMIT:.0e} "
-            f"(pivot {worst})",
-            pivot=worst,
-        )
+        pivots = map(_first_indefinite_minor, stack)
+        i, j = next((i, j) for i, j in enumerate(pivots) if j is not None)
+        raise _singular(s, i, f"Cholesky pivot {j} is not positive", j) from None
+    finite = np.isfinite(L).all(axis=-1).reshape(len(stack), -1)  # LAPACK passes NaN through
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise _singular(s, i, f"Cholesky pivot {j} is not finite", j)
+    diag = np.diagonal(L, axis1=-2, axis2=-1).reshape(len(stack), -1)
+    cond_est = (diag.max(axis=1) / diag.min(axis=1)) ** 2
+    if (cond_est > COND_LIMIT).any():
+        i = int(np.argmax(cond_est > COND_LIMIT))
+        worst = np.argmin(diag[i])
+        raise _singular(s, i, f"condition estimate {cond_est[i]:.3e} exceeds "
+                              f"{COND_LIMIT:.0e} (pivot {worst})", worst)
     return L
 
 
-def spd_solve_identity(L: Array) -> Array:
-    """Invert S = L L^T from its Cholesky factor: S^{-1} = L^{-T} L^{-1}."""
-    linv = np.linalg.inv(L)
-    x = linv.T @ linv
-    return (x + x.T) / 2.0
-
-
 def spd_inverse(s: Var) -> Var:
-    """Inverse of a symmetric positive definite matrix via Cholesky.
+    """Inverse of a symmetric positive definite matrix (or batch) via Cholesky.
 
     Backward: dL/dS = -S^{-T} G S^{-T}, symmetrized, which is the correct
     derivative when S is produced by a symmetric composite such as H H^T.
     """
-    if s.shape[0] != s.shape[1]:
-        raise DimensionError(f"spd_inverse needs a square matrix, got {s.shape}")
-    L = cholesky_lower(s.value)
-    inv = spd_solve_identity(L)
-    _finite(inv, "spd_inverse")
+    if s.shape[-1] != s.shape[-2]:
+        raise DimensionError(f"spd_inverse needs square matrices, got {s.shape}")
+    linv = np.linalg.inv(cholesky_lower(s.value))  # S^{-1} = L^{-T} L^{-1}
+    x = _mT(linv) @ linv
+    inv = _finite((x + _mT(x)) / 2.0, "spd_inverse")
 
     def vjp(g):
         h = -inv @ g @ inv
-        return ((h + h.T) / 2.0,)
+        return ((h + _mT(h)) / 2.0,)
 
     return s.tape._push(inv, (s.index,), vjp)
 
@@ -404,9 +406,10 @@ def pinv_right(h: Var) -> Var:
 
     Valid for full-row-rank h with at least as many columns as rows; a
     rank-deficient input surfaces as the underlying ``SingularityError``.
-    The composite is built from tape ops, so it is differentiable end to end.
+    The composite is built from tape ops, so it is differentiable end to
+    end; a (N, a, k) batch gets one pseudo-inverse per matrix.
     """
-    a, k = h.shape
+    a, k = h.shape[-2:]
     if k < a:
         raise DimensionError(f"pinv_right needs cols >= rows, got {h.shape}")
     ht = transpose(h)

@@ -74,17 +74,20 @@ class GeneratorSpec:
     def latent_dim(self) -> int:
         return 2 * self.k
 
+    def check_obs_dim(self) -> None:
+        """Require obs_dim >= 2k + 1: the mixing map needs at least one
+        observation direction beyond the 2k latent ones for its nonlinear part."""
+        if self.obs_dim < 2 * self.k + 1:
+            raise ValidationError(
+                f"obs_dim {self.obs_dim} < 2k + 1 = {2 * self.k + 1}", field="obs_dim"
+            )
+
     def validate(self, mode: str) -> None:
         if mode not in ("velocity", "acceleration"):
             raise ValidationError(f"unknown mode {mode!r}", field="mode")
         if self.k < 1:
             raise ValidationError("k must be >= 1", field="k")
-        if self.obs_dim < 2 * self.k + 1:
-            # the mixing map needs at least one observation direction
-            # beyond the 2k latent ones for its nonlinear part
-            raise ValidationError(
-                f"obs_dim {self.obs_dim} < 2k + 1 = {2 * self.k + 1}", field="obs_dim"
-            )
+        self.check_obs_dim()
         min_t = 3 if mode == "velocity" else 4
         if self.T < min_t:
             raise ValidationError(f"T must be >= {min_t} in {mode} mode", field="T")
@@ -149,6 +152,7 @@ class MixingMap:
     _NONLINEAR_SHARE = 0.10  # mean squared nonlinear norm / linear norm
 
     def __init__(self, spec: GeneratorSpec):
+        spec.check_obs_dim()
         d = spec.latent_dim
         n = spec.obs_dim
         h = 2 * n

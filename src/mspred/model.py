@@ -7,15 +7,15 @@ scores the prediction against the unseen frames. Because the transition
 solve is a differentiable composite (transpose / matmul / SPD inverse),
 the whole pipeline trains end to end by plain backpropagation.
 
-Losses are averaged over sequences and predicted frames (the summed
-variant only rescales the learning rate). Every gradient-free number
-(held-out error by horizon, fitted transitions, equivariance, swaps)
-comes from one forward path at the bottom: ``fit_np`` encodes a batch
-once and fits each sequence's operators with the estimator it is given,
-``predict_np`` rolls them forward and decodes in one batch. That path
-keeps the tape's per-sequence arithmetic (batched encode, per-sequence
-Cholesky solve and 2-D matmul rollout, one batched decode) so that its
-numbers equal the training loss bit for bit on identical inputs.
+Every latent is a batched (N, a, m) tape value, so one call of an
+estimator and one rollout serve a whole batch, with each sequence
+getting its own transition. Losses are averaged over sequences and
+predicted frames (the summed variant only rescales the learning rate).
+Every gradient-free number (held-out error by horizon, fitted
+transitions, equivariance, swaps) comes from ``fit_np`` and
+``predict_np`` at the bottom, which run the same estimator and rollout
+functions on a scratch tape, so their numbers equal the training loss
+bit for bit on identical inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, cholesky_lower, spd_solve_identity
+from .autodiff import Var
+from .autodiff import cholesky_lower  # noqa: F401  re-exported: the benchmark tracer wraps it here
 from .datagen import MixingMap, mix64
 from .errors import ContractError, DimensionError, SingularityError, ValidationError
 
@@ -287,20 +288,14 @@ class TransitionEstimate:
     residual: float
 
 
-def _rank_check(h0_shape, a):
-    if h0_shape[1] < a:
-        raise DimensionError(
-            f"conditioning latents give {h0_shape[1]} columns for {a} rows; "
-            "need (T_c - 1) * m >= a"
-        )
-
-
 def estimate_transition(latents: list[Var]) -> TransitionEstimate:
     """Least-squares transition M minimizing sum ||M H_t - H_{t+1}||_F^2.
 
-    ``latents`` are the encoded conditional frames; the optimum is
+    ``latents`` are the encoded conditional frames, each (a, m) or a
+    batch (N, a, m) with one transition per sequence; the optimum is
     H_plus1 pinv(H_plus0) over their horizontal concatenations, solved
-    through the differentiable right pseudo-inverse.
+    through the differentiable right pseudo-inverse. ``residual`` sums
+    the fit error over the batch.
 
     Raises:
         SingularityError: the stacked conditioning latent is rank
@@ -308,10 +303,12 @@ def estimate_transition(latents: list[Var]) -> TransitionEstimate:
     """
     if len(latents) < 2:
         raise ContractError("estimate_transition needs at least two frames")
-    a = latents[0].shape[0]
+    a = latents[0].shape[-2]
     h0 = latents[0] if len(latents) == 2 else ad.hcat(latents[:-1])
     h1 = latents[1] if len(latents) == 2 else ad.hcat(latents[1:])
-    _rank_check(h0.shape, a)
+    if h0.shape[-1] < a:
+        raise DimensionError(f"conditioning latents give {h0.shape[-1]} columns for {a} "
+                             "rows; need (T_c - 1) * m >= a")
     m = ad.matmul(h1, ad.pinv_right(h0))
     residual = float(((m.value @ h0.value - h1.value) ** 2).sum())
     return TransitionEstimate(order=1, m_star=m, m_last=None, residual=residual)
@@ -320,31 +317,28 @@ def estimate_transition(latents: list[Var]) -> TransitionEstimate:
 def estimate_transition_blockwise(latents: list[Var], block: int = 2) -> TransitionEstimate:
     """Independent transition solve on each ``block``-row slice.
 
-    Produces a transition that is exactly a direct sum: off-block entries
-    are zero constants, not small numbers.
+    The (N, a, m) latents are cut into (N * a/block, block, m) slices and
+    solved by ``estimate_transition`` in one batch; slice s is sequence
+    s // (a/block), block s % (a/block). The result is exactly a direct
+    sum: off-block entries are zeros, not small numbers.
     """
     if len(latents) < 2:
         raise ContractError("estimate_transition_blockwise needs two frames")
-    a = latents[0].shape[0]
+    *batch, a, m = latents[0].shape
     if a % block != 0:
         raise ContractError(f"a={a} is not divisible by block={block}")
-    tape = latents[0].tape
     n_blocks = a // block
-    zero = tape.input(np.zeros((block, block)))
-    band_rows = []
-    residual = 0.0
-    for r in range(n_blocks):
-        sub = [ad.slice_rows(lat, r * block, (r + 1) * block) for lat in latents]
-        try:
-            est = estimate_transition(sub)
-        except SingularityError as exc:
-            raise SingularityError(f"block {r}: {exc}", pivot=exc.pivot) from exc
-        residual += est.residual
-        band = [zero] * n_blocks
-        band[r] = est.m_star
-        band_rows.append(ad.hcat(band))
-    m = ad.vcat(band_rows)
-    return TransitionEstimate(order=1, m_star=m, m_last=None, residual=residual)
+    n_seq = batch[0] if batch else 1
+    slices = [ad.reshape(lat, n_seq * n_blocks, block, m) for lat in latents]
+    try:
+        est = estimate_transition(slices)
+    except SingularityError as exc:
+        raise SingularityError(f"{block}-row block slices: {exc}", pivot=exc.pivot) from exc
+    # every column band holds all blocks stacked; the mask keeps the diagonal ones
+    bands = ad.hcat([ad.reshape(est.m_star, *batch, a, block)] * n_blocks)
+    mask = np.kron(np.eye(n_blocks), np.ones((block, block)))
+    m_star = ad.hadamard(bands, latents[0].tape.input(np.broadcast_to(mask, bands.shape)))
+    return TransitionEstimate(order=1, m_star=m_star, m_last=None, residual=est.residual)
 
 
 def estimate_second_order(latents: list[Var]) -> TransitionEstimate:
@@ -354,14 +348,15 @@ def estimate_second_order(latents: list[Var]) -> TransitionEstimate:
     latent must be full row rank, hence m >= a); step two solves the same
     least-squares problem on the velocity sequence, yielding the constant
     acceleration operator. Returns that operator as ``m_star`` and the
-    final velocity 1M_{T_c} as ``m_last``.
+    final velocity 1M_{T_c} as ``m_last``. Latents may be (N, a, m)
+    batches, as in ``estimate_transition``.
 
     Raises:
         SingularityError: naming the failing frame index.
     """
     if len(latents) < 3:
         raise ContractError("second order needs at least three frames (T_c >= 3)")
-    a, m_cols = latents[0].shape
+    a, m_cols = latents[0].shape[-2:]
     if m_cols < a:
         raise DimensionError(f"second order needs m >= a, got latent {latents[0].shape}")
     vel = []
@@ -378,6 +373,24 @@ def estimate_second_order(latents: list[Var]) -> TransitionEstimate:
         raise SingularityError(f"velocity stage: {exc}", pivot=exc.pivot) from exc
     residual = float(((acc.value @ v0.value - v1.value) ** 2).sum())
     return TransitionEstimate(order=2, m_star=acc, m_last=vel[-1], residual=residual)
+
+
+def estimate(latents: list[Var], *, order: int = 1, transition: str = "lstsq",
+             head: Var | None = None) -> TransitionEstimate:
+    """The estimator that ``transition`` names, on (N, a, m) latents.
+
+    "lstsq" is ``estimate_transition`` (order 1) or
+    ``estimate_second_order`` (order 2); "blockwise" is the direct sum of
+    2x2 solves; "neural" takes the (N, a, a) transitions ``head`` that
+    the model's transition head predicted.
+    """
+    if transition == "lstsq":
+        return estimate_transition(latents) if order == 1 else estimate_second_order(latents)
+    if transition == "blockwise":
+        return estimate_transition_blockwise(latents)
+    if transition == "neural":
+        return TransitionEstimate(order=1, m_star=head, m_last=None, residual=float("nan"))
+    raise ContractError(f"unknown transition kind {transition!r}")
 
 
 def rollout(est: TransitionEstimate, h: Var, steps: int) -> list[Var]:
@@ -437,54 +450,57 @@ def _as_batch(obs) -> np.ndarray:
     return obs
 
 
-def _sequence_latents(tape_model, enc_out, i, T_c):
-    a, m = tape_model.a, tape_model.m
-    return [ad.reshape(ad.slice_rows(enc_out, i * T_c + t, i * T_c + t + 1), a, m)
-            for t in range(T_c)]
+def _frames(enc_rows: Var, n_seq: int, a: int, m: int) -> list[Var]:
+    """Split (N * T_c, a*m) encoder rows into T_c batched (N, a, m) latents."""
+    T_c = enc_rows.shape[0] // n_seq
+    stacked = ad.reshape(enc_rows, n_seq, T_c * a, m)
+    return [ad.slice_rows(stacked, t * a, (t + 1) * a) for t in range(T_c)]
+
+
+def _rollout_rows(est: TransitionEstimate, start: Var, steps: int) -> Var:
+    """Roll (N, a, m) latents forward; (N * steps, a*m) rows, sequence-major."""
+    n_seq, a, m = start.shape
+    roll = rollout if est.order == 1 else rollout_second_order
+    preds = [ad.reshape(p, n_seq, 1, a * m) for p in roll(est, start, steps)]
+    return ad.reshape(ad.hcat(preds), n_seq * steps, a * m)
+
+
+def _encode_frames(tape_model, obs: np.ndarray, T_c: int) -> list[Var]:
+    """Encode frames 1..T_c of every sequence in one pass, as ``_frames``."""
+    n_seq, _, n_dim = obs.shape
+    rows = tape_model.tape.input(obs[:, :T_c].reshape(n_seq * T_c, n_dim))
+    return _frames(tape_model.encode_rows(rows), n_seq, tape_model.a, tape_model.m)
+
+
+def _mean_frame_error(tape_model, rows: Var, targets: np.ndarray) -> Var:
+    """Decode predicted latent rows; mean squared L2 error per target frame."""
+    diff = ad.sub(tape_model.decode_rows(rows), tape_model.tape.input(targets))
+    return ad.scale(ad.frobenius_sq(diff), 1.0 / targets.shape[0])
 
 
 def loss_pred(tape_model: TapeModel, obs, T_c: int, T_p: int, *,
-              order: int = 1, transition: str = "lstsq", block: int = 2) -> Var:
+              order: int = 1, transition: str = "lstsq") -> Var:
     """Prediction loss: fit the transition on frames 1..T_c, score T_p more.
 
-    ``transition`` selects the estimator: "lstsq" (closed form),
-    "blockwise" (direct sum of 2x2 solves) or "neural" (the learned
-    transition head). Returns the mean over sequences and predicted
+    ``transition`` selects the estimator (see ``estimate``): "lstsq"
+    (closed form), "blockwise" (direct sum of 2x2 solves) or "neural"
+    (the learned transition head). Every sequence of the batch is fitted
+    and rolled out at once. Returns the mean over sequences and predicted
     frames of the squared L2 frame error.
     """
     obs = _as_batch(obs)
     n_seq, t_len, n_dim = obs.shape
     if t_len < T_c + T_p:
         raise DimensionError(f"sequences of length {t_len} cannot supply T_c+T_p={T_c + T_p}")
-    tape = tape_model.tape
-    enc_in = obs[:, :T_c].reshape(n_seq * T_c, n_dim)
-    enc_out = tape_model.encode_rows(tape.input(enc_in))
-    trans_rows = None
+    lat = _encode_frames(tape_model, obs, T_c)
+    head = None
     if transition == "neural":
-        cond = obs[:, :T_c].reshape(n_seq, T_c * n_dim)
-        trans_rows = tape_model.transition_rows(tape.input(cond))
-    pred_rows = []
-    a, m = tape_model.a, tape_model.m
-    for i in range(n_seq):
-        lat = _sequence_latents(tape_model, enc_out, i, T_c)
-        if transition == "lstsq":
-            est = estimate_transition(lat) if order == 1 else estimate_second_order(lat)
-        elif transition == "blockwise":
-            est = estimate_transition_blockwise(lat, block)
-        elif transition == "neural":
-            mat = ad.reshape(ad.slice_rows(trans_rows, i, i + 1), a, a)
-            est = TransitionEstimate(order=1, m_star=mat, m_last=None, residual=float("nan"))
-        else:
-            raise ContractError(f"unknown transition kind {transition!r}")
-        if est.order == 1:
-            preds = rollout(est, lat[-1], T_p)
-        else:
-            preds = rollout_second_order(est, lat[-1], T_p)
-        pred_rows.extend(ad.reshape(p, 1, a * m) for p in preds)
-    decoded = tape_model.decode_rows(ad.vcat(pred_rows))
+        cond = tape_model.tape.input(obs[:, :T_c].reshape(n_seq, T_c * n_dim))
+        a = tape_model.a
+        head = ad.reshape(tape_model.transition_rows(cond), n_seq, a, a)
+    est = estimate(lat, order=order, transition=transition, head=head)
     targets = obs[:, T_c : T_c + T_p].reshape(n_seq * T_p, n_dim)
-    diff = ad.sub(decoded, tape.input(targets))
-    return ad.scale(ad.frobenius_sq(diff), 1.0 / (n_seq * T_p))
+    return _mean_frame_error(tape_model, _rollout_rows(est, lat[-1], T_p), targets)
 
 
 def loss_rec(tape_model: TapeModel, obs, T_c: int) -> Var:
@@ -498,20 +514,10 @@ def loss_rec(tape_model: TapeModel, obs, T_c: int) -> Var:
     n_seq, t_len, n_dim = obs.shape
     if t_len < T_c:
         raise DimensionError(f"sequences of length {t_len} cannot supply T_c={T_c}")
-    tape = tape_model.tape
-    enc_in = obs[:, :T_c].reshape(n_seq * T_c, n_dim)
-    enc_out = tape_model.encode_rows(tape.input(enc_in))
-    a, m = tape_model.a, tape_model.m
-    pred_rows = []
-    for i in range(n_seq):
-        lat = _sequence_latents(tape_model, enc_out, i, T_c)
-        est = estimate_transition(lat)
-        preds = rollout(est, lat[0], T_c - 1)
-        pred_rows.extend(ad.reshape(p, 1, a * m) for p in preds)
-    decoded = tape_model.decode_rows(ad.vcat(pred_rows))
+    lat = _encode_frames(tape_model, obs, T_c)
+    est = estimate_transition(lat)
     targets = obs[:, 1:T_c].reshape(n_seq * (T_c - 1), n_dim)
-    diff = ad.sub(decoded, tape.input(targets))
-    return ad.scale(ad.frobenius_sq(diff), 1.0 / (n_seq * (T_c - 1)))
+    return _mean_frame_error(tape_model, _rollout_rows(est, lat[0], T_c - 1), targets)
 
 
 def invertibility_loss(tape_model: TapeModel, obs, T_c: int) -> Var:
@@ -575,18 +581,6 @@ def transition_rows_np(params: ModelParams, rows: np.ndarray) -> np.ndarray:
     return _mlp_np(params.mstar, np.asarray(rows, dtype=np.float64))
 
 
-def _pinv_right_np(h):
-    gram = h @ h.T
-    return h.T @ spd_solve_identity(cholesky_lower(gram))
-
-
-def _lstsq_np(lat):
-    """``estimate_transition`` on one sequence's latents, without the tape."""
-    h0 = lat[0] if len(lat) == 2 else np.concatenate(list(lat[:-1]), axis=1)
-    h1 = lat[1] if len(lat) == 2 else np.concatenate(list(lat[1:]), axis=1)
-    return h1 @ _pinv_right_np(h0)
-
-
 @dataclass
 class TransitionFit:
     """Per-sequence operators fitted on the conditioning frames of a batch.
@@ -608,9 +602,10 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
 
     ``transition`` and ``order`` select the estimator as in ``loss_pred``
     ("lstsq" of either order, "blockwise" or "neural"); None picks the
-    model's neural head if it has one, else "lstsq". The closed-form
-    solves run per sequence in the tape's order, so a fit on the same
-    inputs reproduces ``loss_pred``'s operators bit for bit.
+    model's neural head if it has one, else "lstsq". The encodings enter
+    a scratch tape and run through ``estimate``, the estimator the
+    training loss uses, so a fit on the same inputs reproduces
+    ``loss_pred``'s operators bit for bit.
     """
     if transition is None:
         transition = "neural" if getattr(model, "mstar", None) is not None else "lstsq"
@@ -618,48 +613,38 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
     n_seq, _, n_dim = obs.shape
     a, m = model.a, model.m
     cond = obs[:, :T_c]
-    lat = encode_rows_np(model, cond.reshape(n_seq * T_c, n_dim)).reshape(n_seq, T_c, a, m)
+    tape = ad.Tape()
+    lat = _frames(tape.input(encode_rows_np(model, cond.reshape(n_seq * T_c, n_dim))),
+                  n_seq, a, m)
+    head = None
     if transition == "neural":
-        op = transition_rows_np(model, cond.reshape(n_seq, T_c * n_dim))
-        return TransitionFit(last=lat[:, -1], op=op.reshape(n_seq, a, a))
-    if transition not in ("lstsq", "blockwise"):
-        raise ContractError(f"unknown transition kind {transition!r}")
-    second = transition == "lstsq" and order == 2
-    op = np.zeros((n_seq, a, a))
-    vel = np.empty((n_seq, a, a)) if second else None
-    for i in range(n_seq):
-        if second:
-            v = [lat[i, t] @ _pinv_right_np(lat[i, t - 1]) for t in range(1, T_c)]
-            op[i] = _lstsq_np(v)
-            vel[i] = v[-1]
-        elif transition == "lstsq":
-            op[i] = _lstsq_np(lat[i])
-        else:
-            for r in range(0, a, 2):  # loss_pred's default 2x2 blocks
-                op[i, r : r + 2, r : r + 2] = _lstsq_np(lat[i, :, r : r + 2])
-    return TransitionFit(last=lat[:, -1], op=op, vel=vel)
+        rows = transition_rows_np(model, cond.reshape(n_seq, T_c * n_dim))
+        head = tape.input(rows.reshape(n_seq, a, a))
+    est = estimate(lat, order=order, transition=transition, head=head)
+    return TransitionFit(last=lat[-1].value, op=est.m_star.value,
+                         vel=None if est.m_last is None else est.m_last.value)
 
 
 def predict_np(model, fit: TransitionFit, steps: int) -> np.ndarray:
     """Roll each fit forward ``steps`` times and decode in one batch.
 
-    The rollout repeats ``rollout`` (or ``rollout_second_order`` when the
-    fit has velocity operators) per sequence; returns (N, steps, n).
+    The rollout is ``rollout`` (or ``rollout_second_order`` when the fit
+    has velocity operators) on a scratch tape; returns (N, steps, n).
     """
     n_seq, a, m = fit.last.shape
+    # rows is allocated before the rollout's latents, which are freed before
+    # the decode: otherwise their freed blocks fragment the heap, and peak RSS
+    # grows by about the size of rows over repeated evaluations
     rows = np.empty((n_seq, steps, a * m))
-    for i in range(n_seq):
-        cur = fit.last[i]
-        left = a_pow = None
-        for j in range(steps):
-            if fit.vel is None:
-                cur = fit.op[i] @ cur
-                rows[i, j] = cur.reshape(-1)
-            else:
-                a_pow = fit.op[i] if j == 0 else fit.op[i] @ a_pow
-                step_op = a_pow @ fit.vel[i]
-                left = step_op if j == 0 else step_op @ left
-                rows[i, j] = (left @ fit.last[i]).reshape(-1)
+    tape = ad.Tape()
+    second = fit.vel is not None
+    est = TransitionEstimate(order=2 if second else 1, m_star=tape.input(fit.op),
+                             m_last=tape.input(fit.vel) if second else None,
+                             residual=float("nan"))
+    roll = rollout_second_order if second else rollout
+    for j, pred in enumerate(roll(est, tape.input(fit.last), steps)):
+        rows[:, j] = pred.value.reshape(n_seq, a * m)
+    del tape, est, pred
     return decode_rows_np(model, rows.reshape(n_seq * steps, a * m)).reshape(n_seq, steps, -1)
 
 

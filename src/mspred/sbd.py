@@ -213,11 +213,11 @@ def skew_from_params(tape, params: Var, n: int) -> Var:
     count = n * (n - 1) // 2
     if params.shape != (count, 1):
         raise DimensionError(f"expected ({count}, 1) parameters, got {params.shape}")
-    iu = np.triu_indices(n, k=1)
+    rows, cols = np.triu_indices(n, k=1)
+    idx = np.arange(count)
     scatter = np.zeros((count, n * n))
-    for idx, (r, c) in enumerate(zip(*iu)):
-        scatter[idx, r * n + c] = 1.0
-        scatter[idx, c * n + r] = -1.0
+    scatter[idx, rows * n + cols] = 1.0
+    scatter[idx, cols * n + rows] = -1.0
     flat = ad.matmul(ad.transpose(params), tape.input(scatter))
     return ad.reshape(flat, n, n)
 

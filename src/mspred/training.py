@@ -289,13 +289,16 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
             layers.append((w, b))
         return layers
 
-    enc = collect("enc", layer_counts["enc"])
-    dec = collect("dec", layer_counts["dec"])
-    mstar = collect("mstar", layer_counts["mstar"]) if layer_counts["mstar"] else None
-    params = mm.ModelParams(a=int(meta["a"]), m=int(meta["m"]),
-                            obs_dim=int(meta["obs_dim"]), T_c=int(meta["T_c"]),
-                            enc=enc, dec=dec, mstar=mstar)
-    cfg = config_from_dict(manifest["config"]) if manifest.get("config") else None
+    try:
+        enc = collect("enc", layer_counts["enc"])
+        dec = collect("dec", layer_counts["dec"])
+        mstar = collect("mstar", layer_counts["mstar"]) if layer_counts["mstar"] else None
+        params = mm.ModelParams(a=int(meta["a"]), m=int(meta["m"]),
+                                obs_dim=int(meta["obs_dim"]), T_c=int(meta["T_c"]),
+                                enc=enc, dec=dec, mstar=mstar)
+        cfg = config_from_dict(manifest["config"]) if manifest.get("config") else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint manifest is malformed: {exc!r}") from exc
     return params, cfg
 
 

@@ -56,6 +56,8 @@ def _fixed(tape, arr):
 
 
 B23 = np.array([[0.3, -1.2, 0.7], [1.1, 0.4, -0.5]])
+B223 = np.stack([B23, -0.5 * B23[::-1]])  # (2, 2, 3)
+B232 = np.swapaxes(B223, 1, 2)  # (2, 3, 2)
 
 GRAD_CASES = [
     GradCase("matmul_left", (3, 2), lambda t, x: ad.reduce_sum(ad.matmul(x, _fixed(t, B23)))),
@@ -79,6 +81,19 @@ GRAD_CASES = [
     GradCase("pinv_right", (2, 5), lambda t, x: ad.frobenius_sq(ad.pinv_right(x))),
     GradCase("frobenius_sq", (3, 3), lambda t, x: ad.frobenius_sq(x)),
     GradCase("reduce_sum", (3, 3), lambda t, x: ad.square(ad.reduce_sum(x))),
+    # batched (N, rows, cols) values: the matrix ops act on the last two axes
+    GradCase("matmul_left_3d", (2, 3, 2), lambda t, x: ad.reduce_sum(ad.matmul(x, _fixed(t, B223)))),
+    GradCase("matmul_right_3d", (2, 2, 4), lambda t, x: ad.reduce_sum(ad.matmul(_fixed(t, B232), x))),
+    GradCase("transpose_3d", (2, 2, 5), lambda t, x: ad.frobenius_sq(ad.matmul(ad.transpose(x), _fixed(t, B223[:, :, :2])))),
+    GradCase("reshape_3d", (2, 2, 6), lambda t, x: ad.frobenius_sq(ad.matmul(ad.reshape(x, 4, 3, 2), _fixed(t, np.ones((4, 2, 2)))))),
+    GradCase("reshape_2d_to_3d", (4, 3), lambda t, x: ad.frobenius_sq(ad.matmul(ad.reshape(x, 2, 3, 2), _fixed(t, B223)))),
+    GradCase("slice_rows_3d", (2, 5, 3), lambda t, x: ad.frobenius_sq(ad.matmul(ad.slice_rows(x, 1, 4), _fixed(t, B232)))),
+    GradCase("hcat_3d", (2, 3, 2), lambda t, x: ad.frobenius_sq(ad.hcat([x, ad.square(x)]))),
+    GradCase("vcat_3d", (2, 2, 3), lambda t, x: ad.frobenius_sq(ad.vcat([x, ad.scale(x, 2.0)]))),
+    GradCase("spd_inverse_3d", (2, 4, 4), lambda t, x: ad.frobenius_sq(
+        ad.spd_inverse(ad.add(ad.matmul(x, ad.transpose(x)), _fixed(t, np.stack([np.eye(4)] * 2)))))),
+    GradCase("pinv_right_3d", (2, 2, 5), lambda t, x: ad.frobenius_sq(
+        ad.pinv_right(ad.add(x, _fixed(t, np.stack([2.0 * np.eye(2, 5)] * 2)))))),
 ]
 
 
@@ -254,6 +269,54 @@ def test_cholesky_rejects_non_finite_entry():
     with pytest.raises(SingularityError) as exc:
         ad.cholesky_lower(s)
     assert exc.value.pivot == 2
+
+
+def test_batched_cholesky_names_failing_matrix_and_pivot():
+    rng = make_rng(33)
+    h = rng.normal(size=(4, 5, 8))
+    s = h @ np.swapaxes(h, 1, 2)
+    L = ad.cholesky_lower(s)
+    for i in range(4):
+        assert np.array_equal(L[i], ad.cholesky_lower(s[i]))
+    bad = s.copy()
+    bad[2, 3, 3] = -100.0
+    with pytest.raises(SingularityError, match="matrix 2") as exc:
+        ad.cholesky_lower(bad)
+    assert exc.value.pivot == 3
+    nan = s.copy()
+    nan[1, 4, 0] = nan[1, 0, 4] = np.nan
+    with pytest.raises(SingularityError, match="matrix 1") as exc:
+        ad.cholesky_lower(nan)
+    assert exc.value.pivot == 4
+
+
+def test_batched_condition_guard_applies_per_matrix():
+    # each matrix is perfectly conditioned; across the batch the diagonal
+    # spans 1e13, which a batch-wide estimate would wrongly reject
+    scaled = np.stack([np.eye(2), 1e-13 * np.eye(2)])
+    ad.cholesky_lower(scaled)
+    tape = ad.Tape()
+    with pytest.raises(SingularityError, match="matrix 1") as exc:
+        ad.spd_inverse(tape.input(np.stack([np.eye(2), np.diag([1.0, 1e-13])])))
+    assert exc.value.pivot == 1
+
+
+def test_batched_spd_inverse_equals_per_matrix_inverse():
+    rng = make_rng(34)
+    h = rng.normal(size=(3, 4, 6))
+    s = h @ np.swapaxes(h, 1, 2)
+    tape = ad.Tape()
+    inv = ad.spd_inverse(tape.input(s)).value
+    for i in range(3):
+        assert np.array_equal(inv[i], ad.spd_inverse(tape.input(s[i])).value)
+
+
+def test_batched_matmul_rejects_mismatched_batches():
+    tape = ad.Tape()
+    with pytest.raises(DimensionError):
+        ad.matmul(tape.input(np.ones((2, 3, 3))), tape.input(np.ones((3, 3, 3))))
+    with pytest.raises(DimensionError):
+        ad.matmul(tape.input(np.ones((2, 3, 3))), tape.input(np.ones((3, 3))))
 
 
 def test_pinv_right_identity_and_orthogonal_rows():

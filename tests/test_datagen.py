@@ -18,6 +18,7 @@ from mspred.datagen import (
     velocity_spec,
 )
 from mspred.errors import FormatError, ValidationError
+from mspred.model import OracleModel
 
 
 def small_spec(**kw):
@@ -89,6 +90,15 @@ def test_spec_rejects_obs_dim_without_nonlinear_room(k, obs_dim):
     spec = GeneratorSpec(k=k, obs_dim=obs_dim, T=3, num_sequences=1, mixing_seed=3)
     with pytest.raises(ValidationError) as exc:
         make_dataset(spec, master_seed=0)
+    assert exc.value.field == "obs_dim"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [MixingMap, OracleModel], ids=["mixing", "oracle"])
+def test_direct_construction_rejects_obs_dim_without_nonlinear_room(build):
+    spec = GeneratorSpec(k=1, obs_dim=2, T=3, num_sequences=1, mixing_seed=3)
+    with pytest.raises(ValidationError) as exc:
+        build(spec)
     assert exc.value.field == "obs_dim"
 
 

@@ -384,6 +384,101 @@ def test_loss_pred_compositional_equality_single_sequence():
     assert np.array_equal(loss.value, manual.value)
 
 
+def _blockwise_2d(tape, lat, block=2):
+    """The direct sum of per-block 2-D solves, assembled with zero blocks."""
+    n_blocks = lat[0].shape[0] // block
+    zero = tape.input(np.zeros((block, block)))
+    bands = []
+    for r in range(n_blocks):
+        est = mm.estimate_transition([ad.slice_rows(h, r * block, (r + 1) * block) for h in lat])
+        band = [zero] * n_blocks
+        band[r] = est.m_star
+        bands.append(ad.hcat(band))
+    return mm.TransitionEstimate(order=1, m_star=ad.vcat(bands), m_last=None, residual=0.0)
+
+
+def per_sequence_loss(bound, obs, T_c, T_p, kind):
+    """Reference loss: one 2-D estimate and rollout per sequence, in a loop."""
+    tape = bound.tape
+    n_seq, _, n_dim = obs.shape
+    a, m = bound.a, bound.m
+    enc = bound.encode_rows(tape.input(obs[:, :T_c].reshape(n_seq * T_c, n_dim)))
+    if kind == "neural":
+        head = bound.transition_rows(tape.input(obs[:, :T_c].reshape(n_seq, T_c * n_dim)))
+    rows = []
+    for i in range(n_seq):
+        lat = [ad.reshape(ad.slice_rows(enc, i * T_c + t, i * T_c + t + 1), a, m)
+               for t in range(T_c)]
+        start = lat[-1]
+        if kind == "lstsq2":
+            preds = mm.rollout_second_order(mm.estimate_second_order(lat), start, T_p)
+        else:
+            if kind == "blockwise":
+                est = _blockwise_2d(tape, lat)
+            elif kind == "neural":
+                mat = ad.reshape(ad.slice_rows(head, i, i + 1), a, a)
+                est = mm.TransitionEstimate(order=1, m_star=mat, m_last=None, residual=0.0)
+            else:
+                est = mm.estimate_transition(lat)
+            if kind == "rec":
+                start = lat[0]
+            preds = mm.rollout(est, start, T_p)
+        rows.extend(ad.reshape(p, 1, a * m) for p in preds)
+    first = 1 if kind == "rec" else T_c
+    targets = obs[:, first : first + T_p].reshape(n_seq * T_p, n_dim)
+    diff = ad.sub(bound.decode_rows(ad.vcat(rows)), tape.input(targets))
+    return ad.scale(ad.frobenius_sq(diff), 1.0 / (n_seq * T_p))
+
+
+BATCHED_CASES = {  # kind: (variant, order, T_c, T_p)
+    "lstsq1": ("msp", 1, 3, 2),
+    "lstsq2": ("msp", 2, 4, 2),
+    "blockwise": ("fixed_blocks", 1, 2, 2),
+    "neural": ("neural_mstar", 1, 2, 2),
+    "rec": ("rec_model", 1, 3, 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(BATCHED_CASES))
+def test_batched_loss_and_gradients_equal_per_sequence_loop_bitwise(kind):
+    variant, order, t_c, t_p = BATCHED_CASES[kind]
+    cfg = tiny_config(a=4, m=6, enc_hidden=(8,), dec_hidden=(8,), mstar_hidden=(8,),
+                      variant=variant, order=order, T_c=t_c, T_p=t_p,
+                      invertibility_weight=0.0)
+    params = mm.ModelParams.initialize(cfg, obs_dim=5)
+    obs = np.random.default_rng(21).normal(size=(3, t_c + t_p, 5))
+
+    tape = ad.Tape()
+    bound = mm.TapeModel(tape, params)
+    if kind == "rec":
+        loss = mm.loss_rec(bound, obs, t_c)
+    else:
+        loss = mm.loss_pred(bound, obs, t_c, t_p, order=order,
+                            transition=cfg.transition)
+    tape.backward(loss)
+
+    ref_tape = ad.Tape()
+    ref_bound = mm.TapeModel(ref_tape, params)
+    ref = per_sequence_loss(ref_bound, obs, t_c, t_c - 1 if kind == "rec" else t_p, kind)
+    ref_tape.backward(ref)
+
+    assert np.array_equal(loss.value, ref.value)
+    ref_grads = ref_bound.gradients()
+    for name, grad in bound.gradients().items():
+        assert np.array_equal(grad, ref_grads[name]), name
+
+
+def test_loss_pred_tape_size_is_independent_of_batch_size():
+    params = tiny_model(obs_dim=5, a=4, m=6)
+    obs = np.random.default_rng(22).normal(size=(16, 3, 5))
+    sizes = []
+    for n_seq in (2, 16):
+        tape = ad.Tape()
+        mm.loss_pred(mm.TapeModel(tape, params), obs[:n_seq], 2, 1)
+        sizes.append(len(tape.values))
+    assert sizes[0] == sizes[1]
+
+
 def test_loss_pred_oracle_model_is_exact():
     spec = GeneratorSpec(k=2, obs_dim=6, T=4, num_sequences=6, mixing_seed=3)
     batch = make_dataset(spec, master_seed=7)

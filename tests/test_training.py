@@ -240,6 +240,30 @@ def test_checkpoint_manifest_shape_mismatch_names_tensor(tmp_path):
         tr.load_checkpoint(tampered)
 
 
+def test_checkpoint_manifest_missing_or_unknown_fields_are_format_errors(tmp_path):
+    cfg = small_config()
+    params = mm.ModelParams.initialize(cfg, obs_dim=4)
+    path = tmp_path / "f.mspckp"
+    tr.save_checkpoint(params, path, config=cfg)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+
+    def tampered(edit):
+        manifest = json.loads(raw[12 : 12 + hlen].decode())
+        edit(manifest)
+        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        out = tmp_path / "t.mspckp"
+        out.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+        return out
+
+    edits = [lambda d: d["model"].pop("a"),
+             lambda d: d["model"]["layers"].pop("enc"),
+             lambda d: d["config"].update(not_a_field=1)]
+    for edit in edits:
+        with pytest.raises(FormatError):
+            tr.load_checkpoint(tampered(edit))
+
+
 def test_metrics_jsonl_format(tmp_path):
     records = [
         tr.MetricsRecord(iter=2, loss=0.5, loss_eval=None, ortho_defect=1.25, wall_ms=10.0),
