@@ -3,11 +3,19 @@
 A family of matrices sharing a common block structure in some orthogonal
 basis is uncovered by minimizing a graph-spectral surrogate: view the
 conjugated matrix V = U M U^T as a weighted graph through the adjacency
-A = abs(V) abs(V)^T, form its symmetrically normalized Laplacian, and sum
-the moduli of the Laplacian's eigenvalues (its trace norm). The kernel
-dimension of the Laplacian counts the connected components of A's graph,
-so pushing small eigenvalues to zero carves V into blocks; the trace norm
-is the convex surrogate that makes this optimizable.
+A = abs(V) abs(V)^T and form its symmetrically normalized Laplacian
+L = I - D^{-1/2} A D^{-1/2}. The kernel dimension of L counts the
+connected components of A's graph, i.e. the blocks of V, and the loss is
+L's trace norm, the convex surrogate of its rank.
+
+That trace norm is L's trace. A is entrywise nonnegative, so
+D^{-1/2} A D^{-1/2} is similar to D^{-1} A, whose rows are nonnegative and
+sum to at most 1; its eigenvalues lie in [-1, 1] and the symmetric L is
+positive semidefinite. Hence ||L||_* = tr L = n - sum_i A_ii / d_i
+= sum_i sum_{j != i} A_ij / d_i, the share of each coordinate's adjacency
+weight that couples it to other coordinates. With s = abs(V) this needs
+only row norms and degrees, A_ii = |s_i|^2 and d_i = s_i . sum_j s_j, so
+no Gram matrix or eigensolver is formed.
 
 ``U`` stays orthogonal to rounding error throughout: it is the exponential
 of a skew-symmetric parameter, one tape op built on the eigendecomposition
@@ -28,8 +36,7 @@ from .errors import ContractError, DimensionError, NumericError
 from .training import AdamState, adam_step
 
 ABS_EPS = 1e-12      # smoothing of |x| inside the adjacency
-DEGREE_EPS = 1e-10   # guard added to degrees before the inverse square root
-SIGN_EPS = 1e-10     # smoothing of |lambda| in the trace norm
+DEGREE_EPS = 1e-10   # guard added to every degree
 
 
 def abs_adjacency(v: Var) -> Var:
@@ -54,14 +61,15 @@ def normalized_laplacian(adj: Var) -> Var:
 
 
 def blockness_loss(v: Var) -> Var:
-    """Trace norm of the Laplacian of A(V): sum of |eigenvalues|.
+    """Trace norm of the Laplacian of A(V), which is its trace n - sum A_ii/d_i.
 
-    Low values mean many connected components, i.e. many blocks. The
-    absolute value uses the smoothed subgradient lambda/sqrt(lambda^2 +
-    eps^2) so the loss stays differentiable at zero crossings.
+    Low values mean little adjacency weight crosses between coordinates,
+    i.e. many blocks. This is the batched loss on a one-member family, so
+    the two never disagree in rounding.
     """
-    lam, _ = ad.sym_eig(normalized_laplacian(abs_adjacency(v)))
-    return ad.reduce_sum(ad.smooth_abs(lam, SIGN_EPS))
+    if v.shape[0] != v.shape[1]:
+        raise DimensionError(f"blockness_loss needs a square matrix, got {v.shape}")
+    return _mean_laplacian_trace(ad.smooth_abs(v, ABS_EPS), v.shape[0])
 
 
 def expm_skew(skew: Var) -> Var:
@@ -107,70 +115,34 @@ def _batched_conjugate(u: Var, stack: Var, n: int) -> Var:
     return u.tape._push(out, (u.index, stack.index), vjp)
 
 
-def _batched_gram(stack: Var, n: int) -> Var:
-    """S_i S_i^T for a family stacked vertically as (count*n, n)."""
-    count = stack.shape[0] // n
-    sv = stack.value.reshape(count, n, n)
-    out = (sv @ sv.transpose(0, 2, 1)).reshape(count * n, n)
+def _mean_laplacian_trace(sabs: Var, n: int) -> Var:
+    """Mean of n - sum_i A_ii / (d_i + DEGREE_EPS) over a stack of |V| blocks.
+
+    ``sabs`` stacks the smoothed |V_i| vertically as (count*n, n). With
+    r_i = |s_i|^2, column sums c = sum_j s_j and degrees q_i = s_i . c + eps,
+    the gradient of -r_i/q_i summed over i is
+    -2 s/q + (r/q^2) c^T + 1 (sum_l (r_l/q_l^2) s_l)^T.
+    """
+    count = sabs.shape[0] // n
+    s = sabs.value.reshape(count, n, n)
+    r = (s * s).sum(axis=2)
+    c = s.sum(axis=1)
+    q = (s @ c[:, :, None])[:, :, 0] + DEGREE_EPS
+    out = np.array([[n - (r / q).sum() / count]])
 
     def vjp(g):
-        gb = g.reshape(count, n, n)
-        ds = (gb + gb.transpose(0, 2, 1)) @ sv
-        return (ds.reshape(count * n, n),)
+        w = r / (q * q)
+        ds = (-2.0 * s / q[:, :, None] + w[:, :, None] * c[:, None, :]
+              + w[:, None, :] @ s)
+        return ((g[0, 0] / count) * ds.reshape(count * n, n),)
 
-    return stack.tape._push(out, (stack.index,), vjp)
-
-
-def _batched_outer(col: Var, n: int) -> Var:
-    """d_i d_i^T for per-block column vectors stacked as (count*n, 1)."""
-    count = col.shape[0] // n
-    dv = col.value.reshape(count, n)
-    out = (dv[:, :, None] * dv[:, None, :]).reshape(count * n, n)
-
-    def vjp(g):
-        gb = g.reshape(count, n, n)
-        dd = ((gb + gb.transpose(0, 2, 1)) @ dv[:, :, None]).reshape(count, n)
-        return (dd.reshape(count * n, 1),)
-
-    return col.tape._push(out, (col.index,), vjp)
-
-
-def _batched_sym_eig(stack: Var, n: int) -> Var:
-    """Ascending eigenvalues of each symmetrized block, stacked (count*n, 1)."""
-    count = stack.shape[0] // n
-    sv = stack.value.reshape(count, n, n)
-    sym = (sv + np.transpose(sv, (0, 2, 1))) / 2.0
-    try:
-        w, q = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"batched eigensolver did not converge: {exc}") from exc
-
-    def vjp(g):
-        gb = g.reshape(count, n)
-        ds = (q * gb[:, None, :]) @ q.transpose(0, 2, 1)
-        return (ds.reshape(count * n, n),)
-
-    return stack.tape._push(w.reshape(count * n, 1).copy(), (stack.index,), vjp)
+    return sabs.tape._push(out, (sabs.index,), vjp)
 
 
 def _mean_blockness_batched(u: Var, stack: Var, n: int) -> Var:
-    """Mean blockness loss over a stacked family, in a handful of tape ops.
-
-    Arithmetic matches the per-matrix ``blockness_loss`` chain applied to
-    each block; batching only fuses the loop.
-    """
-    tape = u.tape
-    count = stack.shape[0] // n
+    """Mean blockness loss of U M_i U^T over a family stacked as (count*n, n)."""
     v = _batched_conjugate(u, stack, n)
-    sabs = ad.smooth_abs(v, ABS_EPS)
-    adj = _batched_gram(sabs, n)
-    ones = tape.input(np.ones((n, 1)))
-    degrees = ad.add(ad.matmul(adj, ones), tape.input(np.full((count * n, 1), DEGREE_EPS)))
-    dinv = ad.rsqrt(degrees)
-    eye_stack = tape.input(np.tile(np.eye(n), (count, 1)))
-    lap = ad.sub(eye_stack, ad.hadamard(adj, _batched_outer(dinv, n)))
-    lam = _batched_sym_eig(lap, n)
-    return ad.scale(ad.reduce_sum(ad.smooth_abs(lam, SIGN_EPS)), 1.0 / count)
+    return _mean_laplacian_trace(ad.smooth_abs(v, ABS_EPS), n)
 
 
 def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
@@ -214,12 +186,12 @@ def skew_from_params(tape, params: Var, n: int) -> Var:
     if params.shape != (count, 1):
         raise DimensionError(f"expected ({count}, 1) parameters, got {params.shape}")
     rows, cols = np.triu_indices(n, k=1)
-    idx = np.arange(count)
-    scatter = np.zeros((count, n * n))
-    scatter[idx, rows * n + cols] = 1.0
-    scatter[idx, cols * n + rows] = -1.0
-    flat = ad.matmul(ad.transpose(params), tape.input(scatter))
-    return ad.reshape(flat, n, n)
+    p = params.value[:, 0]
+    out = np.zeros((n, n))
+    out[rows, cols] = p
+    out[cols, rows] = -p
+    return tape._push(out, (params.index,),
+                      lambda g: ((g[rows, cols] - g[cols, rows])[:, None],))
 
 
 @dataclass

@@ -63,23 +63,29 @@ class AdamState:
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One Adam update, in place on ``params``.
+    """One Adam update, in place on ``params``; all or nothing.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * mhat / (sqrt(vhat) + eps).
 
+    Every gradient is checked before any parameter, moment or the step
+    count changes, so a rejected update leaves ``state`` and ``params``
+    as they were.
+
     Raises:
         NumericError: a non-finite gradient, naming the step index.
+        ContractError: a gradient whose shape differs from its parameter's.
     """
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    t = state.step_count + 1
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name} at step {t}")
         if g.shape != params[name].shape:
             raise ContractError(f"gradient shape mismatch for {name}")
+    state.step_count = t
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name, g in grads.items():
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1
@@ -128,7 +134,9 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
         TrainingAbort: on a non-finite loss or gradient, or a rank
             collapse (``SingularityError``) in the transition solve of a
             step or of its logged held-out and orthogonality fits;
-            carries the last good parameters and the metrics so far.
+            carries the parameters as they stood at the failure (never
+            half updated: ``adam_step`` is all or nothing) and the
+            metrics so far.
     """
     cfg = cfg.resolved()
     cfg.validate()
@@ -154,7 +162,6 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
     order = np.empty(0, dtype=np.int64)
     cursor = 0
     started = time.perf_counter()
-    last_good = params.copy()
 
     for it in range(cfg.iterations):
         if cursor + cfg.batch_size > order.shape[0]:
@@ -171,7 +178,6 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
             loss_val = float(loss.value[0, 0])
             tape.backward(loss)
             adam_step(adam, params.named_tensors(), bound.gradients())
-            last_good = params.copy()
             is_log = (it + 1) % cfg.log_interval == 0
             is_final = (it + 1) == cfg.iterations and cfg.iterations % cfg.log_interval != 0
             if is_log or is_final:
@@ -184,7 +190,7 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
                     wall_ms=(time.perf_counter() - started) * 1000.0,
                 ))
         except (NumericError, SingularityError) as exc:
-            raise TrainingAbort(str(exc), iteration=it, params=last_good,
+            raise TrainingAbort(str(exc), iteration=it, params=params.copy(),
                                 metrics=metrics) from exc
     return params, metrics
 

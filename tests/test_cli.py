@@ -225,6 +225,9 @@ def test_sbd_outputs_and_determinism(tmp_path):
     assert result["kind"] == "sbd"
     assert result["num_transitions"] == 6
     assert len(result["factor_block_assignment"]) == 1
+    # pinned: a change to the SBD loss must not move the recovered blocks
+    assert result["blocks"]["blocks"] == [[0, 1]]
+    assert result["factor_block_assignment"] == [0]
     for name in ["sbd_mean.svg", "sbd_factor_0.svg"]:
         ET.fromstring((tmp_path / "run" / name).read_text())  # well-formed XML
     blob = result_path.read_bytes()

@@ -1,11 +1,13 @@
-"""The benchmark's span tracer rebinds package attributes by name.
+"""The benchmark rebinds package attributes by name.
 
-``perfbench/spans.py`` looks each wrapped name up in its owner's
-``__dict__``; a rename or deletion in the package would make a traced
-benchmark run crash with a KeyError. This test imports the tracer module
-read-only and fails instead.
+``perfbench/spans.py`` (the span tracer) and the step clocks of
+``perfbench/workloads.py`` look each patched name up in its owner's
+``__dict__``; a rename or deletion in the package would make a benchmark
+run crash with a KeyError. These tests import the benchmark modules
+read-only and fail instead.
 """
 
+import ast
 import pathlib
 import sys
 
@@ -14,17 +16,32 @@ import pytest
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def spans():
+def _import(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import spans as module
+        return __import__(name)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _import("spans")
 
 
 def test_every_wrapped_name_exists(spans):
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _ in spans.WRAPPED if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_every_step_clock_target_exists():
+    workloads = _import("workloads")
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    targets = {(call.args[0].id, call.args[1].value) for call in ast.walk(tree)
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "patch"}
+    assert targets >= {("model", "variant_loss"), ("model", "horizon_errors_np"),
+                       ("training", "adam_step"), ("sbd", "adam_step")}
+    missing = [f"{owner}.{attr}" for owner, attr in sorted(targets)
+               if attr not in vars(getattr(workloads, owner))]
     assert not missing

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mspred import autodiff as ad
-from mspred import sbd
+from mspred import datagen, sbd
 from mspred.errors import ContractError, DimensionError
 
 from oracles import connected_components
@@ -130,6 +130,95 @@ def test_blockness_gradient_matches_fd():
     assert rel_err(tape.grad(vv), central_diff(forward, v0)) < 1e-4
 
 
+def smoothed_trace_norm(v):
+    """Spec: sum of sqrt(lambda^2 + eps^2) over the Laplacian's eigenvalues."""
+    tape = ad.Tape()
+    lam, _ = ad.sym_eig(sbd.normalized_laplacian(sbd.abs_adjacency(tape.input(v))))
+    lam = lam.value.ravel()
+    return float(np.sqrt(lam * lam + 1e-20).sum()), float(lam.min())
+
+
+def c04_family():
+    rng = np.random.default_rng(11004)
+    basis, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    return [basis @ datagen.latent_rotation(
+        rng.choice([-1.0, 1.0], size=4) * rng.uniform(0.3, 1.4, size=4)) @ basis.T
+        for _ in range(64)]
+
+
+def test_blockness_is_laplacian_trace_norm_on_random_matrices():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(2, 10))
+        v = rng.normal(size=(n, n))
+        ref, lam_min = smoothed_trace_norm(v)
+        got = float(sbd.blockness_loss(ad.Tape().input(v)).value[0, 0])
+        assert abs(got - ref) <= 1e-9 * ref
+        assert lam_min >= -1e-12
+
+
+def test_batched_blockness_is_laplacian_trace_norm_on_c04_family():
+    mats = c04_family()
+    stacked = np.concatenate(mats, axis=0)
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        tape = ad.Tape()
+        p = tape.input(rng.normal(0.0, 0.6, size=(28, 1)))
+        u = sbd.expm_skew(sbd.skew_from_params(tape, p, 8))
+        got = float(sbd._mean_blockness_batched(u, tape.input(stacked), 8).value[0, 0])
+        refs = [smoothed_trace_norm(u.value @ m @ u.value.T) for m in mats]
+        ref = float(np.mean([r for r, _ in refs]))
+        assert abs(got - ref) <= 1e-9 * ref
+        assert min(lam for _, lam in refs) >= -1e-12
+
+
+def test_batched_blockness_gradient_matches_fd():
+    from oracles import central_diff, rel_err
+
+    rng = np.random.default_rng(14)
+    u0 = rng.normal(size=(3, 3))
+    stack0 = rng.normal(size=(9, 3))
+
+    def forward(u, stack):
+        tape = ad.Tape()
+        return float(sbd._mean_blockness_batched(
+            tape.input(u), tape.input(stack), 3).value[0, 0])
+
+    tape = ad.Tape()
+    uv, sv = tape.input(u0), tape.input(stack0)
+    tape.backward(sbd._mean_blockness_batched(uv, sv, 3))
+    assert rel_err(tape.grad(uv), central_diff(lambda u: forward(u, stack0), u0)) < 1e-7
+    assert rel_err(tape.grad(sv), central_diff(lambda s: forward(u0, s), stack0)) < 1e-7
+
+
+def test_blockness_loss_is_the_one_member_batched_loss():
+    v0 = np.random.default_rng(15).normal(size=(5, 5))
+    tape = ad.Tape()
+    single = tape.input(v0)
+    loss = sbd.blockness_loss(single)
+    tape.backward(loss)
+    batch_tape = ad.Tape()
+    stack = batch_tape.input(v0)
+    batched = sbd._mean_blockness_batched(batch_tape.input(np.eye(5)), stack, 5)
+    batch_tape.backward(batched)
+    assert loss.value[0, 0] == batched.value[0, 0]
+    assert np.array_equal(tape.grad(single), batch_tape.grad(stack))
+
+
+def test_sbd_iteration_tape_is_small(monkeypatch):
+    sizes = []
+    real = ad.Tape.backward
+
+    def counting(self, loss):
+        sizes.append(len(self.values))
+        return real(self, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting)
+    sbd.fit_sbd(c04_family()[:8], iters=5, seed=0, restarts=1)
+    assert len(sizes) == 5
+    assert max(sizes) <= 8
+
+
 def test_expm_skew_orthogonal_and_additive():
     rng = np.random.default_rng(3)
     p = rng.normal(size=(6, 1))
@@ -192,6 +281,26 @@ def test_expm_skew_gradient_at_zero_matches_fd():
     fd = central_diff(forward, p0)
     assert np.abs(fd).max() > 1e-3
     assert rel_err(tape.grad(pv), fd) < 1e-8
+
+
+def test_skew_from_params_matches_scatter_reference():
+    # reference: p^T times a (count, n^2) matrix of +-1 scatter entries
+    n = 5
+    rows, cols = np.triu_indices(n, k=1)
+    count = rows.size
+    scatter = np.zeros((count, n * n))
+    scatter[np.arange(count), rows * n + cols] = 1.0
+    scatter[np.arange(count), cols * n + rows] = -1.0
+    rng = np.random.default_rng(16)
+    p0 = rng.normal(size=(count, 1))
+    g = rng.normal(size=(n, n))
+    tape = ad.Tape()
+    pv = tape.input(p0)
+    s = sbd.skew_from_params(tape, pv, n)
+    assert len(tape.values) == 2
+    tape.backward(ad.reduce_sum(ad.hadamard(s, tape.input(g))))
+    assert np.array_equal(s.value, (p0.T @ scatter).reshape(n, n))
+    assert np.array_equal(tape.grad(pv), scatter @ g.reshape(-1, 1))
 
 
 def test_expm_skew_is_one_tape_node():

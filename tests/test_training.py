@@ -44,6 +44,50 @@ def test_adam_rejects_nonfinite_gradient():
         tr.adam_step(state, {"w": np.zeros((1, 1))}, {"w": np.array([[np.inf]])})
 
 
+def test_adam_rejected_step_changes_nothing():
+    # a non-finite gradient in the last tensor must not leave the earlier
+    # tensors or their moments updated
+    names = ["a", "b", "c"]
+    shapes = [(2, 3), (1, 3), (4, 1)]
+    rng = np.random.default_rng(3)
+    state = tr.AdamState(names, shapes, lr=0.1)
+    params = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
+    tr.adam_step(state, params, {n: rng.normal(size=s) for n, s in zip(names, shapes)})
+    before = ({n: p.copy() for n, p in params.items()},
+              {n: m.copy() for n, m in state.m.items()},
+              {n: v.copy() for n, v in state.v.items()})
+    grads = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
+    grads["c"][2, 0] = np.nan
+    with pytest.raises(NumericError, match="for c at step 2"):
+        tr.adam_step(state, params, grads)
+    for now, then in zip((params, state.m, state.v), before):
+        for n in names:
+            assert np.array_equal(now[n], then[n])
+    assert state.step_count == 1
+
+
+def test_train_abort_in_adam_carries_previous_step_parameters(monkeypatch):
+    expected, _ = tr.train(small_config(iterations=3, decay_at=6), small_dataset())
+    calls = []
+    real = mm.TapeModel.gradients
+
+    def poisoned(self):
+        grads = real(self)
+        calls.append(1)
+        if len(calls) == 4:
+            last = list(grads)[-1]
+            grads[last] = np.full_like(grads[last], np.nan)
+        return grads
+
+    monkeypatch.setattr(mm.TapeModel, "gradients", poisoned)
+    with pytest.raises(TrainingAbort) as exc:
+        tr.train(small_config(iterations=6, decay_at=6), small_dataset())
+    assert exc.value.iteration == 3
+    got = exc.value.params.named_tensors()
+    for name, arr in expected.named_tensors().items():
+        assert np.array_equal(got[name], arr)
+
+
 def test_adam_trajectory_is_deterministic():
     def run():
         state = tr.AdamState(["w"], [(3,)], lr=0.05)
