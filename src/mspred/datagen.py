@@ -13,6 +13,16 @@ Angles are stored unwrapped so the constant-difference invariant
 Randomness is counter-based: sequence ``i`` draws from streams seeded by
 ``mix64(mix64(master_seed, i), lane)``, so generation order and
 parallelism cannot change the result.
+
+Generation runs in two passes. A seeding pass, the only per-sequence
+loop, seeds each stream and takes all its uniforms in one call. A batched
+pass then computes angles, start points, rotations and observations over
+chunks of ``_CHUNK`` sequences, which bounds its temporaries. It rounds
+exactly as sequence-at-a-time generation does, so datasets are
+byte-identical to it: the rotation is a stacked matrix-vector product
+(writing it out as ``c*a - s*b`` rounds differently), and the mixing map
+runs one GEMM per sequence on a (chunk, T, 2k) stack (a single flattened
+(chunk*T, 2k) GEMM sums in another order and moves last bits).
 """
 
 from __future__ import annotations
@@ -35,6 +45,9 @@ DATASET_MAGIC = b"MSPDAT01"
 _LANE_TRANSITION = 0
 _LANE_START = 1
 _LANE_PARTNER = 2
+
+# sequences per batched pass of the generators (see _observe)
+_CHUNK = 256
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -93,6 +106,9 @@ class GeneratorSpec:
             raise ValidationError(f"T must be >= {min_t} in {mode} mode", field="T")
         if self.num_sequences < 1:
             raise ValidationError("num_sequences must be >= 1", field="num_sequences")
+        for name in ("velocity_range", "accel_range"):
+            if len(getattr(self, name)) != 2:
+                raise ValidationError(f"{name} must be a (low, high) pair", field=name)
         if not self.velocity_range[0] < self.velocity_range[1]:
             raise ValidationError("velocity_range must be non-empty", field="velocity_range")
         if mode == "velocity" and tuple(self.accel_range) != (0.0, 0.0):
@@ -121,16 +137,20 @@ def acceleration_spec(k=3, obs_dim=24, T=11, num_sequences=5000, mixing_seed=7) 
 
 
 def latent_rotation(angles) -> np.ndarray:
-    """Block-diagonal direct sum of 2x2 rotations, one block per factor."""
+    """Block-diagonal direct sum of 2x2 rotations, one block per factor.
+
+    ``angles`` is (..., k); the result is (..., 2k, 2k), one matrix per
+    row of angles, built without a Python loop over factors.
+    """
     angles = np.atleast_1d(np.asarray(angles, dtype=np.float64))
-    k = angles.shape[0]
-    rot = np.zeros((2 * k, 2 * k))
+    k = angles.shape[-1]
+    rot = np.zeros((*angles.shape[:-1], 2 * k, 2 * k))
     c, s = np.cos(angles), np.sin(angles)
-    for j in range(k):
-        rot[2 * j, 2 * j] = c[j]
-        rot[2 * j, 2 * j + 1] = -s[j]
-        rot[2 * j + 1, 2 * j] = s[j]
-        rot[2 * j + 1, 2 * j + 1] = c[j]
+    even = 2 * np.arange(k)
+    rot[..., even, even] = c
+    rot[..., even, even + 1] = -s
+    rot[..., even + 1, even] = s
+    rot[..., even + 1, even + 1] = c
     return rot
 
 
@@ -233,37 +253,50 @@ class PairedBatch:
     second: SequenceBatch
 
 
-def _uniform(rng, lo, hi, size):
-    return lo + (hi - lo) * rng.random(size)
+def _draws(master_seed: int, count: int, lane: int, width: int) -> np.ndarray:
+    """Seeding pass: row i holds the first ``width`` uniforms of sequence i's
+    ``lane`` stream. One ``random(width)`` call yields exactly the values of
+    consecutive shorter calls, so the per-quantity draws are column slices."""
+    out = np.empty((count, width))
+    for i in range(count):
+        out[i] = np.random.default_rng(mix64(mix64(master_seed, i), lane)).random(width)
+    return out
 
 
-def _draw_transition(rng, spec: GeneratorSpec, mode: str):
-    v = _uniform(rng, spec.velocity_range[0], spec.velocity_range[1], spec.k)
-    if mode == "acceleration":
-        alpha = _uniform(rng, spec.accel_range[0], spec.accel_range[1], spec.k)
-    else:
-        alpha = np.zeros(spec.k)
+def _transitions(spec: GeneratorSpec, master_seed: int, mode: str):
+    """(velocity, acceleration), each (N, k), from the transition lane."""
+    k, (v_lo, v_hi), (a_lo, a_hi) = spec.k, spec.velocity_range, spec.accel_range
+    accel = mode == "acceleration"
+    u = _draws(master_seed, spec.num_sequences, _LANE_TRANSITION, 2 * k if accel else k)
+    v = v_lo + (v_hi - v_lo) * u[:, :k]
+    alpha = a_lo + (a_hi - a_lo) * u[:, k:] if accel else np.zeros_like(v)
     return v, alpha
 
 
-def _draw_start(rng, spec: GeneratorSpec):
-    theta0 = _uniform(rng, 0.0, TWO_PI, spec.k)
-    phase = _uniform(rng, 0.0, TWO_PI, spec.k)
-    radius = _uniform(rng, 0.7, 1.3, spec.k)
-    z0 = np.empty(2 * spec.k)
-    z0[0::2] = radius * np.cos(phase)
-    z0[1::2] = radius * np.sin(phase)
+def _starts(spec: GeneratorSpec, master_seed: int, lane: int):
+    """(theta0 (N, k), z0 (N, 2k)) from a start lane: theta0, phase, radius."""
+    k = spec.k
+    u = _draws(master_seed, spec.num_sequences, lane, 3 * k)
+    theta0 = TWO_PI * u[:, :k]
+    phase = TWO_PI * u[:, k : 2 * k]
+    radius = 0.7 + (1.3 - 0.7) * u[:, 2 * k :]
+    z0 = np.empty((spec.num_sequences, 2 * k))
+    z0[:, 0::2] = radius * np.cos(phase)
+    z0[:, 1::2] = radius * np.sin(phase)
     return theta0, z0
 
 
-def _sequence_obs(mixing, spec, theta0, v, alpha, z0):
-    # one rotation per time step, so obs[t] = mix(rotation(theta_t) @ z0)
-    # is reproducible term for term from the hidden metadata
-    z = np.empty((spec.T, 2 * spec.k))
-    for t in range(spec.T):
-        theta_t = theta0 + v * t + alpha * (t * (t - 1) / 2.0)
-        z[t] = latent_rotation(theta_t) @ z0
-    return mixing.apply(z)
+def _observe(spec: GeneratorSpec, theta0, v, alpha, z0) -> np.ndarray:
+    """Batched pass: obs[i, t] = mix(rotation(theta_t[i]) @ z0[i]), chunked."""
+    mixing = MixingMap(spec)
+    t = np.arange(spec.T, dtype=np.float64)[:, None]
+    drift = t * (t - 1) / 2.0
+    obs = np.empty((len(theta0), spec.T, spec.obs_dim))
+    for lo in range(0, len(theta0), _CHUNK):
+        c = slice(lo, lo + _CHUNK)
+        theta_t = theta0[c, None] + v[c, None] * t + alpha[c, None] * drift
+        obs[c] = mixing.apply((latent_rotation(theta_t) @ z0[c, None, :, None])[..., 0])
+    return obs
 
 
 def make_dataset(spec: GeneratorSpec, master_seed: int, mode: str = "velocity") -> SequenceBatch:
@@ -274,21 +307,10 @@ def make_dataset(spec: GeneratorSpec, master_seed: int, mode: str = "velocity") 
     Velocity mode forces acceleration to zero without consuming draws.
     """
     spec.validate(mode)
-    mixing = MixingMap(spec)
-    n_seq = spec.num_sequences
-    obs = np.empty((n_seq, spec.T, spec.obs_dim))
-    theta0s = np.empty((n_seq, spec.k))
-    vs = np.empty((n_seq, spec.k))
-    alphas = np.empty((n_seq, spec.k))
-    for i in range(n_seq):
-        base = mix64(master_seed, i)
-        g_rng = np.random.default_rng(mix64(base, _LANE_TRANSITION))
-        x_rng = np.random.default_rng(mix64(base, _LANE_START))
-        v, alpha = _draw_transition(g_rng, spec, mode)
-        theta0, z0 = _draw_start(x_rng, spec)
-        obs[i] = _sequence_obs(mixing, spec, theta0, v, alpha, z0)
-        theta0s[i], vs[i], alphas[i] = theta0, v, alpha
-    return SequenceBatch(obs, theta0s, vs, alphas, spec, master_seed, mode)
+    v, alpha = _transitions(spec, master_seed, mode)
+    theta0, z0 = _starts(spec, master_seed, _LANE_START)
+    obs = _observe(spec, theta0, v, alpha, z0)
+    return SequenceBatch(obs, theta0, v, alpha, spec, master_seed, mode)
 
 
 def make_paired(spec: GeneratorSpec, master_seed: int, mode: str = "velocity") -> PairedBatch:
@@ -299,18 +321,9 @@ def make_paired(spec: GeneratorSpec, master_seed: int, mode: str = "velocity") -
     draws from lane 2.
     """
     first = make_dataset(spec, master_seed, mode)
-    mixing = MixingMap(spec)
-    n_seq = spec.num_sequences
-    obs = np.empty_like(first.observations)
-    theta0s = np.empty((n_seq, spec.k))
-    for i in range(n_seq):
-        base = mix64(master_seed, i)
-        x_rng = np.random.default_rng(mix64(base, _LANE_PARTNER))
-        theta0, z0 = _draw_start(x_rng, spec)
-        obs[i] = _sequence_obs(mixing, spec, theta0, first.velocity[i],
-                               first.acceleration[i], z0)
-        theta0s[i] = theta0
-    second = SequenceBatch(obs, theta0s, first.velocity.copy(),
+    theta0, z0 = _starts(spec, master_seed, _LANE_PARTNER)
+    obs = _observe(spec, theta0, first.velocity, first.acceleration, z0)
+    second = SequenceBatch(obs, theta0, first.velocity.copy(),
                            first.acceleration.copy(), spec, master_seed, mode)
     return PairedBatch(first, second)
 
@@ -323,22 +336,15 @@ def make_orbit_probe(spec: GeneratorSpec, master_seed: int, offsets: int) -> Seq
     hidden per-step transition exactly.
     """
     spec.validate("velocity")
-    mixing = MixingMap(spec)
-    base = mix64(master_seed, 0)
-    g_rng = np.random.default_rng(mix64(base, _LANE_TRANSITION))
-    x_rng = np.random.default_rng(mix64(base, _LANE_START))
-    v, alpha = _draw_transition(g_rng, spec, "velocity")
-    theta0, z0 = _draw_start(x_rng, spec)
+    one = replace(spec, num_sequences=1)
+    v, _alpha = _transitions(one, master_seed, "velocity")
+    theta0, z0 = _starts(one, master_seed, _LANE_START)
     n_seq = offsets + 1
-    obs = np.empty((n_seq, spec.T, spec.obs_dim))
-    theta0s = np.empty((n_seq, spec.k))
-    for ell in range(n_seq):
-        start = theta0 + ell * v
-        obs[ell] = _sequence_obs(mixing, spec, start, v, alpha, z0)
-        theta0s[ell] = start
+    starts = theta0 + np.arange(n_seq, dtype=np.float64)[:, None] * v
     vs = np.tile(v, (n_seq, 1))
     alphas = np.zeros((n_seq, spec.k))
-    return SequenceBatch(obs, theta0s, vs, alphas, spec, master_seed, "velocity")
+    obs = _observe(spec, starts, vs, alphas, np.tile(z0, (n_seq, 1)))
+    return SequenceBatch(obs, starts, vs, alphas, spec, master_seed, "velocity")
 
 
 def make_single_factor(spec: GeneratorSpec, master_seed: int, factor: int) -> SequenceBatch:
@@ -351,23 +357,12 @@ def make_single_factor(spec: GeneratorSpec, master_seed: int, factor: int) -> Se
     spec.validate("velocity")
     if not 0 <= factor < spec.k:
         raise ValidationError(f"factor {factor} out of range for k={spec.k}", field="k")
-    mixing = MixingMap(spec)
-    n_seq = spec.num_sequences
-    obs = np.empty((n_seq, spec.T, spec.obs_dim))
-    theta0s = np.empty((n_seq, spec.k))
-    vs = np.empty((n_seq, spec.k))
-    for i in range(n_seq):
-        base = mix64(master_seed, i)
-        g_rng = np.random.default_rng(mix64(base, _LANE_TRANSITION))
-        x_rng = np.random.default_rng(mix64(base, _LANE_START))
-        v, _alpha = _draw_transition(g_rng, spec, "velocity")
-        masked = np.zeros(spec.k)
-        masked[factor] = v[factor]
-        theta0, z0 = _draw_start(x_rng, spec)
-        obs[i] = _sequence_obs(mixing, spec, theta0, masked, np.zeros(spec.k), z0)
-        theta0s[i], vs[i] = theta0, masked
-    return SequenceBatch(obs, theta0s, vs, np.zeros((n_seq, spec.k)), spec,
-                         master_seed, "velocity")
+    v, alpha = _transitions(spec, master_seed, "velocity")
+    masked = np.zeros_like(v)
+    masked[:, factor] = v[:, factor]
+    theta0, z0 = _starts(spec, master_seed, _LANE_START)
+    obs = _observe(spec, theta0, masked, alpha, z0)
+    return SequenceBatch(obs, theta0, masked, alpha, spec, master_seed, "velocity")
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +433,30 @@ def load_dataset(path) -> SequenceBatch:
         master_seed = int(header["master_seed"])
         mode = header["mode"]
         shapes = header["shapes"]
+        spec.validate(mode)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"dataset header missing field: {exc}") from exc
+    except ValidationError as exc:
+        raise FormatError(f"dataset header holds an invalid spec: {exc}") from exc
     arrays = {}
     for name in _TENSOR_ORDER:
-        if name not in shapes:
-            raise FormatError(f"dataset header lacks shape for {name!r}")
-        shape = tuple(int(x) for x in shapes[name])
-        count = int(np.prod(shape))
-        nbytes = count * 8
+        try:
+            shape = tuple(int(x) for x in shapes[name])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"dataset header has no valid shape for {name!r}: {exc}") from exc
+        if any(x < 0 for x in shape):
+            raise FormatError(f"negative shape {shape} for {name!r}")
+        nbytes = int(np.prod(shape)) * 8
         if off + nbytes > len(raw):
             raise FormatError(f"dataset payload for {name!r} truncated")
         arrays[name] = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy()
         off += nbytes
     if off != len(raw):
         raise FormatError("trailing bytes after dataset payload")
-    n_seq, t_len, n_dim = arrays["observations"].shape
-    if (n_seq, t_len, n_dim) != (spec.num_sequences, spec.T, spec.obs_dim):
+    if arrays["observations"].shape != (spec.num_sequences, spec.T, spec.obs_dim):
         raise FormatError("observation shape disagrees with spec")
     for name in ("theta0", "velocity", "acceleration"):
-        if arrays[name].shape != (n_seq, spec.k):
+        if arrays[name].shape != (spec.num_sequences, spec.k):
             raise FormatError(f"{name} shape disagrees with spec")
     return SequenceBatch(arrays["observations"], arrays["theta0"], arrays["velocity"],
                          arrays["acceleration"], spec, master_seed, mode)

@@ -268,40 +268,52 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"checkpoint manifest missing field: {exc}") from exc
     tensors = {}
+    payload_len = 0  # save_checkpoint packs the tensors back to back
     for entry in entries:
         try:
             name, shape, offset = entry[0], tuple(int(s) for s in entry[1]), int(entry[2])
         except (IndexError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed tensor entry {entry!r}") from exc
+        if any(s < 0 for s in shape):
+            raise FormatError(f"negative shape {shape} for tensor {name!r}")
+        if offset != payload_len:
+            raise FormatError(f"tensor {name!r} at offset {offset}, expected {payload_len}")
         nbytes = int(np.prod(shape)) * 8
         lo = base + offset
         if lo + nbytes > len(raw):
             raise FormatError(f"checkpoint payload for tensor {name!r} truncated")
         tensors[name] = np.frombuffer(raw[lo : lo + nbytes], dtype="<f8").reshape(shape).copy()
-    payload_len = sum(int(np.prod(e[1])) * 8 for e in entries)
+        payload_len += nbytes
     if base + payload_len != len(raw):
         raise FormatError("checkpoint payload size disagrees with manifest")
 
-    def collect(group, count):
-        layers = []
+    def collect(group, count, d_in, d_out):
+        # each layer's (in, out) weight must chain from d_in to d_out
+        layers, width = [], d_in
         for i in range(count):
             try:
                 w = tensors[f"{group}{i}.w"]
                 b = tensors[f"{group}{i}.b"]
             except KeyError as exc:
                 raise FormatError(f"checkpoint missing tensor {exc}") from exc
+            if w.ndim != 2 or w.shape[0] != width:
+                raise FormatError(f"{group}{i}.w shape {w.shape} does not take width {width}")
             if b.shape != (1, w.shape[1]):
                 raise FormatError(f"bias shape mismatch for {group}{i}")
             layers.append((w, b))
+            width = w.shape[1]
+        if width != d_out:
+            raise FormatError(f"{group} ends at width {width}, the manifest implies {d_out}")
         return layers
 
     try:
-        enc = collect("enc", layer_counts["enc"])
-        dec = collect("dec", layer_counts["dec"])
-        mstar = collect("mstar", layer_counts["mstar"]) if layer_counts["mstar"] else None
-        params = mm.ModelParams(a=int(meta["a"]), m=int(meta["m"]),
-                                obs_dim=int(meta["obs_dim"]), T_c=int(meta["T_c"]),
-                                enc=enc, dec=dec, mstar=mstar)
+        a, m, obs_dim, t_c = (int(meta[key]) for key in ("a", "m", "obs_dim", "T_c"))
+        enc = collect("enc", layer_counts["enc"], obs_dim, a * m)
+        dec = collect("dec", layer_counts["dec"], a * m, obs_dim)
+        mstar = (collect("mstar", layer_counts["mstar"], t_c * obs_dim, a * a)
+                 if layer_counts["mstar"] else None)
+        params = mm.ModelParams(a=a, m=m, obs_dim=obs_dim, T_c=t_c, enc=enc, dec=dec,
+                                mstar=mstar)
         cfg = config_from_dict(manifest["config"]) if manifest.get("config") else None
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint manifest is malformed: {exc!r}") from exc

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mspred.datagen import (
     make_dataset,
     make_orbit_probe,
     make_paired,
+    make_single_factor,
     mix64,
     save_dataset,
     velocity_spec,
@@ -40,6 +43,25 @@ def test_latent_rotation_angle_addition():
         lhs = latent_rotation(a) @ latent_rotation(b)
         rhs = latent_rotation(a + b)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def test_latent_rotation_batched_matches_stacked_single_calls():
+    angles = np.random.default_rng(5).uniform(-7.0, 7.0, size=(4, 5, 3))
+    stacked = np.array([[latent_rotation(row) for row in seq] for seq in angles])
+    batched = latent_rotation(angles)
+    assert batched.shape == (4, 5, 6, 6)
+    assert np.array_equal(batched, stacked)
+
+
+def test_latent_rotation_single_angle_forms():
+    c, s = np.cos(0.4), np.sin(0.4)
+    expected = np.array([[c, -s], [s, c]])
+    assert np.array_equal(latent_rotation(0.4), expected)
+    assert np.array_equal(latent_rotation([0.4]), expected)
+    pair = latent_rotation([0.4, -1.1])
+    assert np.array_equal(pair[:2, :2], expected)
+    assert np.array_equal(pair[:2, 2:], np.zeros((2, 2)))
+    assert np.array_equal(pair[2:, 2:], latent_rotation(-1.1))
 
 
 def test_latent_rotation_orthogonal():
@@ -257,6 +279,30 @@ def test_dataset_file_rejects_corruption(tmp_path):
         load_dataset(trailing)
 
 
+def _tampered_header(tmp_path, edit):
+    path = tmp_path / "d.mspdat"
+    save_dataset(make_dataset(small_spec(), master_seed=17), path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + hlen].decode())
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    out = tmp_path / "tampered.mspdat"
+    out.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+    return out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["shapes"].update(observations=[-8, 4, 6]),
+    lambda h: h["shapes"].update(theta0="abc"),
+    lambda h: h.update(mode="bogus"),
+    lambda h: h["spec"].update(velocity_range=[0.5]),
+], ids=["negative-shape", "non-integer-shape", "bogus-mode", "one-element-range"])
+def test_dataset_file_rejects_bad_header(tmp_path, edit):
+    with pytest.raises(FormatError):
+        load_dataset(_tampered_header(tmp_path, edit))
+
+
 def test_splitmix_known_values():
     # reference values of the splitmix64 finalizer-based stream seeded at 0:
     # first outputs of state += golden then finalize
@@ -281,3 +327,58 @@ def test_desk_dataset_bytes_are_pinned(tmp_path, mode, digest):
     path = tmp_path / "desk.mspdat"
     save_dataset(make_dataset(spec, master_seed=42, mode=mode), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _digest(batch):
+    h = hashlib.sha256()
+    for name in ("observations", "theta0", "velocity", "acceleration"):
+        h.update(np.ascontiguousarray(getattr(batch, name), dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _pin_spec(mode):
+    # desk dimensions; 300 sequences, so batched generation crosses a chunk
+    if mode == "velocity":
+        return velocity_spec(T=5, num_sequences=300, mixing_seed=5)
+    return datagen.acceleration_spec(T=6, num_sequences=300, mixing_seed=5)
+
+
+@pytest.mark.parametrize("mode, first, second", [
+    ("velocity", "ef99afbbd28d0ca014aae6b756b5558e5882e489896cb6809fe472b96632a9f0",
+     "fa91b45ea0d52f1364983327f7a0faaa79b43c5112dcec69a36710d2a2f00b01"),
+    ("acceleration", "925a2eed1a67dac18b314bf768e266af5eb8e2af5a9ec73402b66d402a6f919d",
+     "c289abac32ac1fd98f1dd664cc2bf64b74702e26941b432325f7e47542c4b4e1"),
+])
+def test_paired_bytes_are_pinned(mode, first, second):
+    pair = make_paired(_pin_spec(mode), master_seed=23, mode=mode)
+    assert (_digest(pair.first), _digest(pair.second)) == (first, second)
+
+
+def test_orbit_probe_bytes_are_pinned():
+    probe = make_orbit_probe(_pin_spec("velocity"), master_seed=23, offsets=300)
+    assert _digest(probe) == "153cd5b030043b789067c35620bb4b038c59c86282083e51203bfb1e098d3f72"
+
+
+@pytest.mark.parametrize("factor, digest", [
+    (0, "021daac3b178d31c0f57519dcc943e4825ae321a5e8ddda45e13f6c651147b30"),
+    (1, "14eed8b931bb1ed10d905baf74ff6fffe722bf6102ae0d5e982f22c24c7e2a4f"),
+    (2, "dbd77b9520f7d3a09f936214c78831e10d15bfcb1583f93ac77e9efa5dd0c65f"),
+])
+def test_single_factor_bytes_are_pinned(factor, digest):
+    batch = make_single_factor(_pin_spec("velocity"), master_seed=23, factor=factor)
+    assert _digest(batch) == digest
+
+
+@pytest.mark.parametrize("mode", ["velocity", "acceleration"])
+def test_make_dataset_peak_memory_is_bounded(mode):
+    # chunked generation keeps its temporaries small next to the output
+    spec = velocity_spec() if mode == "velocity" else datagen.acceleration_spec()
+    tracemalloc.start()
+    try:
+        batch = make_dataset(spec, master_seed=42, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(getattr(batch, name).nbytes
+                    for name in ("observations", "theta0", "velocity", "acceleration"))
+    assert peak <= 2 * out_bytes

@@ -284,28 +284,59 @@ def test_checkpoint_manifest_shape_mismatch_names_tensor(tmp_path):
         tr.load_checkpoint(tampered)
 
 
-def test_checkpoint_manifest_missing_or_unknown_fields_are_format_errors(tmp_path):
-    cfg = small_config()
+def _tampered_manifest(tmp_path, cfg, edit):
     params = mm.ModelParams.initialize(cfg, obs_dim=4)
-    path = tmp_path / "f.mspckp"
+    path = tmp_path / "c.mspckp"
     tr.save_checkpoint(params, path, config=cfg)
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:12], "little")
+    manifest = json.loads(raw[12 : 12 + hlen].decode())
+    edit(manifest)
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    out = tmp_path / "t.mspckp"
+    out.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+    return out
 
-    def tampered(edit):
-        manifest = json.loads(raw[12 : 12 + hlen].decode())
-        edit(manifest)
-        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-        out = tmp_path / "t.mspckp"
-        out.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
-        return out
 
+def test_checkpoint_manifest_missing_or_unknown_fields_are_format_errors(tmp_path):
     edits = [lambda d: d["model"].pop("a"),
              lambda d: d["model"]["layers"].pop("enc"),
              lambda d: d["config"].update(not_a_field=1)]
     for edit in edits:
         with pytest.raises(FormatError):
-            tr.load_checkpoint(tampered(edit))
+            tr.load_checkpoint(_tampered_manifest(tmp_path, small_config(), edit))
+
+
+def _set_entry(name, slot, value):
+    def edit(manifest):
+        for entry in manifest["tensors"]:
+            if entry[0] == name:
+                entry[slot] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_entry("enc0.w", 2, -8),
+    _set_entry("dec0.w", 2, 8),
+    lambda d: d["model"].update(a=d["model"]["a"] + 1),
+    lambda d: d["model"].update(obs_dim=5),
+    lambda d: d["model"]["layers"].update(enc=1),
+], ids=["negative-offset", "shifted-offset", "a-disagrees", "obs-dim-disagrees",
+        "enc-layers-cut"])
+def test_checkpoint_rejects_inconsistent_manifest(tmp_path, edit):
+    with pytest.raises(FormatError):
+        tr.load_checkpoint(_tampered_manifest(tmp_path, small_config(), edit))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["model"].update(T_c=d["model"]["T_c"] + 1),
+    lambda d: d["model"].update(a=d["model"]["m"], m=d["model"]["a"]),
+], ids=["T_c-disagrees", "a-and-m-swapped"])
+def test_checkpoint_rejects_mstar_widths_off_manifest(tmp_path, edit):
+    # the neural head reads T_c frames and emits an (a, a) matrix
+    cfg = small_config(variant="neural_mstar")
+    with pytest.raises(FormatError):
+        tr.load_checkpoint(_tampered_manifest(tmp_path, cfg, edit))
 
 
 def test_metrics_jsonl_format(tmp_path):
