@@ -35,6 +35,7 @@ from . import __version__
 from . import analysis as an
 from . import config as cfgmod
 from . import datagen, model as mm, sbd as sbdmod, svg, training as tr
+from .container import atomic_write
 from .errors import (
     FormatError,
     MspredError,
@@ -86,11 +87,7 @@ def _load_config(args) -> cfgmod.ExperimentConfig:
 
 
 def _write_json(payload: dict, path) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
 def cmd_generate(args) -> int:

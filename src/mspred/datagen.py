@@ -27,14 +27,12 @@ runs one GEMM per sequence on a (chunk, T, 2k) stack (a single flattened
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import container
 from .errors import FormatError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -389,70 +387,35 @@ _TENSOR_ORDER = ("observations", "theta0", "velocity", "acceleration")
 
 
 def save_dataset(batch: SequenceBatch, path) -> None:
-    """Write the MSPDAT01 container (header JSON + little-endian f64)."""
-    shapes = {name: list(getattr(batch, name).shape) for name in _TENSOR_ORDER}
+    """Write the MSPDAT01 container; the layout is in ``container``."""
     header = {
         "spec": _spec_to_header(batch.spec),
         "master_seed": int(batch.master_seed),
         "mode": batch.mode,
-        "shapes": shapes,
+        "shapes": {name: list(getattr(batch, name).shape) for name in _TENSOR_ORDER},
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(DATASET_MAGIC)
-    buf.write(len(blob).to_bytes(4, "little"))
-    buf.write(blob)
-    for name in _TENSOR_ORDER:
-        buf.write(np.ascontiguousarray(getattr(batch, name), dtype="<f8").tobytes())
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    container.write(path, DATASET_MAGIC, header, [getattr(batch, name) for name in _TENSOR_ORDER])
+
+
+def _dataset_layout(header: dict) -> list:
+    shapes = header["shapes"]
+    if sorted(shapes) != sorted(_TENSOR_ORDER):
+        raise ValueError(f"arrays {sorted(shapes)} are not {sorted(_TENSOR_ORDER)}")
+    return [(name, shapes[name]) for name in _TENSOR_ORDER]
 
 
 def load_dataset(path) -> SequenceBatch:
-    """Read an MSPDAT01 file, verifying magic and shape consistency."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(DATASET_MAGIC) + 4:
-        raise FormatError("dataset file truncated before header")
-    if raw[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-        raise FormatError(f"bad dataset magic {raw[:8]!r}")
-    off = len(DATASET_MAGIC)
-    hlen = int.from_bytes(raw[off : off + 4], "little")
-    off += 4
-    if off + hlen > len(raw):
-        raise FormatError("dataset header extends past end of file")
-    try:
-        header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"dataset header is not valid JSON: {exc}") from exc
-    off += hlen
+    """Read an MSPDAT01 file; its spec must validate and fix every array's shape."""
+    header, arrays = container.read(path, DATASET_MAGIC, "dataset", _dataset_layout)
     try:
         spec = _spec_from_header(header["spec"])
         master_seed = int(header["master_seed"])
         mode = header["mode"]
-        shapes = header["shapes"]
         spec.validate(mode)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"dataset header missing field: {exc}") from exc
     except ValidationError as exc:
         raise FormatError(f"dataset header holds an invalid spec: {exc}") from exc
-    arrays = {}
-    for name in _TENSOR_ORDER:
-        try:
-            shape = tuple(int(x) for x in shapes[name])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"dataset header has no valid shape for {name!r}: {exc}") from exc
-        if any(x < 0 for x in shape):
-            raise FormatError(f"negative shape {shape} for {name!r}")
-        nbytes = int(np.prod(shape)) * 8
-        if off + nbytes > len(raw):
-            raise FormatError(f"dataset payload for {name!r} truncated")
-        arrays[name] = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy()
-        off += nbytes
-    if off != len(raw):
-        raise FormatError("trailing bytes after dataset payload")
     if arrays["observations"].shape != (spec.num_sequences, spec.T, spec.obs_dim):
         raise FormatError("observation shape disagrees with spec")
     for name in ("theta0", "velocity", "acceleration"):

@@ -255,19 +255,6 @@ class TapeModel:
         return {name: self.tape.grad(var) for name, var in self.leaf_vars.items()}
 
 
-def encode_frame(tape_model: TapeModel, x) -> Var:
-    """Encode a single observation vector into its a x m latent."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    row = tape_model.encode_rows(tape_model.tape.input(x))
-    return ad.reshape(row, tape_model.a, tape_model.m)
-
-
-def decode_latent(tape_model: TapeModel, h: Var) -> Var:
-    """Decode one a x m latent back to a single observation row."""
-    row = ad.reshape(h, 1, tape_model.a * tape_model.m)
-    return tape_model.decode_rows(row)
-
-
 # ---------------------------------------------------------------------------
 # transition estimation
 
@@ -428,13 +415,6 @@ def rollout_second_order(est: TransitionEstimate, h: Var, steps: int) -> list[Va
         left = step_op if j == 1 else ad.matmul(step_op, left)
         out.append(ad.matmul(left, h))
     return out
-
-
-def neural_mstar(tape_model: TapeModel, cond_frames) -> Var:
-    """Transition matrix predicted by the neural head from T_c raw frames."""
-    flat = np.asarray(cond_frames, dtype=np.float64).reshape(1, -1)
-    row = tape_model.transition_rows(tape_model.tape.input(flat))
-    return ad.reshape(row, tape_model.a, tape_model.a)
 
 
 # ---------------------------------------------------------------------------

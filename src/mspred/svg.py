@@ -8,8 +8,8 @@ ranges always cover the data extrema.
 from __future__ import annotations
 
 import math
-import os
 
+from .container import atomic_write
 from .errors import ContractError
 
 _WIDTH, _HEIGHT = 640, 420
@@ -28,13 +28,6 @@ def _finite_or_raise(values, what):
     if not all(math.isfinite(v) for v in vals):
         raise ContractError(f"{what}: non-finite data")
     return vals
-
-
-def _write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def line_chart(series: dict[str, tuple[list[float], list[float]]], path, *,
@@ -116,7 +109,7 @@ def line_chart(series: dict[str, tuple[list[float], list[float]]], path, *,
         parts.append(f'<text x="{_MARGIN_L + plot_w - 115}" y="{ly + 9}" '
                      f'font-size="11" font-family="sans-serif">{name}</text>')
     parts.append("</svg>")
-    _write(path, "\n".join(parts) + "\n")
+    atomic_write(path, ("\n".join(parts) + "\n").encode("utf-8"))
 
 
 def heatmap(matrix, path, *, title: str = "") -> None:
@@ -151,4 +144,4 @@ def heatmap(matrix, path, *, title: str = "") -> None:
     parts.append(f'<rect x="{x0}" y="{y0}" width="{_fmt(cell * n_cols)}" '
                  f'height="{_fmt(cell * n_rows)}" fill="none" stroke="black"/>')
     parts.append("</svg>")
-    _write(path, "\n".join(parts) + "\n")
+    atomic_write(path, ("\n".join(parts) + "\n").encode("utf-8"))

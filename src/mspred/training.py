@@ -10,15 +10,15 @@ records, which is measurement, not state.
 
 from __future__ import annotations
 
-import io
 import json
-import os
+import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from . import model as mm
 from .datagen import SequenceBatch, mix64
 from .errors import (ContractError, FormatError, NumericError, SingularityError,
@@ -215,7 +215,7 @@ def config_from_dict(d: dict) -> mm.TrainConfig:
 
 
 def save_checkpoint(params: mm.ModelParams, path, config: mm.TrainConfig | None = None) -> None:
-    """Write the MSPCKP01 container; round-trips bit-exactly."""
+    """Write the MSPCKP01 container (layout in ``container``); round-trips bit-exactly."""
     tensors = params.named_tensors()
     entries = []
     offset = 0
@@ -230,62 +230,24 @@ def save_checkpoint(params: mm.ModelParams, path, config: mm.TrainConfig | None 
                              "mstar": len(params.mstar) if params.mstar else 0}},
         "tensors": entries,
     }
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(len(blob).to_bytes(4, "little"))
-    buf.write(blob)
-    for name, arr in tensors.items():
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    container.write(path, CHECKPOINT_MAGIC, manifest, tensors.values())
+
+
+def _checkpoint_layout(manifest: dict) -> list:
+    """Each tensor entry is [name, shape, offset]; the offsets pack them back to back."""
+    layout, payload_len = [], 0
+    for name, shape, offset in manifest["tensors"]:
+        if int(offset) != payload_len:
+            raise FormatError(f"tensor {name!r} at offset {offset}, expected {payload_len}")
+        layout.append((name, shape))
+        payload_len += math.prod(int(s) for s in shape) * 8
+    return layout
 
 
 def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
-    """Read an MSPCKP01 file; malformed input raises FormatError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 4:
-        raise FormatError("checkpoint truncated before header")
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {raw[:8]!r}")
-    off = len(CHECKPOINT_MAGIC)
-    hlen = int.from_bytes(raw[off : off + 4], "little")
-    off += 4
-    if off + hlen > len(raw):
-        raise FormatError("checkpoint header extends past end of file")
-    try:
-        manifest = json.loads(raw[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"checkpoint header is not valid JSON: {exc}") from exc
-    base = off + hlen
-    try:
-        meta = manifest["model"]
-        entries = manifest["tensors"]
-        layer_counts = meta["layers"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"checkpoint manifest missing field: {exc}") from exc
-    tensors = {}
-    payload_len = 0  # save_checkpoint packs the tensors back to back
-    for entry in entries:
-        try:
-            name, shape, offset = entry[0], tuple(int(s) for s in entry[1]), int(entry[2])
-        except (IndexError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed tensor entry {entry!r}") from exc
-        if any(s < 0 for s in shape):
-            raise FormatError(f"negative shape {shape} for tensor {name!r}")
-        if offset != payload_len:
-            raise FormatError(f"tensor {name!r} at offset {offset}, expected {payload_len}")
-        nbytes = int(np.prod(shape)) * 8
-        lo = base + offset
-        if lo + nbytes > len(raw):
-            raise FormatError(f"checkpoint payload for tensor {name!r} truncated")
-        tensors[name] = np.frombuffer(raw[lo : lo + nbytes], dtype="<f8").reshape(shape).copy()
-        payload_len += nbytes
-    if base + payload_len != len(raw):
-        raise FormatError("checkpoint payload size disagrees with manifest")
+    """Read an MSPCKP01 file; every tensor must belong to a layer whose widths chain."""
+    manifest, tensors = container.read(path, CHECKPOINT_MAGIC, "checkpoint", _checkpoint_layout)
+    used = set()
 
     def collect(group, count, d_in, d_out):
         # each layer's (in, out) weight must chain from d_in to d_out
@@ -301,12 +263,15 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
             if b.shape != (1, w.shape[1]):
                 raise FormatError(f"bias shape mismatch for {group}{i}")
             layers.append((w, b))
+            used.update((f"{group}{i}.w", f"{group}{i}.b"))
             width = w.shape[1]
         if width != d_out:
             raise FormatError(f"{group} ends at width {width}, the manifest implies {d_out}")
         return layers
 
     try:
+        meta = manifest["model"]
+        layer_counts = meta["layers"]
         a, m, obs_dim, t_c = (int(meta[key]) for key in ("a", "m", "obs_dim", "T_c"))
         enc = collect("enc", layer_counts["enc"], obs_dim, a * m)
         dec = collect("dec", layer_counts["dec"], a * m, obs_dim)
@@ -317,17 +282,14 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
         cfg = config_from_dict(manifest["config"]) if manifest.get("config") else None
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint manifest is malformed: {exc!r}") from exc
+    if used != set(tensors):
+        raise FormatError(f"checkpoint tensors {sorted(set(tensors) - used)} belong to no layer")
     return params, cfg
 
 
 def write_metrics(records: list[MetricsRecord], path) -> None:
     """JSON Lines, one record per log interval, keys fixed by contract."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json())
-            fh.write("\n")
-    os.replace(tmp, path)
+    container.atomic_write(path, "".join(rec.to_json() + "\n" for rec in records).encode("utf-8"))
 
 
 def read_metrics(path) -> list[dict]:

@@ -297,7 +297,10 @@ def _tampered_header(tmp_path, edit):
     lambda h: h["shapes"].update(theta0="abc"),
     lambda h: h.update(mode="bogus"),
     lambda h: h["spec"].update(velocity_range=[0.5]),
-], ids=["negative-shape", "non-integer-shape", "bogus-mode", "one-element-range"])
+    lambda h: h["shapes"].update(acceleration=[2**32, 2**32]),
+    lambda h: h["shapes"].update(extra=[0]),
+], ids=["negative-shape", "non-integer-shape", "bogus-mode", "one-element-range",
+        "overflowing-shape", "unknown-array"])
 def test_dataset_file_rejects_bad_header(tmp_path, edit):
     with pytest.raises(FormatError):
         load_dataset(_tampered_header(tmp_path, edit))

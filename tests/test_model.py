@@ -293,16 +293,19 @@ def test_shifted_window_gives_same_transition():
 
 def test_encode_decode_shapes_and_determinism():
     params = tiny_model()
+    x = np.array([[0.1, -0.5, 0.8], [0.4, 0.2, -0.3]])
     tape = ad.Tape()
     bound = mm.TapeModel(tape, params)
-    x = np.array([0.1, -0.5, 0.8])
-    h = mm.encode_frame(bound, x)
-    assert h.shape == (2, 3)
-    out = mm.decode_latent(bound, h)
-    assert out.shape == (1, 3)
+    h = bound.encode_rows(tape.input(x))
+    assert h.shape == (2, 6)  # one flattened (a, m) latent per row
+    out = bound.decode_rows(h)
+    assert out.shape == (2, 3)
     tape2 = ad.Tape()
     bound2 = mm.TapeModel(tape2, params)
-    assert np.array_equal(h.value, mm.encode_frame(bound2, x).value)
+    assert np.array_equal(h.value, bound2.encode_rows(tape2.input(x)).value)
+    # rows are encoded independently of the rest of the batch
+    one = bound2.encode_rows(tape2.input(x[1:])).value
+    np.testing.assert_allclose(one, h.value[1:], rtol=1e-14, atol=1e-15)
 
 
 def test_encode_gradient_matches_fd():
@@ -545,22 +548,22 @@ def test_variant_loss_neural_weight_zero_equals_plain_pred():
 def test_neural_mstar_shape_and_gradient():
     cfg = tiny_config(variant="neural_mstar")
     params = mm.ModelParams.initialize(cfg, obs_dim=3)
-    frames = np.random.default_rng(20).normal(size=(2, 3))
+    # two sequences' T_c = 2 conditioning frames, one flattened row each
+    cond = np.random.default_rng(20).normal(size=(2, 2, 3)).reshape(2, 6)
     tape = ad.Tape()
     bound = mm.TapeModel(tape, params)
-    mat = mm.neural_mstar(bound, frames)
-    assert mat.shape == (2, 2)
+    assert bound.transition_rows(tape.input(cond)).shape == (2, 4)  # one (a, a) per row
 
     vec0, shapes = flatten_params(params)
 
     def forward(vec):
-        p = unflatten_params(params, vec, shapes)
         t = ad.Tape()
-        return float(ad.frobenius_sq(mm.neural_mstar(mm.TapeModel(t, p), frames)).value[0, 0])
+        head = mm.TapeModel(t, unflatten_params(params, vec, shapes)).transition_rows(t.input(cond))
+        return float(ad.frobenius_sq(head).value[0, 0])
 
     tape2 = ad.Tape()
     bound2 = mm.TapeModel(tape2, params)
-    tape2.backward(ad.frobenius_sq(mm.neural_mstar(bound2, frames)))
+    tape2.backward(ad.frobenius_sq(bound2.transition_rows(tape2.input(cond))))
     grads = bound2.gradients()
     analytic = np.concatenate([grads[n].ravel() for n, _ in shapes])
     assert rel_err(analytic, central_diff(forward, vec0)) < 1e-4

@@ -285,16 +285,21 @@ def test_checkpoint_manifest_shape_mismatch_names_tensor(tmp_path):
 
 
 def _tampered_manifest(tmp_path, cfg, edit):
+    """Save a checkpoint and rewrite its manifest with ``edit``.
+
+    An edit that returns bytes has them appended to the payload.
+    """
     params = mm.ModelParams.initialize(cfg, obs_dim=4)
     path = tmp_path / "c.mspckp"
     tr.save_checkpoint(params, path, config=cfg)
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:12], "little")
     manifest = json.loads(raw[12 : 12 + hlen].decode())
-    edit(manifest)
+    extra = edit(manifest)
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     out = tmp_path / "t.mspckp"
-    out.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+    out.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :]
+                    + (extra if isinstance(extra, bytes) else b""))
     return out
 
 
@@ -315,14 +320,29 @@ def _set_entry(name, slot, value):
     return edit
 
 
+def _append_entry(name, shape):
+    # a well-placed extra entry whose payload (all 7.0) is appended
+    def edit(manifest):
+        end = sum(int(np.prod(s)) * 8 for _, s, _ in manifest["tensors"])
+        manifest["tensors"].append([name, shape, end])
+        return np.full(shape, 7.0).tobytes()
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _set_entry("enc0.w", 2, -8),
     _set_entry("dec0.w", 2, 8),
     lambda d: d["model"].update(a=d["model"]["a"] + 1),
     lambda d: d["model"].update(obs_dim=5),
     lambda d: d["model"]["layers"].update(enc=1),
+    _set_entry("dec1.b", 1, [2**32, 2**32]),
+    _append_entry("enc0.w", [4, 8]),
+    _append_entry("junk", [1, 2]),
+    lambda d: d.update(tensors=5),
+    lambda d: d.update(tensors=None),
 ], ids=["negative-offset", "shifted-offset", "a-disagrees", "obs-dim-disagrees",
-        "enc-layers-cut"])
+        "enc-layers-cut", "overflowing-shape", "duplicate-tensor", "unused-tensor",
+        "tensors-not-a-list", "tensors-null"])
 def test_checkpoint_rejects_inconsistent_manifest(tmp_path, edit):
     with pytest.raises(FormatError):
         tr.load_checkpoint(_tampered_manifest(tmp_path, small_config(), edit))
