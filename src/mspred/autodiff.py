@@ -14,7 +14,8 @@ node.
 Design notes, fixed once and relied on by tests:
 
 * every forward value is checked finite; a NaN/Inf raises ``NumericError``
-  at the op that produced it;
+  at the op that produced it (a leaf entered by ``Tape.input_view`` is
+  checked by its caller instead);
 * ``relu`` uses relu'(0) = 0;
 * ``spd_inverse`` factorizes with LAPACK's Cholesky (lower triangle only)
   and rejects matrices whose diagonal-based condition estimate exceeds
@@ -44,7 +45,7 @@ def as_matrix(data) -> Array:
         a = a.reshape(1, -1)
     if a.ndim not in (2, 3):
         raise DimensionError(f"matrix must be 2-D or a 3-D batch, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError("matrix construction saw a non-finite entry")
     a.flags.writeable = False
     return a
@@ -112,6 +113,18 @@ class Tape:
         """Enter a leaf value (parameter or constant) onto the tape."""
         return self._push(as_matrix(data))
 
+    def input_view(self, array: Array) -> Var:
+        """Enter a leaf as a read-only view of ``array``, without a copy or a scan.
+
+        The leaf aliases ``array``: the caller vouches that it is finite
+        and must not write to it while the tape's values or gradients are
+        still to be read.
+        """
+        if array.dtype != np.float64 or array.ndim not in (2, 3):
+            raise ContractError(f"input_view needs a 2-D or 3-D float64 array, "
+                                f"got {array.dtype} with ndim={array.ndim}")
+        return self._push(array.view())
+
     def backward(self, loss: Var) -> None:
         """Reverse sweep from ``loss``, filling gradient slots.
 
@@ -167,7 +180,7 @@ def _mT(x: Array) -> Array:
 
 
 def _finite(out: Array, op: str) -> Array:
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError(f"{op} produced a non-finite value")
     return out
 

@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Var
 from .autodiff import cholesky_lower  # noqa: F401  re-exported: the benchmark tracer wraps it here
 from .datagen import MixingMap, mix64
-from .errors import ContractError, DimensionError, SingularityError, ValidationError
+from .errors import ContractError, DimensionError, NumericError, SingularityError, ValidationError
 
 VARIANTS = ("msp", "rec_model", "fixed_blocks", "neural_mstar")
 
@@ -123,6 +123,25 @@ def _init_mlp(rng, sizes):
     return layers
 
 
+def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the 1-D ``flat``, one per shape, back to back in order."""
+    out, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return out
+
+
+def _pack(groups):
+    """Copy the (w, b) layers of ``groups`` into one new float64 vector, in
+    order; return it and the same groups as tuples of views into it."""
+    arrays = [x for layers in groups for layer in layers for x in layer]
+    flat = np.concatenate([np.ravel(x) for x in arrays], dtype=np.float64)
+    views = iter(flat_views(flat, [np.shape(x) for x in arrays]))
+    return flat, [tuple((next(views), next(views)) for _ in layers) for layers in groups]
+
+
 @dataclass
 class ModelParams:
     """Encoder and decoder MLP weights plus the latent shape (a, m).
@@ -130,15 +149,27 @@ class ModelParams:
     Layers apply ``x @ W + b`` with tanh between hidden layers and a
     linear final layer. ``mstar`` is present only for the neural
     transition ablation.
+
+    Every weight and bias lives in one contiguous float64 vector,
+    ``flat``, laid out in ``named_tensors()`` order, which is also the
+    checkpoint's tensor order. Construction copies the given layers into
+    a new ``flat`` and turns ``enc``, ``dec`` and ``mstar`` into tuples of
+    (w, b) views of it, so parameters change by writing in place
+    (``apply_named``, Adam), never by rebinding a layer.
     """
 
     a: int
     m: int
     obs_dim: int
     T_c: int
-    enc: list = field(repr=False)
-    dec: list = field(repr=False)
-    mstar: list | None = field(default=None, repr=False)
+    enc: tuple = field(repr=False)
+    dec: tuple = field(repr=False)
+    mstar: tuple | None = field(default=None, repr=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, (self.enc, self.dec, mstar) = _pack((self.enc, self.dec, self.mstar or ()))
+        self.mstar = mstar or None
 
     @classmethod
     def initialize(cls, cfg: TrainConfig, obs_dim: int) -> "ModelParams":
@@ -156,47 +187,34 @@ class ModelParams:
         if cfg.variant == "neural_mstar":
             mstar = _init_mlp(rng, (cfg.T_c * obs_dim, *cfg.mstar_hidden, cfg.a * cfg.a))
             w_out, _ = mstar[-1]
-            mstar[-1] = (w_out, np.eye(cfg.a).reshape(1, -1).copy())
+            mstar[-1] = (w_out, np.eye(cfg.a).reshape(1, -1))
         return cls(a=cfg.a, m=cfg.m, obs_dim=obs_dim, T_c=cfg.T_c,
                    enc=enc, dec=dec, mstar=mstar)
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        """Flat, ordered name -> array view of every parameter."""
+        """Ordered name -> view of every parameter, in ``flat`` order."""
         out = {}
         for group, layers in (("enc", self.enc), ("dec", self.dec),
-                              ("mstar", self.mstar or [])):
+                              ("mstar", self.mstar or ())):
             for i, (w, b) in enumerate(layers):
                 out[f"{group}{i}.w"] = w
                 out[f"{group}{i}.b"] = b
         return out
 
     def copy(self) -> "ModelParams":
-        def cp(layers):
-            return [(w.copy(), b.copy()) for w, b in layers]
-
-        return ModelParams(a=self.a, m=self.m, obs_dim=self.obs_dim, T_c=self.T_c,
-                           enc=cp(self.enc), dec=cp(self.dec),
-                           mstar=cp(self.mstar) if self.mstar is not None else None)
+        """The same parameters in a new ``flat`` of their own."""
+        return replace(self)
 
     def apply_named(self, tensors: dict[str, np.ndarray]) -> None:
-        """Overwrite parameters in place from a named_tensors()-style dict."""
+        """Copy a named_tensors()-style dict into the parameters, in place; all or nothing."""
         mine = self.named_tensors()
         if set(mine) != set(tensors):
             raise ContractError("parameter names do not match this model")
         for name, arr in tensors.items():
-            target = mine[name]
-            if target.shape != arr.shape:
+            if mine[name].shape != arr.shape:
                 raise ContractError(f"shape mismatch for {name}")
-        # rebuild layer lists so arrays are owned copies
-        def rebuild(group_name, layers):
-            return [(tensors[f"{group_name}{i}.w"].copy(),
-                     tensors[f"{group_name}{i}.b"].copy())
-                    for i in range(len(layers))]
-
-        self.enc = rebuild("enc", self.enc)
-        self.dec = rebuild("dec", self.dec)
-        if self.mstar is not None:
-            self.mstar = rebuild("mstar", self.mstar)
+        for name, arr in tensors.items():
+            mine[name][...] = arr
 
 
 class TapeModel:
@@ -204,10 +222,20 @@ class TapeModel:
 
     Construct a fresh instance per loss evaluation; ``leaf_vars`` maps
     parameter names to their tape handles so the trainer can read
-    gradients after backward().
+    gradients after backward(). One scan of ``params.flat`` checks every
+    parameter is finite; each leaf is then a read-only view of it with
+    no copy, so leaves alias the parameters until the next update writes
+    them in place: read the tape's values and gradients before updating.
+
+    Raises:
+        NumericError: a parameter holds a non-finite entry.
     """
 
     def __init__(self, tape: ad.Tape, params: ModelParams):
+        if not np.isfinite(params.flat).all():
+            bad = next(name for name, x in params.named_tensors().items()
+                       if not np.isfinite(x).all())
+            raise NumericError(f"parameter {bad} holds a non-finite entry")
         self.tape = tape
         self.params = params
         self.a = params.a
@@ -220,8 +248,8 @@ class TapeModel:
     def _enter(self, group, layers):
         out = []
         for i, (w, b) in enumerate(layers):
-            wv = self.tape.input(w)
-            bv = self.tape.input(b)
+            wv = self.tape.input_view(w)
+            bv = self.tape.input_view(b)
             self.leaf_vars[f"{group}{i}.w"] = wv
             self.leaf_vars[f"{group}{i}.b"] = bv
             out.append((wv, bv))

@@ -49,7 +49,14 @@ class MetricsRecord:
 
 
 class AdamState:
-    """Adam moments for a named parameter set."""
+    """Adam moments for a named parameter set.
+
+    The first and second moments are flat float64 vectors laid out in
+    ``names`` order; ``m`` and ``v`` map each name to its view of them.
+    Two preallocated scratch vectors and a finiteness mask hold each
+    step's temporaries, so a step allocates no arrays of the parameters'
+    size.
+    """
 
     def __init__(self, names, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -57,8 +64,13 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {n: np.zeros(s) for n, s in zip(names, shapes)}
-        self.v = {n: np.zeros(s) for n, s in zip(names, shapes)}
+        self.shapes = {n: tuple(s) for n, s in zip(names, shapes)}
+        total = sum(math.prod(s) for s in self.shapes.values())
+        self._m, self._v, self._grad, self._step = (np.zeros(total) for _ in range(4))
+        self._finite = np.empty(total, dtype=bool)
+        self.m, self.v, self._grads, self._steps = (
+            dict(zip(self.shapes, mm.flat_views(x, self.shapes.values())))
+            for x in (self._m, self._v, self._grad, self._step))
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
@@ -68,31 +80,50 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * mhat / (sqrt(vhat) + eps).
 
-    Every gradient is checked before any parameter, moment or the step
-    count changes, so a rejected update leaves ``state`` and ``params``
-    as they were.
+    The gradients are gathered into one flat vector and every moment
+    update runs once on the whole vector, in the per-element operation
+    order of the formula above, so each parameter gets the same bits as a
+    tensor-by-tensor update. Every gradient is checked before any
+    parameter, moment or the step count changes, so a rejected update
+    leaves ``state`` and ``params`` as they were.
 
     Raises:
         NumericError: a non-finite gradient, naming the step index.
-        ContractError: a gradient whose shape differs from its parameter's.
+        ContractError: gradient or parameter names that differ from the
+            state's, or a gradient or parameter whose shape differs from
+            the state's.
     """
     t = state.step_count + 1
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name} at step {t}")
-        if g.shape != params[name].shape:
-            raise ContractError(f"gradient shape mismatch for {name}")
+    if grads.keys() != state.shapes.keys() or params.keys() != state.shapes.keys():
+        raise ContractError(f"Adam state holds {sorted(state.shapes)}, got gradients "
+                            f"{sorted(grads)} for parameters {sorted(params)}")
+    for name, shape in state.shapes.items():
+        g = grads[name]
+        if g.shape != shape or params[name].shape != shape:
+            raise ContractError(f"shape mismatch for {name}: gradient {g.shape}, "
+                                f"parameter {params[name].shape}, state {shape}")
+        state._grads[name][...] = g
+    g, s = state._grad, state._step
+    if not np.isfinite(g, out=state._finite).all():
+        bad = next(name for name, x in state._grads.items() if not np.isfinite(x).all())
+        raise NumericError(f"non-finite gradient for {bad} at step {t}")
     state.step_count = t
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state._m, state._v
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=s)
+    v *= state.beta2
+    np.multiply(g, g, out=s)
+    v += np.multiply(s, 1.0 - state.beta2, out=s)
+    np.divide(m, bc1, out=s)
+    s *= state.lr
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    s /= g
+    for name, step in state._steps.items():
+        params[name] -= step
     return params
 
 
@@ -215,11 +246,14 @@ def config_from_dict(d: dict) -> mm.TrainConfig:
 
 
 def save_checkpoint(params: mm.ModelParams, path, config: mm.TrainConfig | None = None) -> None:
-    """Write the MSPCKP01 container (layout in ``container``); round-trips bit-exactly."""
-    tensors = params.named_tensors()
+    """Write the MSPCKP01 container (layout in ``container``); round-trips bit-exactly.
+
+    The payload is ``params.flat`` as one array: its layout is the
+    manifest's tensor list, back to back in ``named_tensors()`` order.
+    """
     entries = []
     offset = 0
-    for name, arr in tensors.items():
+    for name, arr in params.named_tensors().items():
         entries.append([name, list(arr.shape), offset])
         offset += arr.size * 8
     manifest = {
@@ -230,7 +264,7 @@ def save_checkpoint(params: mm.ModelParams, path, config: mm.TrainConfig | None 
                              "mstar": len(params.mstar) if params.mstar else 0}},
         "tensors": entries,
     }
-    container.write(path, CHECKPOINT_MAGIC, manifest, tensors.values())
+    container.write(path, CHECKPOINT_MAGIC, manifest, [params.flat])
 
 
 def _checkpoint_layout(manifest: dict) -> list:

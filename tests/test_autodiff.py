@@ -125,6 +125,19 @@ def test_gradient_suite_100_instances():
 # op-level examples
 
 
+def test_input_view_aliases_without_copy_and_checks_dtype_and_rank():
+    tape = ad.Tape()
+    base = np.arange(6.0).reshape(2, 3)
+    leaf = tape.input_view(base)
+    assert np.shares_memory(leaf.value, base)
+    assert not leaf.value.flags.writeable and base.flags.writeable
+    tape.backward(ad.frobenius_sq(leaf))
+    np.testing.assert_array_equal(tape.grad(leaf), 2.0 * base)
+    for bad in (np.arange(6).reshape(2, 3), np.arange(6.0)):
+        with pytest.raises(ContractError, match="input_view"):
+            tape.input_view(bad)
+
+
 def test_matmul_identity():
     tape = ad.Tape()
     x = tape.input(np.arange(9.0).reshape(3, 3))

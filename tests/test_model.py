@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from mspred import autodiff as ad
 from mspred import model as mm
 from mspred.datagen import GeneratorSpec, latent_rotation, make_dataset
-from mspred.errors import ContractError, DimensionError, SingularityError, ValidationError
+from mspred.errors import (ContractError, DimensionError, NumericError, SingularityError,
+                           ValidationError)
 
 from oracles import central_diff, lstsq_transition, rel_err
 
@@ -289,6 +291,50 @@ def test_shifted_window_gives_same_transition():
 
 # ---------------------------------------------------------------------------
 # model + losses
+
+
+def desk_model(variant="msp"):
+    return mm.ModelParams.initialize(mm.TrainConfig(a=8, m=16, variant=variant), obs_dim=24)
+
+
+def test_params_live_in_one_flat_buffer_in_checkpoint_order():
+    params = desk_model("neural_mstar")
+    tensors = params.named_tensors()
+    assert params.flat.size == sum(t.size for t in tensors.values())
+    assert np.array_equal(params.flat, np.concatenate([t.ravel() for t in tensors.values()]))
+    assert all(np.shares_memory(t, params.flat) for t in tensors.values())
+    other = params.copy()
+    assert not np.shares_memory(other.flat, params.flat)
+    assert all(np.shares_memory(t, other.flat) for t in other.named_tensors().values())
+    # apply_named writes through the views into the same buffer
+    flat = params.flat
+    params.apply_named({n: np.full(t.shape, 0.5) for n, t in tensors.items()})
+    assert params.flat is flat and (flat == 0.5).all()
+    assert (params.enc[0][0] == 0.5).all()
+
+
+def test_tape_leaves_are_read_only_views_of_the_parameters():
+    params = desk_model()
+    mm.TapeModel(ad.Tape(), params)
+    tracemalloc.start()
+    try:
+        bound = mm.TapeModel(ad.Tape(), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 1024, f"building a TapeModel allocated {peak} bytes"
+    for var in bound.leaf_vars.values():
+        assert np.shares_memory(var.value, params.flat)
+        assert not var.value.flags.writeable
+    assert params.flat.flags.writeable
+
+
+@pytest.mark.parametrize("name", list(desk_model().named_tensors()))
+def test_non_finite_parameter_is_rejected_when_the_tape_model_is_built(name):
+    params = desk_model()
+    params.named_tensors()[name].flat[-1] = np.nan
+    with pytest.raises(NumericError, match=name):
+        mm.TapeModel(ad.Tape(), params)
 
 
 def test_encode_decode_shapes_and_determinism():

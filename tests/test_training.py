@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from mspred import autodiff as ad
 from mspred import model as mm
 from mspred import training as tr
 from mspred.datagen import GeneratorSpec, SequenceBatch, make_dataset
-from mspred.errors import (FormatError, NumericError, SingularityError, TrainingAbort,
-                           ValidationError)
+from mspred.errors import (ContractError, FormatError, NumericError, SingularityError,
+                           TrainingAbort, ValidationError)
 
 
 def small_dataset(n=16, T=3, seed=1):
@@ -44,9 +46,19 @@ def test_adam_rejects_nonfinite_gradient():
         tr.adam_step(state, {"w": np.zeros((1, 1))}, {"w": np.array([[np.inf]])})
 
 
-def test_adam_rejected_step_changes_nothing():
-    # a non-finite gradient in the last tensor must not leave the earlier
-    # tensors or their moments updated
+def _nan_in_c(grads):
+    grads["c"][2, 0] = np.nan
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    (_nan_in_c, NumericError, "for c at step 2"),
+    (lambda grads: grads.pop("b"), ContractError, "got gradients"),
+    (lambda grads: grads.update(d=np.zeros((1, 1))), ContractError, "got gradients"),
+    (lambda grads: grads.update(b=np.zeros((3, 1))), ContractError, "shape mismatch for b"),
+], ids=["non-finite", "missing-name", "extra-name", "wrong-shape"])
+def test_adam_rejected_step_changes_nothing(edit, error, match):
+    # a bad gradient, or a gradient set whose names differ from the state's,
+    # must leave every tensor, its moments and the step count as they were
     names = ["a", "b", "c"]
     shapes = [(2, 3), (1, 3), (4, 1)]
     rng = np.random.default_rng(3)
@@ -57,13 +69,72 @@ def test_adam_rejected_step_changes_nothing():
               {n: m.copy() for n, m in state.m.items()},
               {n: v.copy() for n, v in state.v.items()})
     grads = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
-    grads["c"][2, 0] = np.nan
-    with pytest.raises(NumericError, match="for c at step 2"):
+    edit(grads)
+    with pytest.raises(error, match=match):
         tr.adam_step(state, params, grads)
     for now, then in zip((params, state.m, state.v), before):
         for n in names:
             assert np.array_equal(now[n], then[n])
     assert state.step_count == 1
+
+
+def reference_adam_step(state, params, grads):
+    """The tensor-by-tensor Adam update the flat one must match bit for bit."""
+    t = state.step_count + 1
+    state.step_count = t
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name, g in grads.items():
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def _desk_shapes():
+    params = mm.ModelParams.initialize(mm.TrainConfig(a=8, m=16, variant="neural_mstar"), 24)
+    return {n: t.shape for n, t in params.named_tensors().items()}
+
+
+@pytest.mark.parametrize("shapes", [_desk_shapes(), {"p": (28, 1)}], ids=["desk", "sbd"])
+def test_flat_adam_matches_per_tensor_reference_bitwise(shapes):
+    rng = np.random.default_rng(11)
+    start = {n: rng.normal(size=s) for n, s in shapes.items()}
+    got, want = ({n: x.copy() for n, x in start.items()} for _ in range(2))
+    state = tr.AdamState(list(shapes), list(shapes.values()), lr=1e-3)
+    ref = SimpleNamespace(step_count=0, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
+                          m={n: np.zeros(s) for n, s in shapes.items()},
+                          v={n: np.zeros(s) for n, s in shapes.items()})
+    for it in range(200):
+        # the step schedule of lr_at, with widely ranging gradient scales
+        state.lr = ref.lr = 1e-3 if it < 120 else 1e-4
+        grads = {n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for n, s in shapes.items()}
+        tr.adam_step(state, got, grads)
+        reference_adam_step(ref, want, grads)
+    assert state.step_count == ref.step_count == 200
+    for n in shapes:
+        assert np.array_equal(got[n], want[n])
+        assert np.array_equal(state.m[n], ref.m[n])
+        assert np.array_equal(state.v[n], ref.v[n])
+
+
+def test_adam_step_allocates_no_parameter_sized_arrays():
+    params = mm.ModelParams.initialize(mm.TrainConfig(a=8, m=16), obs_dim=24)
+    tensors = params.named_tensors()
+    state = tr.AdamState(list(tensors), [t.shape for t in tensors.values()], lr=1e-3)
+    rng = np.random.default_rng(0)
+    grads = {n: rng.normal(size=t.shape) for n, t in tensors.items()}
+    tr.adam_step(state, tensors, grads)
+    tracemalloc.start()
+    try:
+        tr.adam_step(state, tensors, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 1024, f"adam_step allocated {peak} bytes"
 
 
 def test_train_abort_in_adam_carries_previous_step_parameters(monkeypatch):
