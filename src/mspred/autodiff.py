@@ -4,22 +4,29 @@ A :class:`Tape` records every operation as it executes (define-by-run).
 Node values are immutable float64 numpy arrays, either 2-D matrices or
 batched 3-D stacks of matrices (N, rows, cols); a :class:`Var` is a
 lightweight handle (tape, node index, shape). The matrix ops (``matmul``,
-``transpose``, ``slice_rows``, ``hcat``, ``vcat``, ``spd_inverse``,
-``pinv_right``) act on the last two axes, so one op runs a whole batch
-with the same per-matrix arithmetic as N separate 2-D calls; elementwise
-ops take any shape. Calling :meth:`Tape.backward` on a scalar loss runs
-one reverse topological sweep and fills a gradient slot per reachable
-node.
+``transpose``, ``reshape``, ``slice_rows``, ``hcat``, ``vcat``,
+``spd_inverse``, ``pinv_right``, ``lstsq_right``) act on the last two
+axes, so one op runs a whole batch with the same per-matrix arithmetic as
+N separate 2-D calls; elementwise ops and the reductions (``reduce_sum``,
+``frobenius_sq``) take any shape. Calling :meth:`Tape.backward` on a
+scalar loss runs one reverse topological sweep and fills a gradient slot
+per reachable node.
 
 Design notes, fixed once and relied on by tests:
 
 * every forward value is checked finite; a NaN/Inf raises ``NumericError``
-  at the op that produced it (a leaf entered by ``Tape.input_view`` is
+  naming the op that produced it (a leaf entered by ``Tape.input_view`` is
   checked by its caller instead);
 * ``relu`` uses relu'(0) = 0;
-* ``spd_inverse`` factorizes with LAPACK's Cholesky (lower triangle only)
-  and rejects matrices whose diagonal-based condition estimate exceeds
-  ``COND_LIMIT``, each matrix of a batch on its own;
+* ``spd_inverse`` and ``lstsq_right`` factorize through ``cholesky_lower``
+  (LAPACK's Cholesky, lower triangle only), which rejects matrices whose
+  diagonal-based condition estimate exceeds ``COND_LIMIT``, each matrix
+  of a batch on its own;
+* ``lstsq_right(h0, h1)`` is the least-squares transition
+  h1 h0^T (h0 h0^T)^{-1} as one node with a closed-form backward; it is
+  the solve every model estimator uses. ``pinv_right`` stays as a
+  composite of tape ops (transpose, matmul, ``spd_inverse``) that the
+  gradient suite checks on its own;
 * ``sym_eig`` differentiates eigenvalues only (the eigenvector matrix is
   returned as a plain array, deliberately without a gradient path);
 * gradient accumulation order is the reverse of node creation order, so
@@ -28,13 +35,15 @@ Design notes, fixed once and relied on by tests:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError, SingularityError
 
 Array = np.ndarray
 
-# spd_inverse refuses matrices whose (diag L max / diag L min)^2 exceeds this.
+# cholesky_lower refuses matrices whose (diag L max / diag L min)^2 exceeds this.
 COND_LIMIT = 1e12
 
 
@@ -176,7 +185,7 @@ def _same_tape(*vars_: Var) -> Tape:
 
 def _mT(x: Array) -> Array:
     """Transpose of the last two axes (``ndarray.mT`` needs numpy 2)."""
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def _finite(out: Array, op: str) -> Array:
@@ -253,7 +262,7 @@ def square(a: Var) -> Var:
 def smooth_abs(a: Var, eps: float) -> Var:
     """Entrywise sqrt(x^2 + eps^2): a differentiable |x| surrogate."""
     av = a.value
-    y = np.sqrt(av * av + eps * eps)
+    y = _finite(np.sqrt(av * av + eps * eps), "smooth_abs")
     return a.tape._push(y, (a.index,), lambda g: (g * av / y,))
 
 
@@ -262,7 +271,7 @@ def rsqrt(a: Var) -> Var:
     av = a.value
     if np.any(av <= 0.0):
         raise ContractError("rsqrt requires strictly positive entries")
-    y = 1.0 / np.sqrt(av)
+    y = _finite(1.0 / np.sqrt(av), "rsqrt")
     return a.tape._push(y, (a.index,), lambda g: (-0.5 * g * y / av,))
 
 
@@ -298,14 +307,16 @@ def _concat(parts: list[Var], axis: int, name: str) -> Var:
     """Concatenate along ``axis`` (-1: columns, -2: rows); other axes must agree."""
     if not parts:
         raise ContractError(f"{name} of zero matrices")
-    if len({tuple(np.delete(p.shape, axis)) for p in parts}) > 1:
+    if len({p.shape[:axis] + p.shape[axis:][1:] for p in parts}) > 1:
         raise DimensionError(f"{name} shapes disagree: {[p.shape for p in parts]}")
     tape = _same_tape(*parts)
     out = np.concatenate([p.value for p in parts], axis=axis)
-    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    edges = [0, *itertools.accumulate(p.shape[axis] for p in parts)]
+    after = (slice(None),) * (-1 - axis)  # the axes after ``axis``
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(g[(..., slice(lo, hi), *after)])
+                     for lo, hi in zip(edges, edges[1:]))
 
     return tape._push(out, tuple(p.index for p in parts), vjp)
 
@@ -329,13 +340,13 @@ def add_rowvec(a: Var, b: Var) -> Var:
 
 def reduce_sum(a: Var) -> Var:
     shape = a.shape
-    out = np.array([[float(a.value.sum())]])
+    out = _finite(np.array([[float(a.value.sum())]]), "reduce_sum")
     return a.tape._push(out, (a.index,), lambda g: (np.full(shape, g[0, 0]),))
 
 
 def frobenius_sq(a: Var) -> Var:
     av = a.value
-    out = np.array([[float((av * av).sum())]])
+    out = _finite(np.array([[float((av * av).sum())]]), "frobenius_sq")
     return a.tape._push(out, (a.index,), lambda g: (2.0 * g[0, 0] * av,))
 
 
@@ -359,8 +370,9 @@ def _first_indefinite_minor(s: Array) -> int | None:
 
 def _singular(s: Array, i: int, message: str, pivot: int) -> SingularityError:
     """The error for matrix ``i`` of ``s``; in a batch the message names it."""
-    where = f"matrix {i}: " if s.ndim == 3 else ""
-    return SingularityError(where + message, pivot=int(pivot))
+    if s.ndim != 3:
+        return SingularityError(message, pivot=int(pivot))
+    return SingularityError(f"matrix {i}: {message}", pivot=int(pivot), matrix=int(i))
 
 
 def cholesky_lower(s: Array) -> Array:
@@ -381,11 +393,15 @@ def cholesky_lower(s: Array) -> Array:
         pivots = map(_first_indefinite_minor, stack)
         i, j = next((i, j) for i, j in enumerate(pivots) if j is not None)
         raise _singular(s, i, f"Cholesky pivot {j} is not positive", j) from None
-    finite = np.isfinite(L).all(axis=-1).reshape(len(stack), -1)  # LAPACK passes NaN through
-    if not finite.all():
+    if not np.isfinite(L).all():  # LAPACK passes NaN through
+        finite = np.isfinite(L).all(axis=-1).reshape(len(stack), -1)
         i, j = np.argwhere(~finite)[0]
         raise _singular(s, i, f"Cholesky pivot {j} is not finite", j)
     diag = np.diagonal(L, axis1=-2, axis2=-1).reshape(len(stack), -1)
+    # the batch-wide ratio bounds every matrix's, so a passing batch needs
+    # no per-matrix pass
+    if (diag.max() / diag.min()) ** 2 <= COND_LIMIT:
+        return L
     cond_est = (diag.max(axis=1) / diag.min(axis=1)) ** 2
     if (cond_est > COND_LIMIT).any():
         i = int(np.argmax(cond_est > COND_LIMIT))
@@ -428,6 +444,38 @@ def pinv_right(h: Var) -> Var:
     ht = transpose(h)
     gram = matmul(h, ht)
     return matmul(ht, spd_inverse(gram))
+
+
+def lstsq_right(h0: Var, h1: Var) -> Var:
+    """Least-squares transition M = h1 h0^T (h0 h0^T)^{-1}, minimizing ||M h0 - h1||_F.
+
+    The same matrix as ``matmul(h1, pinv_right(h0))`` as one tape node:
+    h0 and h1 are (a, k) or a (N, a, k) batch with k >= a, and a batch
+    gets one solve per matrix. The Gram matrix G = h0 h0^T is factored by
+    ``cholesky_lower``, so a rank-deficient h0 raises its
+    ``SingularityError``.
+
+    Backward, with M = C G^{-1} and C = h1 h0^T: gC = g G^{-1},
+    gG = -M^T gC, dL/dh1 = gC h0 and dL/dh0 = gC^T h1 + (gG + gG^T) h0.
+    """
+    if h0.shape != h1.shape:
+        raise DimensionError(f"lstsq_right shapes differ: {h0.shape} vs {h1.shape}")
+    a, k = h0.shape[-2:]
+    if k < a:
+        raise DimensionError(f"lstsq_right needs cols >= rows, got {h0.shape}")
+    tape = _same_tape(h0, h1)
+    x0, x1 = h0.value, h1.value
+    x0t = _mT(x0)
+    linv = np.linalg.inv(cholesky_lower(x0 @ x0t))
+    ginv = _mT(linv) @ linv  # G^{-1} = L^{-T} L^{-1}
+    out = _finite((x1 @ x0t) @ ginv, "lstsq_right")
+
+    def vjp(g):
+        gc = g @ ginv
+        gg = -_mT(out) @ gc
+        return _mT(gc) @ x1 + (gg + _mT(gg)) @ x0, gc @ x0
+
+    return tape._push(out, (h0.index, h1.index), vjp)
 
 
 def sym_eig(s: Var) -> tuple[Var, Array]:

@@ -53,7 +53,7 @@ _REQUIRED = ("master_seed", "out_dir")
 # Version of the training arithmetic, folded into every config hash. Bump it
 # whenever a change moves trained parameters (even at rounding level), so
 # artifacts keyed by the hash, such as cached checkpoints, go stale with it.
-NUMERICS_VERSION = 2
+NUMERICS_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,14 @@ class SingularityError(MspredError):
 
     Attributes:
         pivot: index of the Cholesky pivot (or diagonal entry) that failed.
+        matrix: index of the failing matrix when the input was a batch,
+            else None.
     """
 
-    def __init__(self, message, pivot=None):
+    def __init__(self, message, pivot=None, matrix=None):
         super().__init__(message)
         self.pivot = pivot
+        self.matrix = matrix
 
 
 class NumericError(MspredError):

@@ -4,8 +4,9 @@ The training objective encodes the first ``T_c`` frames of a sequence,
 solves a least-squares problem for the latent transition of *that*
 sequence in closed form, rolls the transition forward, decodes, and
 scores the prediction against the unseen frames. Because the transition
-solve is a differentiable composite (transpose / matmul / SPD inverse),
-the whole pipeline trains end to end by plain backpropagation.
+solve is one differentiable op (``autodiff.lstsq_right``, with a
+closed-form backward), the whole pipeline trains end to end by plain
+backpropagation.
 
 Every latent is a batched (N, a, m) tape value, so one call of an
 estimator and one rollout serve a whole batch, with each sequence
@@ -309,8 +310,8 @@ def estimate_transition(latents: list[Var]) -> TransitionEstimate:
     ``latents`` are the encoded conditional frames, each (a, m) or a
     batch (N, a, m) with one transition per sequence; the optimum is
     H_plus1 pinv(H_plus0) over their horizontal concatenations, solved
-    through the differentiable right pseudo-inverse. ``residual`` sums
-    the fit error over the batch.
+    by one ``lstsq_right`` call. ``residual`` sums the fit error over
+    the batch.
 
     Raises:
         SingularityError: the stacked conditioning latent is rank
@@ -324,7 +325,7 @@ def estimate_transition(latents: list[Var]) -> TransitionEstimate:
     if h0.shape[-1] < a:
         raise DimensionError(f"conditioning latents give {h0.shape[-1]} columns for {a} "
                              "rows; need (T_c - 1) * m >= a")
-    m = ad.matmul(h1, ad.pinv_right(h0))
+    m = ad.lstsq_right(h0, h1)
     residual = float(((m.value @ h0.value - h1.value) ** 2).sum())
     return TransitionEstimate(order=1, m_star=m, m_last=None, residual=residual)
 
@@ -364,30 +365,46 @@ def estimate_second_order(latents: list[Var]) -> TransitionEstimate:
     least-squares problem on the velocity sequence, yielding the constant
     acceleration operator. Returns that operator as ``m_star`` and the
     final velocity 1M_{T_c} as ``m_last``. Latents may be (N, a, m)
-    batches, as in ``estimate_transition``.
+    batches, as in ``estimate_transition``. Each stage is one
+    ``lstsq_right`` call: step one solves all N (T_c - 1) frame pairs as
+    one batch, sequence-major.
 
     Raises:
-        SingularityError: naming the failing frame index.
+        SingularityError: naming the failing frame index (and, for a
+            batch, the sequence as ``matrix``).
     """
     if len(latents) < 3:
         raise ContractError("second order needs at least three frames (T_c >= 3)")
-    a, m_cols = latents[0].shape[-2:]
+    *batch, a, m_cols = latents[0].shape
     if m_cols < a:
         raise DimensionError(f"second order needs m >= a, got latent {latents[0].shape}")
-    vel = []
-    for t in range(1, len(latents)):
-        try:
-            vel.append(ad.matmul(latents[t], ad.pinv_right(latents[t - 1])))
-        except SingularityError as exc:
-            raise SingularityError(f"frame {t - 1}: {exc}", pivot=exc.pivot) from exc
-    v0 = vel[0] if len(vel) == 2 else ad.hcat(vel[:-1])
-    v1 = vel[1] if len(vel) == 2 else ad.hcat(vel[1:])
+    n_seq = batch[0] if batch else 1
+    pairs = len(latents) - 1
+
+    def frame_pairs(frames):  # (N * pairs, a, m): pair t of sequence s at s * pairs + t
+        return ad.reshape(ad.vcat(frames), n_seq * pairs, a, m_cols)
+
     try:
-        acc = ad.matmul(v1, ad.pinv_right(v0))
+        vel = ad.lstsq_right(frame_pairs(latents[:-1]), frame_pairs(latents[1:]))
     except SingularityError as exc:
-        raise SingularityError(f"velocity stage: {exc}", pivot=exc.pivot) from exc
+        seq, frame = divmod(exc.matrix, pairs)
+        where = f"matrix {seq}: " if batch else ""
+        reason = str(exc).removeprefix(f"matrix {exc.matrix}: ")
+        raise SingularityError(f"frame {frame}: {where}{reason}", pivot=exc.pivot,
+                               matrix=seq if batch else None) from exc
+    # row band t of each sequence holds 1M_t^T, so a transposed row range
+    # is the horizontal concatenation of consecutive velocity operators
+    bands = ad.reshape(ad.transpose(vel), *batch, pairs * a, a)
+    v0 = ad.transpose(ad.slice_rows(bands, 0, (pairs - 1) * a))
+    v1 = ad.transpose(ad.slice_rows(bands, a, pairs * a))
+    try:
+        acc = ad.lstsq_right(v0, v1)
+    except SingularityError as exc:
+        raise SingularityError(f"velocity stage: {exc}", pivot=exc.pivot,
+                               matrix=exc.matrix) from exc
+    m_last = ad.transpose(ad.slice_rows(bands, (pairs - 1) * a, pairs * a))
     residual = float(((acc.value @ v0.value - v1.value) ** 2).sum())
-    return TransitionEstimate(order=2, m_star=acc, m_last=vel[-1], residual=residual)
+    return TransitionEstimate(order=2, m_star=acc, m_last=m_last, residual=residual)
 
 
 def estimate(latents: list[Var], *, order: int = 1, transition: str = "lstsq",
@@ -423,25 +440,22 @@ def rollout(est: TransitionEstimate, h: Var, steps: int) -> list[Var]:
 
 
 def rollout_second_order(est: TransitionEstimate, h: Var, steps: int) -> list[Var]:
-    """Second-order rollout with left-accumulated step operators.
-
-    Step j applies A^j B where A is the acceleration operator and B the
-    last velocity operator; products accumulate from the left, so the
-    j-th output is (A^j B)(A^{j-1} B)...(A B) h.
+    """Second-order rollout: step j applies S_j = A S_{j-1} = A^j B to the
+    previous latent, starting from S_0 = B, where A is the acceleration
+    operator and B the last velocity operator; the j-th output is
+    (A^j B)(A^{j-1} B)...(A B) h.
     """
     if est.order != 2:
         raise ContractError("rollout_second_order expects a second-order estimate")
     if steps < 1:
         raise ContractError("steps must be >= 1")
-    a_op, b_op = est.m_star, est.m_last
+    step_op = est.m_last
     out = []
-    a_pow = None
-    left = None
-    for j in range(1, steps + 1):
-        a_pow = a_op if j == 1 else ad.matmul(a_op, a_pow)
-        step_op = ad.matmul(a_pow, b_op)
-        left = step_op if j == 1 else ad.matmul(step_op, left)
-        out.append(ad.matmul(left, h))
+    cur = h
+    for _ in range(steps):
+        step_op = ad.matmul(est.m_star, step_op)
+        cur = ad.matmul(step_op, cur)
+        out.append(cur)
     return out
 
 

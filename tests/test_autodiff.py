@@ -371,6 +371,67 @@ def test_moore_penrose_identities(seed):
     assert np.linalg.norm((p @ h0) - (p @ h0).T) < 1e-9
 
 
+def _lstsq_pair(rng, shape):
+    """Well-conditioned wide h0 and an unrelated h1 of the same shape."""
+    a, k = shape[-2:]
+    h0 = rng.normal(size=shape) + np.broadcast_to(2.0 * np.eye(a, k), shape)
+    return h0, rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 3, 5)], ids=["2d", "batch"])
+def test_lstsq_right_gradients_match_central_differences(shape):
+    # kept out of GRAD_CASES, whose cases take one input; this op takes two
+    rng = make_rng(41)
+    h0, h1 = _lstsq_pair(rng, shape)
+    weight = rng.normal(size=(*shape[:-1], shape[-2]))
+
+    def loss(tape, x0, x1):
+        m = ad.lstsq_right(x0, x1)
+        return ad.add(ad.reduce_sum(ad.hadamard(m, tape.input(weight))), ad.frobenius_sq(m))
+
+    def forward(x0, x1):
+        tape = ad.Tape()
+        return float(loss(tape, tape.input(x0), tape.input(x1)).value[0, 0])
+
+    tape = ad.Tape()
+    v0, v1 = tape.input(h0), tape.input(h1)
+    tape.backward(loss(tape, v0, v1))
+    assert rel_err(tape.grad(v0), central_diff(lambda x: forward(x, h1), h0)) < 1e-6
+    assert rel_err(tape.grad(v1), central_diff(lambda x: forward(h0, x), h1)) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 3, 7)], ids=["2d", "batch"])
+def test_lstsq_right_equals_matmul_by_pinv_right(shape):
+    h0, h1 = _lstsq_pair(make_rng(42), shape)
+    tape = ad.Tape()
+    v0, v1 = tape.input(h0), tape.input(h1)
+    fused = ad.lstsq_right(v0, v1).value
+    assert rel_err(fused, ad.matmul(v1, ad.pinv_right(v0)).value) < 1e-12
+
+
+def test_lstsq_right_rejects_tall_or_mismatched_inputs():
+    tape = ad.Tape()
+    tall = tape.input(np.ones((4, 2)))
+    with pytest.raises(DimensionError):
+        ad.lstsq_right(tall, tall)
+    with pytest.raises(DimensionError):
+        ad.lstsq_right(tape.input(np.eye(2, 4)), tape.input(np.eye(2, 5)))
+    with pytest.raises(DimensionError):
+        ad.lstsq_right(tape.input(np.ones((2, 2, 4))), tape.input(np.ones((3, 2, 4))))
+
+
+def test_lstsq_right_collapsed_input_carries_pivot():
+    tape = ad.Tape()
+    rank_one = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(SingularityError) as exc:
+        ad.lstsq_right(tape.input(rank_one), tape.input(np.ones((2, 3))))
+    assert exc.value.pivot == 1 and exc.value.matrix is None
+    batch = np.stack([np.eye(2, 3), rank_one, np.eye(2, 3)])
+    with pytest.raises(SingularityError, match="matrix 1") as exc:
+        ad.lstsq_right(tape.input(batch), tape.input(batch))
+    assert exc.value.pivot == 1 and exc.value.matrix == 1
+
+
 def test_sym_eig_identity_and_hand_case():
     tape = ad.Tape()
     lam, _ = ad.sym_eig(tape.input(np.eye(3)))
@@ -455,6 +516,25 @@ def test_nonfinite_forward_raises():
     big = tape.input(np.full((2, 2), 1e308))
     with pytest.raises(NumericError):
         ad.square(big)
+
+
+NON_FINITE_CASES = {  # op name: (op, input whose output is not finite)
+    "frobenius_sq": (ad.frobenius_sq, [[1e200, 1.0]]),
+    "reduce_sum": (ad.reduce_sum, [[1e308, 1e308]]),
+    "smooth_abs": (lambda x: ad.smooth_abs(x, 1e-3), [[1e200, 1.0]]),
+    # 1/sqrt of a finite positive entry is finite; a NaN entered by
+    # input_view (which skips the scan) passes rsqrt's sign check
+    "rsqrt": (ad.rsqrt, [[np.nan, 1.0]]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("name", list(NON_FINITE_CASES))
+def test_every_op_output_is_checked_finite(name):
+    op, data = NON_FINITE_CASES[name]
+    tape = ad.Tape()
+    with pytest.raises(NumericError, match=name):
+        op(tape.input_view(np.array(data)))
 
 
 def test_tape_determinism_bitwise():

@@ -224,6 +224,32 @@ def test_second_order_rank_failure_names_frame():
         mm.estimate_second_order(tape_latents(tape, [good, flat, good]))
 
 
+def test_batched_second_order_rank_failure_names_sequence_and_frame():
+    lats = np.random.default_rng(11).normal(size=(4, 3, 2, 4))
+    lats[2, 1] = 0.0  # frame 2 of sequence 1
+    tape = ad.Tape()
+    with pytest.raises(SingularityError, match=r"frame 2: matrix 1: ") as exc:
+        mm.estimate_second_order(tape_latents(tape, lats))
+    assert exc.value.matrix == 1 and exc.value.pivot == 0
+
+
+def test_model_paths_use_only_the_fused_solve(monkeypatch):
+    def banned(*args):
+        raise AssertionError("a model path called a composite solve")
+
+    monkeypatch.setattr(ad, "pinv_right", banned)
+    monkeypatch.setattr(ad, "spd_inverse", banned)
+    obs = np.random.default_rng(23).normal(size=(3, 8, 5))
+    for variant, order, t_c in [("msp", 1, 3), ("msp", 2, 4), ("fixed_blocks", 1, 2),
+                                ("rec_model", 1, 3)]:
+        cfg = tiny_config(a=4, m=6, enc_hidden=(8,), dec_hidden=(8,), variant=variant,
+                          order=order, T_c=t_c, T_p=2)
+        params = mm.ModelParams.initialize(cfg, obs_dim=5)
+        tape = ad.Tape()
+        tape.backward(mm.variant_loss(mm.TapeModel(tape, params), obs, cfg))
+        mm.horizon_errors_np(params, obs, t_c, 2, order=order, transition=cfg.transition)
+
+
 def test_rollout_second_order_reduces_to_first_order_when_acc_identity():
     rng = np.random.default_rng(12)
     z0 = rng.normal(size=(2, 4))
