@@ -88,6 +88,44 @@ def _require_int(value, field):
     return value
 
 
+def _require_real(value, field):
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite:
+        raise ValidationError(f"{field} must be a finite number", field=field)
+    return value
+
+
+def _range(value, field) -> tuple:
+    """A (low, high) pair of finite floats; the low < high check is the spec's."""
+    try:
+        pair = tuple(float(x) for x in value)
+    except (TypeError, ValueError, OverflowError):
+        pair = ()
+    if (not isinstance(value, (list, tuple)) or len(pair) != 2
+            or not all(map(math.isfinite, pair))):
+        raise ValidationError(f"{field} must be a pair of finite numbers", field=field)
+    return pair
+
+
+def _check_train_types(train: dict) -> None:
+    """Every train value must have the JSON type of its TrainConfig default;
+    fields defaulting to None take an integer or null."""
+    for key, default in _config_to_dict(TrainConfig()).items():
+        value, field = train[key], f"train.{key}"
+        if isinstance(default, list):
+            if not isinstance(value, list):
+                raise ValidationError(f"{field} must be a list of integers", field=field)
+            for size in value:
+                _require_int(size, field)
+        elif isinstance(default, float):
+            _require_real(value, field)
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ValidationError(f"{field} must be a string", field=field)
+        elif value is not None or default is not None:
+            _require_int(value, field)
+
+
 def from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed config document and materialize all defaults."""
     if not isinstance(raw, dict):
@@ -113,12 +151,13 @@ def from_dict(raw: dict) -> ExperimentConfig:
         T=_require_int(gen["T"], "generator.T"),
         num_sequences=_require_int(gen["num_sequences"], "generator.num_sequences"),
         mixing_seed=_require_int(gen["mixing_seed"], "generator.mixing_seed"),
-        velocity_range=tuple(float(x) for x in gen["velocity_range"]),
-        accel_range=tuple(float(x) for x in gen["accel_range"]),
+        velocity_range=_range(gen["velocity_range"], "generator.velocity_range"),
+        accel_range=_range(gen["accel_range"], "generator.accel_range"),
     )
     spec.validate(mode)
 
     train_raw = _merge_section(raw.get("train", {}), _config_to_dict(TrainConfig()), "train")
+    _check_train_types(train_raw)
     train_cfg = config_from_dict(train_raw).resolved()
     train_cfg.validate()
 
@@ -129,9 +168,13 @@ def from_dict(raw: dict) -> ExperimentConfig:
             raise ValidationError(f"eval.{key} must be >= 1", field=f"eval.{key}")
 
     sbd_spec = _merge_section(raw.get("sbd", {}), _SBD_DEFAULTS, "sbd")
-    if sbd_spec["iters"] < 1 or sbd_spec["num_transitions"] < 1:
-        raise ValidationError("sbd sizes must be >= 1", field="sbd.iters")
-    if not 0.0 < float(sbd_spec["threshold"]) < 1.0:
+    for key in ("iters", "num_transitions", "restarts", "seed"):
+        _require_int(sbd_spec[key], f"sbd.{key}")
+        if key != "seed" and sbd_spec[key] < 1:
+            raise ValidationError(f"sbd.{key} must be >= 1", field=f"sbd.{key}")
+    if not _require_real(sbd_spec["lr"], "sbd.lr") > 0.0:
+        raise ValidationError("sbd.lr must be > 0", field="sbd.lr")
+    if not 0.0 < _require_real(sbd_spec["threshold"], "sbd.threshold") < 1.0:
         raise ValidationError("sbd.threshold must be in (0, 1)", field="sbd.threshold")
 
     canonical = {

@@ -14,15 +14,23 @@ Randomness is counter-based: sequence ``i`` draws from streams seeded by
 ``mix64(mix64(master_seed, i), lane)``, so generation order and
 parallelism cannot change the result.
 
-Generation runs in two passes. A seeding pass, the only per-sequence
-loop, seeds each stream and takes all its uniforms in one call. A batched
-pass then computes angles, start points, rotations and observations over
-chunks of ``_CHUNK`` sequences, which bounds its temporaries. It rounds
-exactly as sequence-at-a-time generation does, so datasets are
-byte-identical to it: the rotation is a stacked matrix-vector product
-(writing it out as ``c*a - s*b`` rounds differently), and the mixing map
-runs one GEMM per sequence on a (chunk, T, 2k) stack (a single flattened
-(chunk*T, 2k) GEMM sums in another order and moves last bits).
+Generation runs in two passes, neither of which loops over sequences. The
+seeding pass computes every stream at once with two array kernels:
+``_stream_seeds`` runs splitmix64 twice on ``arange(count)`` in wrapping
+uint64 arithmetic, and ``_uniforms`` reproduces, for each stream seed
+``s``, exactly the doubles of ``np.random.default_rng(int(s)).random``:
+NumPy's ``SeedSequence`` pool hashing (NEP 19) on uint32 arrays, PCG64's
+``srandom_r`` seeding and its XSL-RR output (O'Neill 2014) on 128-bit
+states carried as (hi, lo) uint64 limbs, and the ``(x >> 11) * 2**-53``
+double conversion. Its only Python loop is over the draws of one stream.
+A batched pass then computes angles, start points, rotations and
+observations over chunks of ``_CHUNK`` sequences, which bounds its
+temporaries. It rounds exactly as sequence-at-a-time generation does, so
+datasets are byte-identical to it: the rotation is a stacked
+matrix-vector product (writing it out as ``c*a - s*b`` rounds
+differently), and the mixing map runs one GEMM per sequence on a
+(chunk, T, 2k) stack (a single flattened (chunk*T, 2k) GEMM sums in
+another order and moves last bits).
 """
 
 from __future__ import annotations
@@ -47,21 +55,35 @@ _LANE_PARTNER = 2
 # sequences per batched pass of the generators (see _observe)
 _CHUNK = 256
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# NumPy SeedSequence's hashing constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-def splitmix64(x: int) -> int:
-    """One round of the splitmix64 finalizer (64-bit avalanche)."""
+
+def splitmix64(x):
+    """One round of the splitmix64 finalizer (64-bit avalanche).
+
+    Takes a Python int, or a uint64 array on which it wraps elementwise.
+    """
     z = x & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def mix64(seed: int, index: int) -> int:
-    """Derive a decorrelated 64-bit stream seed from (seed, index)."""
-    return splitmix64((seed + (index + 1) * _GOLDEN) & _MASK64)
+def mix64(seed, index):
+    """Derive a decorrelated 64-bit stream seed from (seed, index).
+
+    ``seed`` may be a uint64 array (``index`` a Python int) or ``index``
+    a uint64 array (``seed`` an int in [0, 2**64)); both wrap mod 2**64.
+    """
+    return splitmix64(seed + ((index + 1) * _GOLDEN & _MASK64))
 
 
 @dataclass(frozen=True)
@@ -251,14 +273,100 @@ class PairedBatch:
     second: SequenceBatch
 
 
+def _stream_seeds(master_seed: int, count: int, lane: int) -> np.ndarray:
+    """uint64 seeds ``mix64(mix64(master_seed, i), lane)`` for i < count.
+
+    The master seed is reduced mod 2**64 first, as the scalar ``mix64``
+    reduces it, so negative and oversized seeds map alike."""
+    return mix64(mix64(master_seed & _MASK64, np.arange(count, dtype=np.uint64)), lane)
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; each call advances the
+    hash constant by ``mult``, as NumPy's does."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _seed_sequence_state(seeds: np.ndarray) -> list:
+    """``SeedSequence(int(s)).generate_state(4, np.uint64)`` per seed, as
+    four uint64 arrays.
+
+    Each seed enters as two 32-bit entropy words. NumPy gives a seed below
+    2**32 one word, but a missing pool word hashes exactly like a zero one.
+    """
+    def mix(x, y):
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ (value >> 16)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    pool = [hashmix(word) for word in ((seeds & _MASK32).astype(np.uint32),
+                                       (seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    output = _hasher(_INIT_B, _MULT_B)
+    words = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # little-endian pairs of uint32 words make the uint64 state words
+    return [words[2 * j] | (words[2 * j + 1] << 32) for j in range(4)]
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    p0, p1, p2 = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (p0 >> 32) + (p1 & _MASK32) + (p2 & _MASK32)
+    return a_hi * b_hi + (p1 >> 32) + (p2 >> 32) + (mid >> 32)
+
+
+def _uniforms(seeds: np.ndarray, width: int) -> np.ndarray:
+    """Row i holds ``np.random.default_rng(int(seeds[i])).random(width)``,
+    bit for bit, computed for all seeds at once.
+
+    PCG64's 128-bit states are (hi, lo) uint64 limb arrays. Seeding is
+    ``srandom_r``: inc = (initseq << 1) | 1, step, add initstate, step.
+    Each draw steps the LCG and takes the XSL-RR output x; the double is
+    ``(x >> 11) * 2**-53``. One ``random(width)`` call yields exactly the
+    values of consecutive shorter calls, so callers slice columns.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = _seed_sequence_state(seeds)
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    mult_hi, mult_lo = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+
+    def add(hi, lo, b_hi, b_lo):
+        lo_sum = lo + b_lo
+        return hi + b_hi + (lo_sum < lo), lo_sum
+
+    def step(hi, lo):
+        hi = _mulhi64(lo, mult_lo) + lo * mult_hi + hi * mult_lo
+        return add(hi, lo * mult_lo, inc_hi, inc_lo)
+
+    # from state 0 the first step leaves state = inc
+    hi, lo = step(*add(inc_hi, inc_lo, state_hi, state_lo))
+    out = np.empty((len(seeds), width))
+    for j in range(width):
+        hi, lo = step(hi, lo)
+        x, rot = hi ^ lo, hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[:, j] = (x >> 11) * 2.0**-53
+    return out
+
+
 def _draws(master_seed: int, count: int, lane: int, width: int) -> np.ndarray:
     """Seeding pass: row i holds the first ``width`` uniforms of sequence i's
-    ``lane`` stream. One ``random(width)`` call yields exactly the values of
-    consecutive shorter calls, so the per-quantity draws are column slices."""
-    out = np.empty((count, width))
-    for i in range(count):
-        out[i] = np.random.default_rng(mix64(mix64(master_seed, i), lane)).random(width)
-    return out
+    ``lane`` stream, for all ``count`` sequences at once."""
+    return _uniforms(_stream_seeds(master_seed, count, lane), width)
 
 
 def _transitions(spec: GeneratorSpec, master_seed: int, mode: str):

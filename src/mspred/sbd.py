@@ -300,11 +300,16 @@ def fit_sbd(transitions, iters: int = 1500, lr: float = 0.05, seed: int = 0, *,
     is non-increasing, and the returned U is the best-loss iterate.
 
     Raises:
+        ContractError: if there is no transition, or ``iters`` or
+            ``restarts`` is below 1.
         NumericError: if the loss turns non-finite, naming the iterate.
     """
     mats = [np.asarray(m, dtype=np.float64) for m in transitions]
     if not mats:
         raise ContractError("fit_sbd needs at least one transition")
+    if iters < 1 or restarts < 1:
+        raise ContractError(f"fit_sbd needs iters >= 1 and restarts >= 1, "
+                            f"got {iters} and {restarts}")
     n = mats[0].shape[0]
     for m in mats:
         if m.shape != (n, n):
@@ -312,13 +317,12 @@ def fit_sbd(transitions, iters: int = 1500, lr: float = 0.05, seed: int = 0, *,
     stacked = np.concatenate(mats, axis=0)
     count = n * (n - 1) // 2
     rng = np.random.default_rng(mix64(seed, 101))
-    iters = max(1, iters)
     decay_from = int(0.6 * iters)
     best_loss = math.inf
     best_p = None
     best_u = None
     history: list[float] = []
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         if restart == 0 and init_scale == 0.0:
             p = np.zeros((count, 1))
         elif restart == 0:

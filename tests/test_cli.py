@@ -106,6 +106,42 @@ def test_config_rejects_unknown_and_missing_fields(tmp_path):
     assert "generator" in str(exc2.value)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("sbd", "iters", "5"),
+    ("sbd", "iters", 0),
+    ("sbd", "num_transitions", 2.0),
+    ("sbd", "restarts", 0),
+    ("sbd", "seed", 1.5),
+    ("sbd", "lr", -1),
+    ("sbd", "lr", "0.05"),
+    ("sbd", "threshold", "a"),
+    ("generator", "velocity_range", 3),
+    ("generator", "velocity_range", ["a", 1]),
+    ("generator", "accel_range", [0.0, 1.0, 2.0]),
+    ("train", "lr", "x"),
+    ("train", "enc_hidden", 5),
+    ("train", "dec_hidden", [8, 2.5]),
+    ("train", "iterations", "10"),
+    ("train", "batch_size", 2.5),
+    ("train", "T_c", 2.0),
+    ("train", "variant", 3),
+])
+def test_config_rejects_malformed_values(section, key, value):
+    doc = {"master_seed": 1, "out_dir": "x", section: {key: value}}
+    with pytest.raises(ValidationError) as exc:
+        cfgmod.from_dict(doc)
+    assert exc.value.field == f"{section}.{key}"
+
+
+def test_sbd_with_malformed_seed_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    assert cli.main(["train", "--config", str(path)]) == 0
+    bad = write_config(tmp_path, name="bad.json", sbd={"seed": 1.5})
+    assert cli.main(["sbd", "--config", str(bad)]) == 2
+    assert "sbd.seed" in capsys.readouterr().err
+
+
 def test_generate_is_deterministic_and_readable(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli.main(["generate", "--config", str(path)]) == 0

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mspred import datagen
+from mspred import config, datagen
 from mspred.datagen import (
     GeneratorSpec,
     MixingMap,
@@ -311,6 +311,61 @@ def test_splitmix_known_values():
     # first outputs of state += golden then finalize
     assert datagen.splitmix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
     assert mix64(0, 0) == 0xE220A8397B1DCDAF
+
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uniforms_match_default_rng_streams():
+    # the per-stream loop the kernel replaced is the reference
+    drawn = np.random.default_rng(8).integers(0, 2**64, size=1000, dtype=np.uint64)
+    seeds = np.array(_EDGE_SEEDS + [int(s) for s in drawn], dtype=np.uint64)
+    for width in range(1, 10):
+        expected = np.array([np.random.default_rng(int(s)).random(width) for s in seeds])
+        assert np.array_equal(datagen._uniforms(seeds, width), expected), width
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("master_seed", [0, -3, 2**64 - 1, 2**64 + 11])
+def test_stream_seeds_match_scalar_mix64(master_seed):
+    for lane in (0, 1, 2):
+        seeds = datagen._stream_seeds(master_seed, 40, lane)
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [mix64(mix64(master_seed, i), lane)
+                                           for i in range(40)]
+
+
+@pytest.mark.parametrize("master_seed", [-3, 2**64 + 11])
+def test_config_accepts_any_int_master_seed(master_seed):
+    cfg = config.from_dict({"master_seed": master_seed, "out_dir": "x"})
+    assert cfg.master_seed == master_seed
+
+
+@pytest.mark.parametrize("master_seed, digest", [
+    (-3, "fc838accd00ab7c8d799cc176c5ab2c502aa467dc10b02f611a95685085cb09a"),
+    (2**64 + 11, "59853870fe319baca34d540977a23e4a1bb9836169dc556692739c45724403bb"),
+])
+def test_out_of_range_master_seed_bytes_are_pinned(tmp_path, master_seed, digest):
+    # negative and >= 2**64 seeds reduce mod 2**64 exactly as scalar mix64 does
+    path = tmp_path / "acc.mspdat"
+    save_dataset(make_dataset(datagen.acceleration_spec(), master_seed, "acceleration"), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_dataset_seeds_streams_without_default_rng(monkeypatch):
+    # the streams come from the array kernels; only MixingMap builds a Generator
+    calls = []
+    real = np.random.default_rng
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    make_dataset(_pin_spec("acceleration"), master_seed=23, mode="acceleration")
+    assert len(calls) == 1
 
 
 def test_default_spec_matches_documented_desk_scale():

@@ -422,3 +422,9 @@ def test_shape_errors():
         sbd.skew_from_params(tape, tape.input(np.ones((2, 1))), 4)
     with pytest.raises(ContractError):
         sbd.fit_sbd([])
+
+
+@pytest.mark.parametrize("iters, restarts", [(0, 1), (5, 0), (-1, -1)])
+def test_fit_sbd_rejects_empty_budgets(iters, restarts):
+    with pytest.raises(ContractError):
+        sbd.fit_sbd(c04_family()[:8], iters=iters, seed=0, restarts=restarts)
