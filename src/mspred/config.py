@@ -71,6 +71,14 @@ class ExperimentConfig:
     config_hash: str
 
 
+def _validate_section(section: str, validate, *args) -> None:
+    """Run a spec's own ``validate`` and name any offending field by its section."""
+    try:
+        validate(*args)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), field=f"{section}.{exc.field}") from exc
+
+
 def _merge_section(raw: dict, defaults: dict, section: str) -> dict:
     extra = set(raw) - set(defaults)
     if extra:
@@ -154,12 +162,12 @@ def from_dict(raw: dict) -> ExperimentConfig:
         velocity_range=_range(gen["velocity_range"], "generator.velocity_range"),
         accel_range=_range(gen["accel_range"], "generator.accel_range"),
     )
-    spec.validate(mode)
+    _validate_section("generator", spec.validate, mode)
 
     train_raw = _merge_section(raw.get("train", {}), _config_to_dict(TrainConfig()), "train")
     _check_train_types(train_raw)
     train_cfg = config_from_dict(train_raw).resolved()
-    train_cfg.validate()
+    _validate_section("train", train_cfg.validate)
 
     eval_spec = _merge_section(raw.get("eval", {}), _EVAL_DEFAULTS, "eval")
     for key in eval_spec:

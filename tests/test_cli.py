@@ -125,12 +125,30 @@ def test_config_rejects_unknown_and_missing_fields(tmp_path):
     ("train", "batch_size", 2.5),
     ("train", "T_c", 2.0),
     ("train", "variant", 3),
+    # range errors raised by the section's own validate()
+    ("train", "batch_size", 0),
+    ("train", "iterations", -1),
+    ("train", "T_p", 0),
+    ("train", "m", 1),
+    ("train", "lr", -0.1),
+    ("train", "variant", "nope"),
+    ("generator", "k", 0),
+    ("generator", "obs_dim", 0),
+    ("generator", "num_sequences", 0),
+    ("generator", "velocity_range", [1.0, 0.0]),
+    ("generator", "mode", "sideways"),
 ])
 def test_config_rejects_malformed_values(section, key, value):
     doc = {"master_seed": 1, "out_dir": "x", section: {key: value}}
     with pytest.raises(ValidationError) as exc:
         cfgmod.from_dict(doc)
     assert exc.value.field == f"{section}.{key}"
+
+
+def test_range_error_exits_2_naming_its_section(tmp_path, capsys):
+    bad = write_config(tmp_path, train={"batch_size": 0})
+    assert cli.main(["generate", "--config", str(bad)]) == 2
+    assert "(field train.batch_size)" in capsys.readouterr().err
 
 
 def test_sbd_with_malformed_seed_exits_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from mspred import autodiff as ad
 from mspred import datagen, sbd
-from mspred.errors import ContractError, DimensionError
+from mspred.errors import ContractError, DimensionError, NumericError
 
 from oracles import connected_components
 
@@ -191,6 +191,37 @@ def test_batched_blockness_gradient_matches_fd():
     assert rel_err(tape.grad(sv), central_diff(lambda s: forward(u0, s), stack0)) < 1e-7
 
 
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["expm", "general"])
+def test_batched_blockness_gradient_matches_fd_at_c04_size(orthogonal):
+    # the VJP may not lean on U^T U = I: check it at a general U too
+    from oracles import central_diff, rel_err
+
+    rng = np.random.default_rng(17)
+    if orthogonal:
+        tape = ad.Tape()
+        p = tape.input(rng.normal(0.0, 0.6, size=(28, 1)))
+        u0 = sbd.expm_skew(sbd.skew_from_params(tape, p, 8)).value
+    else:
+        u0 = rng.normal(size=(8, 8))
+    stack0 = np.concatenate(c04_family(), axis=0)
+
+    def forward(u, stack):
+        tape = ad.Tape()
+        return float(sbd._mean_blockness_batched(
+            tape.input(u), tape.input(stack), 8).value[0, 0])
+
+    # one stack entry moves the mean over 64 members little: with a 1e-6
+    # step its difference quotient carries ~1e-7 of rounding
+    step = 1e-5
+    tape = ad.Tape()
+    uv, sv = tape.input(u0), tape.input(stack0)
+    tape.backward(sbd._mean_blockness_batched(uv, sv, 8))
+    fd_u = central_diff(lambda u: forward(u, stack0), u0, step)
+    fd_stack = central_diff(lambda s: forward(u0, s), stack0, step)
+    assert rel_err(tape.grad(uv), fd_u) < 1e-7
+    assert rel_err(tape.grad(sv), fd_stack) < 1e-7
+
+
 def test_blockness_loss_is_the_one_member_batched_loss():
     v0 = np.random.default_rng(15).normal(size=(5, 5))
     tape = ad.Tape()
@@ -215,8 +246,31 @@ def test_sbd_iteration_tape_is_small(monkeypatch):
 
     monkeypatch.setattr(ad.Tape, "backward", counting)
     sbd.fit_sbd(c04_family()[:8], iters=5, seed=0, restarts=1)
-    assert len(sizes) == 5
-    assert max(sizes) <= 8
+    # parameters, skew matrix, U, the family and the fused loss
+    assert sizes == [5] * 5
+
+
+def test_fit_sbd_enters_one_validated_family(monkeypatch):
+    leaves = []
+    real = ad.Tape.backward
+
+    def recording(self, loss):
+        leaves.extend(v for v in self.values if v.shape == (64, 8))
+        return real(self, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", recording)
+    sbd.fit_sbd(c04_family()[:8], iters=4, seed=0, restarts=2)
+    assert len(leaves) == 8
+    assert all(np.shares_memory(leaf, leaves[0]) for leaf in leaves)
+
+
+@pytest.mark.parametrize("where, bad", [((2, 5), np.nan), (..., np.inf)],
+                         ids=["nan-entry", "inf-member"])
+def test_fit_sbd_names_the_non_finite_transition(where, bad):
+    mats = c04_family()[:6]
+    mats[3][where] = bad
+    with pytest.raises(NumericError, match="transition 3 "):
+        sbd.fit_sbd(mats, iters=5, seed=0, restarts=1)
 
 
 def test_expm_skew_orthogonal_and_additive():
