@@ -22,6 +22,7 @@ bit for bit on identical inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -304,7 +305,37 @@ class TransitionEstimate:
     residual: float
 
 
-def estimate_transition(latents: list[Var]) -> TransitionEstimate:
+class Frames(Sequence):
+    """T consecutive latents held as one stacked (N, T*a, m) or (T*a, m) tape value.
+
+    Frame t is rows t*a .. (t+1)*a. Indexing slices a frame out (one
+    contiguous copy) on first use and keeps it; ``band`` copies a run of
+    consecutive frames in one piece, so an estimator that reads frames
+    only in runs never copies them one at a time.
+    """
+
+    def __init__(self, stacked: Var, a: int):
+        self.stacked = stacked
+        self.a = a
+        self._frames: dict[int, Var] = {}
+
+    def __len__(self) -> int:
+        return self.stacked.shape[-2] // self.a
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(len(self))[t]]
+        t = range(len(self))[t]
+        if t not in self._frames:
+            self._frames[t] = self.band(t, t + 1)
+        return self._frames[t]
+
+    def band(self, lo: int, hi: int) -> Var:
+        """Frames lo .. hi-1 stacked by rows: (N, (hi-lo)*a, m)."""
+        return ad.slice_rows(self.stacked, lo * self.a, hi * self.a)
+
+
+def estimate_transition(latents: Sequence[Var]) -> TransitionEstimate:
     """Least-squares transition M minimizing sum ||M H_t - H_{t+1}||_F^2.
 
     ``latents`` are the encoded conditional frames, each (a, m) or a
@@ -330,7 +361,7 @@ def estimate_transition(latents: list[Var]) -> TransitionEstimate:
     return TransitionEstimate(order=1, m_star=m, m_last=None, residual=residual)
 
 
-def estimate_transition_blockwise(latents: list[Var], block: int = 2) -> TransitionEstimate:
+def estimate_transition_blockwise(latents: Sequence[Var], block: int = 2) -> TransitionEstimate:
     """Independent transition solve on each ``block``-row slice.
 
     The (N, a, m) latents are cut into (N * a/block, block, m) slices and
@@ -357,7 +388,7 @@ def estimate_transition_blockwise(latents: list[Var], block: int = 2) -> Transit
     return TransitionEstimate(order=1, m_star=m_star, m_last=None, residual=est.residual)
 
 
-def estimate_second_order(latents: list[Var]) -> TransitionEstimate:
+def estimate_second_order(latents: Sequence[Var]) -> TransitionEstimate:
     """Two-stage solve: per-step velocity operators, then their transition.
 
     Step one forms velocity estimates 1M_t = H_t pinv(H_{t-1}) (each frame
@@ -367,7 +398,8 @@ def estimate_second_order(latents: list[Var]) -> TransitionEstimate:
     final velocity 1M_{T_c} as ``m_last``. Latents may be (N, a, m)
     batches, as in ``estimate_transition``. Each stage is one
     ``lstsq_right`` call: step one solves all N (T_c - 1) frame pairs as
-    one batch, sequence-major.
+    one batch, sequence-major. Its operands are row bands of one stacked
+    latent, so ``Frames`` are read in place and a list is stacked first.
 
     Raises:
         SingularityError: naming the failing frame index (and, for a
@@ -375,17 +407,20 @@ def estimate_second_order(latents: list[Var]) -> TransitionEstimate:
     """
     if len(latents) < 3:
         raise ContractError("second order needs at least three frames (T_c >= 3)")
-    *batch, a, m_cols = latents[0].shape
+    if not isinstance(latents, Frames):
+        latents = Frames(ad.vcat(list(latents)), latents[0].shape[-2])
+    *batch, _, m_cols = latents.stacked.shape
+    a = latents.a
     if m_cols < a:
-        raise DimensionError(f"second order needs m >= a, got latent {latents[0].shape}")
+        raise DimensionError(f"second order needs m >= a, got latent {(*batch, a, m_cols)}")
     n_seq = batch[0] if batch else 1
     pairs = len(latents) - 1
 
-    def frame_pairs(frames):  # (N * pairs, a, m): pair t of sequence s at s * pairs + t
-        return ad.reshape(ad.vcat(frames), n_seq * pairs, a, m_cols)
+    def frame_pairs(lo):  # (N * pairs, a, m): pair t of sequence s at s * pairs + t
+        return ad.reshape(latents.band(lo, lo + pairs), n_seq * pairs, a, m_cols)
 
     try:
-        vel = ad.lstsq_right(frame_pairs(latents[:-1]), frame_pairs(latents[1:]))
+        vel = ad.lstsq_right(frame_pairs(0), frame_pairs(1))
     except SingularityError as exc:
         seq, frame = divmod(exc.matrix, pairs)
         where = f"matrix {seq}: " if batch else ""
@@ -407,7 +442,7 @@ def estimate_second_order(latents: list[Var]) -> TransitionEstimate:
     return TransitionEstimate(order=2, m_star=acc, m_last=m_last, residual=residual)
 
 
-def estimate(latents: list[Var], *, order: int = 1, transition: str = "lstsq",
+def estimate(latents: Sequence[Var], *, order: int = 1, transition: str = "lstsq",
              head: Var | None = None) -> TransitionEstimate:
     """The estimator that ``transition`` names, on (N, a, m) latents.
 
@@ -472,11 +507,10 @@ def _as_batch(obs) -> np.ndarray:
     return obs
 
 
-def _frames(enc_rows: Var, n_seq: int, a: int, m: int) -> list[Var]:
-    """Split (N * T_c, a*m) encoder rows into T_c batched (N, a, m) latents."""
+def _frames(enc_rows: Var, n_seq: int, a: int, m: int) -> Frames:
+    """View (N * T_c, a*m) encoder rows as T_c batched (N, a, m) latents."""
     T_c = enc_rows.shape[0] // n_seq
-    stacked = ad.reshape(enc_rows, n_seq, T_c * a, m)
-    return [ad.slice_rows(stacked, t * a, (t + 1) * a) for t in range(T_c)]
+    return Frames(ad.reshape(enc_rows, n_seq, T_c * a, m), a)
 
 
 def _rollout_rows(est: TransitionEstimate, start: Var, steps: int) -> Var:
@@ -487,17 +521,39 @@ def _rollout_rows(est: TransitionEstimate, start: Var, steps: int) -> Var:
     return ad.reshape(ad.hcat(preds), n_seq * steps, a * m)
 
 
-def _encode_frames(tape_model, obs: np.ndarray, T_c: int) -> list[Var]:
-    """Encode frames 1..T_c of every sequence in one pass, as ``_frames``."""
+def _encode_frames(tape_model, obs: np.ndarray, T_c: int) -> tuple[Var, Var]:
+    """Enter frames 1..T_c of every sequence as (N * T_c, n) rows,
+    sequence-major, and encode them in one pass; returns (rows, encodings)."""
     n_seq, _, n_dim = obs.shape
     rows = tape_model.tape.input(obs[:, :T_c].reshape(n_seq * T_c, n_dim))
-    return _frames(tape_model.encode_rows(rows), n_seq, tape_model.a, tape_model.m)
+    return rows, tape_model.encode_rows(rows)
 
 
-def _mean_frame_error(tape_model, rows: Var, targets: np.ndarray) -> Var:
-    """Decode predicted latent rows; mean squared L2 error per target frame."""
-    diff = ad.sub(tape_model.decode_rows(rows), tape_model.tape.input(targets))
+def _mean_frame_error(tape_model, rows: Var, targets: Var) -> Var:
+    """Decode latent rows; mean squared L2 error per target frame."""
+    diff = ad.sub(tape_model.decode_rows(rows), targets)
     return ad.scale(ad.frobenius_sq(diff), 1.0 / targets.shape[0])
+
+
+def _prediction_loss(tape_model, obs, T_c: int, T_p: int, order: int,
+                     transition: str) -> tuple[Var, Var, Var]:
+    """``loss_pred``, also returning the conditioning rows it entered and
+    their encodings (see ``_encode_frames``), so that another term of the
+    objective can reuse the one encoder pass."""
+    obs = _as_batch(obs)
+    n_seq, t_len, n_dim = obs.shape
+    if t_len < T_c + T_p:
+        raise DimensionError(f"sequences of length {t_len} cannot supply T_c+T_p={T_c + T_p}")
+    tape, a = tape_model.tape, tape_model.a
+    rows, enc = _encode_frames(tape_model, obs, T_c)
+    lat = _frames(enc, n_seq, a, tape_model.m)
+    head = None
+    if transition == "neural":
+        cond = tape.input(obs[:, :T_c].reshape(n_seq, T_c * n_dim))
+        head = ad.reshape(tape_model.transition_rows(cond), n_seq, a, a)
+    est = estimate(lat, order=order, transition=transition, head=head)
+    targets = tape.input(obs[:, T_c : T_c + T_p].reshape(n_seq * T_p, n_dim))
+    return _mean_frame_error(tape_model, _rollout_rows(est, lat[-1], T_p), targets), rows, enc
 
 
 def loss_pred(tape_model: TapeModel, obs, T_c: int, T_p: int, *,
@@ -510,19 +566,7 @@ def loss_pred(tape_model: TapeModel, obs, T_c: int, T_p: int, *,
     and rolled out at once. Returns the mean over sequences and predicted
     frames of the squared L2 frame error.
     """
-    obs = _as_batch(obs)
-    n_seq, t_len, n_dim = obs.shape
-    if t_len < T_c + T_p:
-        raise DimensionError(f"sequences of length {t_len} cannot supply T_c+T_p={T_c + T_p}")
-    lat = _encode_frames(tape_model, obs, T_c)
-    head = None
-    if transition == "neural":
-        cond = tape_model.tape.input(obs[:, :T_c].reshape(n_seq, T_c * n_dim))
-        a = tape_model.a
-        head = ad.reshape(tape_model.transition_rows(cond), n_seq, a, a)
-    est = estimate(lat, order=order, transition=transition, head=head)
-    targets = obs[:, T_c : T_c + T_p].reshape(n_seq * T_p, n_dim)
-    return _mean_frame_error(tape_model, _rollout_rows(est, lat[-1], T_p), targets)
+    return _prediction_loss(tape_model, obs, T_c, T_p, order, transition)[0]
 
 
 def loss_rec(tape_model: TapeModel, obs, T_c: int) -> Var:
@@ -536,36 +580,41 @@ def loss_rec(tape_model: TapeModel, obs, T_c: int) -> Var:
     n_seq, t_len, n_dim = obs.shape
     if t_len < T_c:
         raise DimensionError(f"sequences of length {t_len} cannot supply T_c={T_c}")
-    lat = _encode_frames(tape_model, obs, T_c)
+    lat = _frames(_encode_frames(tape_model, obs, T_c)[1], n_seq, tape_model.a, tape_model.m)
     est = estimate_transition(lat)
-    targets = obs[:, 1:T_c].reshape(n_seq * (T_c - 1), n_dim)
+    targets = tape_model.tape.input(obs[:, 1:T_c].reshape(n_seq * (T_c - 1), n_dim))
     return _mean_frame_error(tape_model, _rollout_rows(est, lat[0], T_c - 1), targets)
 
 
 def invertibility_loss(tape_model: TapeModel, obs, T_c: int) -> Var:
-    """Mean squared error of decode(encode(frame)) over the first T_c frames."""
-    obs = _as_batch(obs)
-    n_seq, _, n_dim = obs.shape
-    frames = obs[:, :T_c].reshape(n_seq * T_c, n_dim)
-    tape = tape_model.tape
-    x = tape.input(frames)
-    rec = tape_model.decode_rows(tape_model.encode_rows(x))
-    diff = ad.sub(rec, x)
-    return ad.scale(ad.frobenius_sq(diff), 1.0 / (n_seq * T_c))
+    """Mean squared error of decode(encode(frame)) over the first T_c frames.
+
+    ``variant_loss`` adds the same term for the neural ablation from the
+    encoder pass of its prediction loss instead of encoding again.
+    """
+    rows, enc = _encode_frames(tape_model, _as_batch(obs), T_c)
+    return _mean_frame_error(tape_model, enc, rows)
 
 
 def variant_loss(tape_model: TapeModel, obs, cfg: TrainConfig) -> Var:
-    """The training objective for the configured variant."""
+    """The training objective for the configured variant.
+
+    For ``neural_mstar`` with a nonzero ``invertibility_weight`` w it is
+    ``loss_pred`` + w * ``invertibility_loss``, with both terms reading
+    one encoder pass over the conditioning frames: the same forward
+    value as two separate passes, and one summed gradient into the
+    encoder.
+    """
     cfg = cfg.resolved()
     if cfg.variant not in VARIANTS:
         raise ContractError(f"unknown variant {cfg.variant!r}")
     if cfg.variant == "rec_model":
         return loss_rec(tape_model, obs, max(cfg.T_c, 3))
-    pred = loss_pred(tape_model, obs, cfg.T_c, cfg.T_p, order=cfg.order,
-                     transition=cfg.transition)
+    pred, rows, enc = _prediction_loss(tape_model, obs, cfg.T_c, cfg.T_p, cfg.order,
+                                       cfg.transition)
     if cfg.variant != "neural_mstar" or cfg.invertibility_weight == 0.0:
         return pred
-    inv = invertibility_loss(tape_model, obs, cfg.T_c)
+    inv = _mean_frame_error(tape_model, enc, rows)
     return ad.add(pred, ad.scale(inv, cfg.invertibility_weight))
 
 
@@ -627,7 +676,8 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
     model's neural head if it has one, else "lstsq". The encodings enter
     a scratch tape and run through ``estimate``, the estimator the
     training loss uses, so a fit on the same inputs reproduces
-    ``loss_pred``'s operators bit for bit.
+    ``loss_pred``'s operators bit for bit. A neural fit reads no latent
+    but the last one, where a rollout starts, so it encodes only frame T_c.
     """
     if transition is None:
         transition = "neural" if getattr(model, "mstar", None) is not None else "lstsq"
@@ -636,12 +686,14 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
     a, m = model.a, model.m
     cond = obs[:, :T_c]
     tape = ad.Tape()
-    lat = _frames(tape.input(encode_rows_np(model, cond.reshape(n_seq * T_c, n_dim))),
-                  n_seq, a, m)
     head = None
     if transition == "neural":
+        lat = [tape.input(encode_rows_np(model, cond[:, -1]).reshape(n_seq, a, m))]
         rows = transition_rows_np(model, cond.reshape(n_seq, T_c * n_dim))
         head = tape.input(rows.reshape(n_seq, a, a))
+    else:
+        lat = _frames(tape.input(encode_rows_np(model, cond.reshape(n_seq * T_c, n_dim))),
+                      n_seq, a, m)
     est = estimate(lat, order=order, transition=transition, head=head)
     return TransitionFit(last=lat[-1].value, op=est.m_star.value,
                          vel=None if est.m_last is None else est.m_last.value)

@@ -617,6 +617,59 @@ def test_variant_loss_neural_weight_zero_equals_plain_pred():
     assert np.array_equal(full.value, plain.value)
 
 
+def neural_objective_case():
+    cfg = tiny_config(variant="neural_mstar", invertibility_weight=0.5)
+    params = mm.ModelParams.initialize(cfg, obs_dim=3)
+    spec = GeneratorSpec(k=1, obs_dim=3, T=3, num_sequences=3, mixing_seed=2)
+    return cfg, params, make_dataset(spec, master_seed=13).observations
+
+
+def test_neural_objective_encodes_each_frame_once():
+    cfg, params, obs = neural_objective_case()
+    tape = ad.Tape()
+    bound = mm.TapeModel(tape, params)
+    mm.variant_loss(bound, obs, cfg)
+    w = bound.leaf_vars["enc0.w"].index
+    assert sum(w in parents for parents in tape.parents) == 1
+
+
+def test_variant_loss_neural_is_pred_plus_weighted_invertibility():
+    cfg, params, obs = neural_objective_case()
+    tape = ad.Tape()
+    full = mm.variant_loss(mm.TapeModel(tape, params), obs, cfg)
+    pred = mm.loss_pred(mm.TapeModel(ad.Tape(), params), obs, 2, 1, transition="neural")
+    inv = mm.invertibility_loss(mm.TapeModel(ad.Tape(), params), obs, 2)
+    assert np.array_equal(full.value, pred.value + inv.value * 0.5)
+
+
+def test_variant_loss_neural_gradient_matches_fd_tiny_shapes():
+    cfg, params, obs = neural_objective_case()
+    vec0, shapes = flatten_params(params)
+
+    def forward(vec):
+        tape = ad.Tape()
+        p = unflatten_params(params, vec, shapes)
+        return float(mm.variant_loss(mm.TapeModel(tape, p), obs, cfg).value[0, 0])
+
+    tape = ad.Tape()
+    bound = mm.TapeModel(tape, params)
+    tape.backward(mm.variant_loss(bound, obs, cfg))
+    grads = bound.gradients()
+    analytic = np.concatenate([grads[n].ravel() for n, _ in shapes])
+    assert rel_err(analytic, central_diff(forward, vec0)) < 1e-6
+
+
+def test_neural_fit_equals_the_all_frames_encoding():
+    _, params, obs = neural_objective_case()
+    n_seq, _, n_dim = obs.shape
+    fit = mm.fit_np(params, obs, 2)
+    enc = mm.encode_rows_np(params, obs[:, :2].reshape(n_seq * 2, n_dim)).reshape(n_seq, 2, 2, 3)
+    head = mm.transition_rows_np(params, obs[:, :2].reshape(n_seq, 2 * n_dim))
+    assert fit.vel is None
+    assert np.array_equal(fit.last, enc[:, -1])
+    assert np.array_equal(fit.op, head.reshape(n_seq, 2, 2))
+
+
 def test_neural_mstar_shape_and_gradient():
     cfg = tiny_config(variant="neural_mstar")
     params = mm.ModelParams.initialize(cfg, obs_dim=3)
