@@ -117,16 +117,6 @@ def transition_swap(model, seq_a, seq_b, T_c: int, T_p: int) -> SwapResult:
                       err_self_a=err[2], err_self_b=err[3])
 
 
-def transition_distance(m1, m2) -> tuple[float, np.ndarray]:
-    """Squared Frobenius distance and the entrywise squared differences."""
-    m1 = np.asarray(m1, dtype=np.float64)
-    m2 = np.asarray(m2, dtype=np.float64)
-    if m1.shape != m2.shape:
-        raise DimensionError(f"shape mismatch: {m1.shape} vs {m2.shape}")
-    sq = (m1 - m2) ** 2
-    return float(sq.sum()), sq
-
-
 def orthogonality_defect(mat) -> float:
     """||I - M M^T||_F^2; zero exactly when M is orthogonal."""
     mat = np.asarray(mat, dtype=np.float64)
@@ -175,69 +165,47 @@ def homogeneity_check(model, probe: SequenceBatch, T_c: int = 2) -> HomogeneityR
 # spectra
 
 
-def canonical_spectrum(mat) -> np.ndarray:
+def canonical_spectrum(mats) -> np.ndarray:
     """Eigenvalues sorted lexicographically by (real, imaginary) part.
 
-    Real input matrices give exactly conjugate complex pairs, so the sort
-    is a total order; ties inside a conjugate pair resolve by the sign of
-    the imaginary part.
+    Accepts one (n, n) matrix or a (..., n, n) stack, which takes one
+    eigensolver call and sorts each spectrum along the last axis. Real
+    input matrices give exactly conjugate complex pairs, so the sort is a
+    total order; ties inside a conjugate pair resolve by the sign of the
+    imaginary part.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"spectrum needs a square matrix, got {mat.shape}")
+    mats = np.asarray(mats, dtype=np.float64)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise DimensionError(f"spectrum needs square matrices, got {mats.shape}")
     try:
-        eig = np.linalg.eigvals(mat)
+        eig = np.linalg.eigvals(mats)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((eig.imag, eig.real))
-    return eig[order]
+    order = np.lexsort((eig.imag, eig.real), axis=-1)
+    return np.take_along_axis(eig, order, axis=-1)
+
+
+def _spectrum_distances(m1, m2) -> np.ndarray:
+    """Sum of moduli of differences between canonically sorted spectra, one
+    per matrix pair of two equally shaped stacks; one eigensolver call."""
+    m1 = np.asarray(m1, dtype=np.float64)
+    m2 = np.asarray(m2, dtype=np.float64)
+    if m1.shape != m2.shape:
+        raise DimensionError(f"spectra of different sizes: {m1.shape} vs {m2.shape}")
+    s1, s2 = canonical_spectrum(np.stack([m1, m2]))
+    return np.abs(s1 - s2).sum(axis=-1)
 
 
 def spectrum_distance(m1, m2) -> float:
     """Sum of moduli of differences between canonically sorted spectra."""
-    s1 = canonical_spectrum(m1)
-    s2 = canonical_spectrum(m2)
-    if s1.shape != s2.shape:
-        raise DimensionError("spectra of different sizes")
-    return float(np.abs(s1 - s2).sum())
-
-
-@dataclass
-class SpectrumReport:
-    """Pairwise distances between eigenvalue multisets of a family."""
-
-    pairs: list[tuple[int, int, float]]
-    mean: float | None
-    max: float | None
-
-    def to_dict(self) -> dict:
-        return {"kind": "spectrum",
-                "pairs": [[i, j, d] for i, j, d in self.pairs],
-                "mean": self.mean, "max": self.max}
-
-
-def spectrum_similarity(mats) -> SpectrumReport:
-    """All-pairs spectrum distances; empty pair set for a singleton."""
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
-    for m in mats:
-        if m.shape != mats[0].shape:
-            raise DimensionError("transition matrices differ in size")
-    spectra = [canonical_spectrum(m) for m in mats]
-    pairs = []
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            pairs.append((i, j, float(np.abs(spectra[i] - spectra[j]).sum())))
-    if not pairs:
-        return SpectrumReport(pairs=[], mean=None, max=None)
-    dists = [d for _, _, d in pairs]
-    return SpectrumReport(pairs=pairs, mean=float(np.mean(dists)), max=float(np.max(dists)))
+    return float(_spectrum_distances(m1, m2))
 
 
 def paired_spectrum_distances(model, paired: PairedBatch, T_c: int = 2) -> list[float]:
     """Spectrum distance between same-motion, different-orbit transitions."""
     mats_a = fitted_transitions(model, paired.first.observations, T_c)
     mats_b = fitted_transitions(model, paired.second.observations, T_c)
-    return [spectrum_distance(a, b) for a, b in zip(mats_a, mats_b)]
+    return _spectrum_distances(mats_a, mats_b).tolist()
 
 
 # ---------------------------------------------------------------------------

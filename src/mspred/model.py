@@ -504,6 +504,8 @@ def _as_batch(obs) -> np.ndarray:
         obs = obs[None]
     if obs.ndim != 3:
         raise DimensionError(f"expected (N, T, n) observations, got {obs.shape}")
+    if obs.shape[0] == 0:
+        raise DimensionError("empty batch: no sequences")
     return obs
 
 
@@ -622,14 +624,38 @@ def variant_loss(tape_model: TapeModel, obs, cfg: TrainConfig) -> Var:
 # gradient-free forward path (evaluation)
 
 
-def _mlp_np(layers, x):
-    h = x
+ROW_BLOCK = 512
+
+
+def _mlp_rows(layers, h):
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         h = h @ w + b
         if i < last:
             h = np.tanh(h)
     return h
+
+
+def _mlp_np(layers, x):
+    """Forward pass of a tanh MLP over the rows of ``x``.
+
+    An input of more than ``ROW_BLOCK`` rows runs in ceil(R / ROW_BLOCK)
+    near-equal row blocks written into one preallocated output, so every
+    layer's temporaries stay cache-sized instead of R rows wide. Blocks are
+    near-equal, not ``ROW_BLOCK`` rows and a remainder, because a remainder
+    of one row would go through gemv, which rounds differently from gemm;
+    every block has more than ROW_BLOCK / 2 rows, so the result equals one
+    unblocked pass bit for bit.
+    """
+    rows = x.shape[0]
+    count = -(-rows // ROW_BLOCK)
+    if count <= 1:
+        return _mlp_rows(layers, x)
+    out = np.empty((rows, layers[-1][0].shape[1]))
+    bounds = [rows * i // count for i in range(count + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        out[lo:hi] = _mlp_rows(layers, x[lo:hi])
+    return out
 
 
 def encode_rows_np(model, rows: np.ndarray) -> np.ndarray:
@@ -703,7 +729,11 @@ def predict_np(model, fit: TransitionFit, steps: int) -> np.ndarray:
     """Roll each fit forward ``steps`` times and decode in one batch.
 
     The rollout is ``rollout`` (or ``rollout_second_order`` when the fit
-    has velocity operators) on a scratch tape; returns (N, steps, n).
+    has velocity operators) on a scratch tape; returns (N, steps, n). The
+    N * steps latent rows are decoded through ``_mlp_np``, in near-equal
+    blocks of at most ``ROW_BLOCK`` rows (none of them a single row, whose
+    gemv product would round differently), so the decoded frames equal a
+    one-pass decode bit for bit.
     """
     n_seq, a, m = fit.last.shape
     # rows is allocated before the rollout's latents, which are freed before

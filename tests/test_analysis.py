@@ -7,7 +7,7 @@ from mspred import analysis as an
 from mspred import autodiff as ad
 from mspred import model as mm
 from mspred.datagen import GeneratorSpec, PairedBatch, make_dataset, make_orbit_probe, make_paired
-from mspred.errors import ContractError, DimensionError
+from mspred.errors import ContractError, DimensionError, NumericError
 
 
 def rot2(theta):
@@ -93,18 +93,6 @@ def test_transition_swap_oracle_shared_motion():
     assert res.err_b_on_a.max() < 1e-12
 
 
-def test_transition_distance_examples():
-    dist, sq = an.transition_distance(np.eye(2), np.eye(2))
-    assert dist == 0.0 and np.all(sq == 0.0)
-    dist2, _ = an.transition_distance(np.eye(2), 2 * np.eye(2))
-    assert dist2 == 2.0
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert an.transition_distance(a, b)[0] == an.transition_distance(b, a)[0]
-    with pytest.raises(DimensionError):
-        an.transition_distance(np.eye(2), np.eye(3))
-
-
 def test_orthogonality_defect_examples():
     assert an.orthogonality_defect(rot2(0.7)) < 1e-28
     assert an.orthogonality_defect(np.zeros((3, 3))) == 3.0
@@ -128,34 +116,41 @@ def test_homogeneity_oracle_is_exact_and_random_is_not():
     assert d["kind"] == "homogeneity" and len(d["distances"]) == 5
 
 
-def test_spectrum_similarity_similar_matrices():
-    rng = np.random.default_rng(13)
-    r = rot2(0.9)
-    p = rng.normal(size=(2, 2)) + 3 * np.eye(2)
-    sim = p @ r @ np.linalg.inv(p)
-    report = an.spectrum_similarity([r, sim])
-    assert report.pairs[0][2] < 1e-8
-
-
-def test_spectrum_similarity_distinct_rotations():
-    theta, theta2 = 0.5, 1.1
-    report = an.spectrum_similarity([rot2(theta), rot2(theta2)])
-    expected = 2 * abs(np.exp(1j * theta) - np.exp(1j * theta2))
-    assert abs(report.pairs[0][2] - expected) < 1e-12
-    assert report.pairs[0][2] > 0
-
-
-def test_spectrum_similarity_singleton_and_serialization():
-    report = an.spectrum_similarity([rot2(0.2)])
-    assert report.pairs == [] and report.mean is None
-    d = report.to_dict()
-    assert d["kind"] == "spectrum" and d["pairs"] == []
-
-
 def test_canonical_spectrum_sorted_conjugates():
     spec = an.canonical_spectrum(rot2(0.4))
     assert spec[0].imag < 0 < spec[1].imag
     assert spec[0].real == spec[1].real
+
+
+def test_canonical_spectrum_of_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(13)
+    mats = rng.normal(size=(2, 5, 4, 4))
+    stacked = an.canonical_spectrum(mats)
+    assert stacked.shape == (2, 5, 4)
+    for i in range(2):
+        for j in range(5):
+            assert np.array_equal(stacked[i, j], an.canonical_spectrum(mats[i, j]))
+    r = rot2(0.9)
+    p = rng.normal(size=(2, 2)) + 3 * np.eye(2)
+    assert an.spectrum_distance(r, p @ r @ np.linalg.inv(p)) < 1e-8
+    theta, theta2 = 0.5, 1.1
+    expected = 2 * abs(np.exp(1j * theta) - np.exp(1j * theta2))
+    assert abs(an.spectrum_distance(rot2(theta), rot2(theta2)) - expected) < 1e-12
+
+
+def test_spectrum_rejects_bad_shapes_and_non_finite_entries():
+    with pytest.raises(DimensionError):
+        an.canonical_spectrum(np.ones((3, 2, 3)))
+    with pytest.raises(DimensionError):
+        an.spectrum_distance(np.eye(2), np.eye(3))
+    mats = np.stack([np.eye(3), np.full((3, 3), np.nan)])
+    with pytest.raises(NumericError):
+        an.canonical_spectrum(mats)
+
+
+def test_fitted_transitions_rejects_an_empty_batch():
+    with pytest.raises(DimensionError, match="empty batch"):
+        an.fitted_transitions(tiny_params(), np.empty((0, 3, 4)), 2)
 
 
 def test_paired_spectrum_distances_oracle():

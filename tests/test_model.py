@@ -734,6 +734,71 @@ def test_numpy_mirror_agrees_with_tape_path():
         assert abs(errs[h - 1] - np.mean(per_frame)) < 1e-10
 
 
+def unblocked_mlp(layers, x):
+    """The forward-only MLP as one pass over all rows."""
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = h @ w + b
+        if i < len(layers) - 1:
+            h = np.tanh(h)
+    return h
+
+
+@pytest.mark.parametrize("rows", [1, 2, mm.ROW_BLOCK - 1, mm.ROW_BLOCK, mm.ROW_BLOCK + 1,
+                                  2 * mm.ROW_BLOCK + 1, 9216])
+def test_row_blocked_forward_equals_one_pass_bitwise(rows):
+    params = desk_model("neural_mstar")
+    rng = np.random.default_rng(rows)
+    frames = rng.normal(size=(rows, params.obs_dim))
+    latents = rng.normal(size=(rows, params.a * params.m))
+    assert np.array_equal(mm.encode_rows_np(params, frames), unblocked_mlp(params.enc, frames))
+    assert np.array_equal(mm.decode_rows_np(params, latents), unblocked_mlp(params.dec, latents))
+    # a strided view of rows, as a neural fit passes the last conditioning frames
+    cond = rng.normal(size=(rows, 2 * params.obs_dim))
+    assert np.array_equal(mm.encode_rows_np(params, cond[:, params.obs_dim:]),
+                          unblocked_mlp(params.enc, cond[:, params.obs_dim:]))
+    assert np.array_equal(mm.transition_rows_np(params, cond),
+                          unblocked_mlp(params.mstar, cond))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Largest traced allocation total while ``fn`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_horizon_curve_temporaries_stay_small():
+    # the CLI's held-out curve: 512 sequences, T_c = 2, horizons 1..18, desk sizes
+    params = desk_model()
+    rng = np.random.default_rng(5)
+    latents = rng.normal(size=(512 * 18, params.a * params.m))
+    peak = traced_peak(mm.decode_rows_np, params, latents)
+    assert peak <= 6 * 2**20, f"the 9,216-row decode peaked at {peak / 2**20:.1f} MB"
+    obs = rng.normal(size=(512, 20, params.obs_dim))
+    peak = traced_peak(mm.horizon_errors_np, params, obs, 2, 18)
+    assert peak <= 24 * 2**20, f"horizon_errors_np peaked at {peak / 2**20:.1f} MB"
+
+
+def test_empty_batch_is_a_dimension_error():
+    params = tiny_model(variant="neural_mstar")
+    empty = np.empty((0, 4, 3))
+    assert mm.encode_rows_np(params, np.empty((0, 3))).shape == (0, 6)
+    assert mm.decode_rows_np(params, np.empty((0, 6))).shape == (0, 3)
+    for call in (lambda: mm.fit_np(params, empty, 2),
+                 lambda: mm.horizon_errors_np(params, empty, 2, 1),
+                 lambda: mm.loss_pred(mm.TapeModel(ad.Tape(), params), empty, 2, 1),
+                 lambda: mm.loss_rec(mm.TapeModel(ad.Tape(), params), empty, 2),
+                 lambda: mm.invertibility_loss(mm.TapeModel(ad.Tape(), params), empty, 2),
+                 lambda: mm.variant_loss(mm.TapeModel(ad.Tape(), params), empty,
+                                         tiny_config(variant="neural_mstar"))):
+        with pytest.raises(DimensionError, match="empty batch"):
+            call()
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         tiny_config(m=2).validate()  # m must exceed a
