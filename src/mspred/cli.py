@@ -153,6 +153,14 @@ def _load_eval_inputs(cfg, args):
     return dataset, params, (train_cfg if train_cfg is not None else cfg.train).resolved()
 
 
+def _transition_kind(args, train_cfg) -> str:
+    """The transition estimator of the horizon curve and SBD: the model's own.
+
+    The oracle has no neural head; it is scored with the closed-form solve.
+    """
+    return "lstsq" if args.oracle else train_cfg.transition
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     loaded = _load_eval_inputs(cfg, args)
@@ -161,8 +169,7 @@ def cmd_eval(args) -> int:
     dataset, params, train_cfg = loaded
     ev = cfg.eval_spec
     horizons = ev["horizons"]
-    # the oracle has no neural head; it is scored with the closed-form solve
-    kind = "lstsq" if args.oracle else train_cfg.transition
+    kind = _transition_kind(args, train_cfg)
     spec = dataset.spec
 
     eval_spec = datagen.with_length(
@@ -233,7 +240,9 @@ def cmd_sbd(args) -> int:
     sp = cfg.sbd_spec
     spec = dataset.spec
     count = min(sp["num_transitions"], dataset.num_sequences)
-    mats = an.fitted_transitions(params, dataset.observations[:count], train_cfg.T_c)
+    estimator = {"transition": _transition_kind(args, train_cfg), "order": train_cfg.order}
+    mats = mm.batch_transitions_np(params, dataset.observations[:count], train_cfg.T_c,
+                                   **estimator)
     result = sbdmod.fit_sbd(list(mats), iters=sp["iters"], lr=sp["lr"],
                             seed=sp["seed"], threshold=sp["threshold"],
                             restarts=sp["restarts"])
@@ -248,7 +257,7 @@ def cmd_sbd(args) -> int:
     for j in range(spec.k):
         fb = datagen.make_single_factor(
             factor_spec, datagen.mix64(cfg.master_seed, _FACTOR_SEED_LANE + j), j)
-        fmats = an.fitted_transitions(params, fb.observations, train_cfg.T_c)
+        fmats = mm.batch_transitions_np(params, fb.observations, train_cfg.T_c, **estimator)
         fvs = result.conjugate(fmats)
         energy = np.abs(fvs - eye).mean(axis=0)
         factor_energies.append(energy)
@@ -265,6 +274,7 @@ def cmd_sbd(args) -> int:
         "config_hash": cfg.config_hash,
         "version": __version__,
         "num_transitions": count,
+        "estimator": estimator,
         "factor_block_assignment": assignment,
         "mean_abs_v_minus_i": mean_energy.tolist(),
         "artifacts": {"mean_heatmap": "sbd_mean.svg",

@@ -458,8 +458,10 @@ def make_single_factor(spec: GeneratorSpec, master_seed: int, factor: int) -> Se
 
     Draws the usual per-sequence streams but zeroes every velocity except
     ``factor``'s, so the batch isolates that factor's action; used to
-    attribute detected blocks to hidden factors.
+    attribute detected blocks to hidden factors. The batch is always in
+    velocity mode, so an acceleration spec's ``accel_range`` is dropped.
     """
+    spec = replace(spec, accel_range=(0.0, 0.0))
     spec.validate("velocity")
     if not 0 <= factor < spec.k:
         raise ValidationError(f"factor {factor} out of range for k={spec.k}", field="k")

@@ -25,11 +25,15 @@ dM_i = U^T G_i U and dU = sum_i G_i U M_i^T + G_i^T U M_i, where each sum
 over the family is one (n, c*n) x (c*n, n) GEMM. Nothing in it assumes
 U^T U = I, so the gradient holds for a general U.
 
-``U`` stays orthogonal to rounding error throughout: it is the exponential
-of a skew-symmetric parameter, one tape op built on the eigendecomposition
-of the Hermitian iS, so the optimization is unconstrained. ``fit_sbd``
-checks the family once per fit and enters it on every iteration's tape as
-a view, so an iteration's tape holds five nodes.
+``fit_sbd`` starts from orthogonal bases U0, not from points in skew
+coordinates: a spectral guess, then seeded random bases. It optimizes
+U = exp(S) U0 with S skew-symmetric and zero at the start, so ``U`` stays
+orthogonal to rounding error and the optimization is unconstrained; the
+exponential is one tape op built on the eigendecomposition of the
+Hermitian iS. The family is checked once per fit and conjugated by U0
+once per start, and that array enters every iteration's tape as a view,
+so an iteration's tape holds five nodes. Only U is reported: S alone no
+longer determines it, so ``sbd_result.json`` carries no skew parameter.
 """
 
 from __future__ import annotations
@@ -155,38 +159,17 @@ def _mean_blockness_batched(u: Var, stack: Var, n: int) -> Var:
     return u.tape._push(out, (u.index, stack.index), vjp)
 
 
-def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
-    """Skew-symmetric logarithm of a rotation (det +1 orthogonal) matrix."""
-    w, v = np.linalg.eig(u)
-    s = np.real((v * np.log(w)) @ np.linalg.inv(v))
-    return (s - s.T) / 2.0
+def _spectral_basis(mats: list[np.ndarray], rng) -> np.ndarray:
+    """Guess the common basis from one random symmetric combination of the family.
 
-
-def _spectral_init(mats: list[np.ndarray], rng) -> np.ndarray | None:
-    """Warm-start skew parameters from a joint eigenbasis guess.
-
-    For a family of near-conjugated rotations, the symmetric part of any
-    member is U0 diag(cos-blocks) U0^T, so the eigenvectors of a random
-    symmetric combination expose the common basis up to within-block
-    rotation. Returns None if the exp/log round trip is poor (e.g.
-    eigenvalue clustering), in which case the caller falls back to a
-    random start.
+    A family M_i = Q R_i Q^T of block rotations has symmetric parts
+    Q diag(cos-blocks) Q^T, so the eigenvectors of a random symmetric
+    combination are Q's columns up to rotation within each block. They
+    are the rows of the returned U0, so U0 M_i U0^T is near block-diagonal.
     """
-    n = mats[0].shape[0]
     coeffs = rng.normal(size=len(mats))
     combo = sum(c * (m + m.T) for c, m in zip(coeffs, mats))
-    _, q = np.linalg.eigh(combo)
-    u0 = q.T
-    if np.linalg.det(u0) < 0:
-        u0 = u0.copy()
-        u0[0] *= -1.0
-    skew = _log_special_orthogonal(u0)
-    p = skew[_upper_indices(n)].reshape(-1, 1)
-    tape = ad.Tape()
-    rebuilt = expm_skew(skew_from_params(tape, tape.input(p), n))
-    if np.abs(rebuilt.value - u0).max() > 1e-8:
-        return None
-    return p
+    return np.linalg.eigh(combo)[1].T
 
 
 @lru_cache(maxsize=None)
@@ -219,12 +202,6 @@ class BlockStructure:
     blocks: list[tuple[int, ...]]
     threshold: float
 
-    def block_of(self, coord: int) -> int:
-        for b, members in enumerate(self.blocks):
-            if coord in members:
-                return b
-        raise ContractError(f"coordinate {coord} not covered")
-
     def sizes(self) -> list[int]:
         return sorted(len(b) for b in self.blocks)
 
@@ -238,7 +215,6 @@ class SbdResult:
     """Orthogonal change of basis with its loss history and blocks."""
 
     u: np.ndarray
-    skew_param: np.ndarray
     loss_history: list[float]
     blocks: BlockStructure
 
@@ -252,9 +228,7 @@ class SbdResult:
         return out[0] if single else out
 
     def to_dict(self) -> dict:
-        return {"kind": "sbd", "u": self.u.tolist(),
-                "skew_param": self.skew_param.ravel().tolist(),
-                "loss_history": self.loss_history,
+        return {"kind": "sbd", "u": self.u.tolist(), "loss_history": self.loss_history,
                 "blocks": self.blocks.to_dict()}
 
 
@@ -306,16 +280,19 @@ def detect_blocks(v_list, threshold: float = 0.01) -> BlockStructure:
 
 
 def fit_sbd(transitions, iters: int = 1500, lr: float = 0.05, seed: int = 0, *,
-            threshold: float = 0.01, init_scale: float = 0.6,
-            restarts: int = 4) -> SbdResult:
+            threshold: float = 0.01, restarts: int = 4) -> SbdResult:
     """Optimize the orthogonal basis that block-diagonalizes a family.
 
-    Runs Adam on the skew parameters of U against the mean blockness
-    loss of U M_i U^T, restarting from ``restarts`` seeded initial points
-    (the landscape has merged-block local minima); the learning rate
-    drops 3x for the last 40% of each restart to settle the endgame. The
-    recorded history is the running best across everything tried, so it
-    is non-increasing, and the returned U is the best-loss iterate.
+    Each of the ``restarts`` starts is an orthogonal basis U0: the first
+    is the spectral guess of ``_spectral_basis``, the others are seeded
+    random bases (the landscape has merged-block local minima). A start
+    conjugates the family by U0 once, then runs Adam on the skew
+    parameter S of U = exp(S) U0 from S = 0 against the mean blockness
+    loss of U M_i U^T; the learning rate drops 3x for the last 40% of
+    each start to settle the endgame. The recorded history is the
+    running best across everything tried, so it is non-increasing, and
+    the returned U is the best-loss iterate exp(S) U0; S itself is not
+    returned, as it determines U only together with its start.
 
     Raises:
         ContractError: if there is no transition, or ``iters`` or
@@ -335,7 +312,7 @@ def fit_sbd(transitions, iters: int = 1500, lr: float = 0.05, seed: int = 0, *,
         if m.shape != (n, n):
             raise DimensionError("transitions differ in size")
     try:
-        stacked = ad.as_matrix(np.concatenate(mats, axis=0))
+        family = ad.as_matrix(np.stack(mats))
     except NumericError as exc:
         bad = next(i for i, m in enumerate(mats) if not np.isfinite(m).all())
         raise NumericError(f"transition {bad} has a non-finite entry") from exc
@@ -343,25 +320,21 @@ def fit_sbd(transitions, iters: int = 1500, lr: float = 0.05, seed: int = 0, *,
     rng = np.random.default_rng(mix64(seed, 101))
     decay_from = int(0.6 * iters)
     best_loss = math.inf
-    best_p = None
     best_u = None
     history: list[float] = []
     for restart in range(restarts):
-        if restart == 0 and init_scale == 0.0:
-            p = np.zeros((count, 1))
-        elif restart == 0:
-            p = _spectral_init(mats, rng)
-            if p is None:
-                p = rng.normal(0.0, init_scale, size=(count, 1))
-        else:
-            p = rng.normal(0.0, init_scale, size=(count, 1))
+        u0 = (_spectral_basis(mats, rng) if restart == 0
+              else np.linalg.qr(rng.normal(size=(n, n)))[0])
+        # U M U^T = exp(S) (U0 M U0^T) exp(S)^T: the family enters conjugated
+        conjugated = (u0 @ family @ u0.T).reshape(-1, n)
+        p = np.zeros((count, 1))
         adam = AdamState(["p"], [(count, 1)], lr=lr)
         for it in range(iters):
             adam.lr = lr if it < decay_from else 0.3 * lr
             tape = ad.Tape()
             pv = tape.input(p)
-            u = expm_skew(skew_from_params(tape, pv, n))
-            loss = _mean_blockness_batched(u, tape.input_view(stacked), n)
+            rot = expm_skew(skew_from_params(tape, pv, n))
+            loss = _mean_blockness_batched(rot, tape.input_view(conjugated), n)
             loss_val = float(loss.value[0, 0])
             if not math.isfinite(loss_val):
                 raise NumericError(
@@ -370,14 +343,13 @@ def fit_sbd(transitions, iters: int = 1500, lr: float = 0.05, seed: int = 0, *,
                 )
             if loss_val < best_loss:
                 best_loss = loss_val
-                best_p = p.copy()
-                best_u = u.value.copy()
+                best_u = rot.value @ u0
             history.append(best_loss)
             tape.backward(loss)
             adam_step(adam, {"p": p}, {"p": tape.grad(pv)})
     v_best = [best_u @ m @ best_u.T for m in mats]
     blocks = detect_blocks(v_best, threshold=threshold)
-    return SbdResult(u=best_u, skew_param=best_p, loss_history=history, blocks=blocks)
+    return SbdResult(u=best_u, loss_history=history, blocks=blocks)
 
 
 def restrict_to_blocks(v, blocks: BlockStructure, keep) -> np.ndarray:

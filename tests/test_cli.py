@@ -278,6 +278,7 @@ def test_sbd_outputs_and_determinism(tmp_path):
     result = json.loads(result_path.read_text())
     assert result["kind"] == "sbd"
     assert result["num_transitions"] == 6
+    assert result["estimator"] == {"transition": "lstsq", "order": 1}
     assert len(result["factor_block_assignment"]) == 1
     # pinned: a change to the SBD loss must not move the recovered blocks
     assert result["blocks"]["blocks"] == [[0, 1]]
@@ -289,6 +290,23 @@ def test_sbd_outputs_and_determinism(tmp_path):
     assert cli.main(["sbd", "--config", str(path)]) == 0
     assert result_path.read_bytes() == blob
     assert (tmp_path / "run" / "sbd_mean.svg").read_bytes() == heat
+
+
+def test_sbd_fits_an_order_2_model_with_its_own_estimator(tmp_path):
+    path = write_config(tmp_path, generator={"T": 10, "mode": "acceleration",
+                                             "accel_range": [-0.08, 0.08]})
+    cli.main(["generate", "--config", str(path)])
+    assert cli.main(["train", "--config", str(path), "--order", "2"]) == 0
+    assert cli.main(["sbd", "--config", str(path), "--order", "2"]) == 0
+    result = json.loads((tmp_path / "run" / cli.SBD_RESULT_FILE).read_text())
+    assert result["estimator"] == {"transition": "lstsq", "order": 2}
+    # the family is the last velocity operators of the second-order fit
+    params, train_cfg = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
+    obs = datagen.load_dataset(tmp_path / "run" / cli.DATASET_FILE).observations
+    vel = mm.batch_transitions_np(params, obs[:6], train_cfg.T_c, order=2)
+    u = np.array(result["u"])
+    energy = np.abs(u @ vel @ u.T - np.eye(2)).mean(axis=0)
+    np.testing.assert_allclose(result["mean_abs_v_minus_i"], energy, rtol=1e-12)
 
 
 def test_report_charts_and_missing_inputs(tmp_path):

@@ -427,6 +427,13 @@ def test_single_factor_bytes_are_pinned(factor, digest):
     assert _digest(batch) == digest
 
 
+def test_single_factor_of_an_acceleration_spec_is_its_velocity_batch():
+    accel = make_single_factor(small_spec(accel_range=(-0.1, 0.1)), master_seed=23, factor=1)
+    vel = make_single_factor(small_spec(), master_seed=23, factor=1)
+    assert np.array_equal(accel.observations, vel.observations)
+    assert accel.mode == "velocity" and accel.spec == vel.spec
+
+
 @pytest.mark.parametrize("mode", ["velocity", "acceleration"])
 def test_make_dataset_peak_memory_is_bounded(mode):
     # chunked generation keeps its temporaries small next to the output

@@ -2,8 +2,10 @@
 
 Demos 01 and 06 exercise the 2-D ``estimate_transition`` / ``rollout`` /
 ``estimate_second_order`` calls; 02 and 05 cover data generation and block
-structure. Each runs in a fresh interpreter, with the package that this
-test imported first on its path.
+structure, 04 equivariance and transition swapping, and 07 the whole
+command-line pipeline, including ``mspred sbd`` with two restarts. Each
+runs in a fresh interpreter, with the package that this test imported
+first on its path.
 """
 
 import os
@@ -19,7 +21,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 PACKAGE_ROOT = pathlib.Path(mspred.__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("prefix", ["01", "02", "05", "06"])
+@pytest.mark.parametrize("prefix", ["01", "02", "04", "05", "06", "07"])
 def test_demo_exits_cleanly(prefix):
     (script,) = DEMOS.glob(f"{prefix}_*.py")
     env = dict(os.environ)

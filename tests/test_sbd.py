@@ -260,8 +260,12 @@ def test_fit_sbd_enters_one_validated_family(monkeypatch):
 
     monkeypatch.setattr(ad.Tape, "backward", recording)
     sbd.fit_sbd(c04_family()[:8], iters=4, seed=0, restarts=2)
+    # each start enters the family conjugated by its own basis, once
     assert len(leaves) == 8
-    assert all(np.shares_memory(leaf, leaves[0]) for leaf in leaves)
+    first, second = leaves[:4], leaves[4:]
+    assert all(np.shares_memory(leaf, first[0]) for leaf in first)
+    assert all(np.shares_memory(leaf, second[0]) for leaf in second)
+    assert not np.shares_memory(first[0], second[0])
 
 
 @pytest.mark.parametrize("where, bad", [((2, 5), np.nan), (..., np.inf)],
@@ -408,15 +412,29 @@ def test_fit_sbd_recovers_planted_blocks():
     assert np.all(diffs <= 1e-15)
 
 
-def test_fit_sbd_keeps_already_block_diagonal_input():
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_sbd_keeps_already_block_diagonal_input(seed):
+    # an axis-aligned family: the spectral start permutes the axes, block to block
     rng = np.random.default_rng(7)
     mats = [block_rotations(rng.uniform(0.3, 1.2, size=2)) for _ in range(8)]
-    result = sbd.fit_sbd(mats, iters=150, lr=0.02, seed=0, init_scale=0.0)
+    result = sbd.fit_sbd(mats, iters=150, lr=0.02, seed=seed)
     tape = ad.Tape()
     init_loss = np.mean([
         float(sbd.blockness_loss(tape.input(m)).value[0, 0]) for m in mats
     ])
+    assert result.blocks.sizes() == [2, 2]
     assert result.loss_history[-1] <= init_loss + 1e-12
+
+
+def test_fit_sbd_returns_the_best_loss_basis():
+    # an unstructured family, so the basis moves far from every start
+    rng = np.random.default_rng(9)
+    mats = [rng.normal(size=(5, 5)) for _ in range(6)]
+    result = sbd.fit_sbd(mats, iters=40, seed=0, restarts=2)
+    tape = ad.Tape()
+    got = np.mean([float(sbd.blockness_loss(tape.input(v)).value[0, 0])
+                   for v in result.conjugate(np.stack(mats))])
+    assert abs(got - result.loss_history[-1]) <= 1e-12 * got
 
 
 def test_fit_sbd_deterministic():
