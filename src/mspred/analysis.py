@@ -6,10 +6,10 @@ hidden motion), transition swapping, intra-orbit homogeneity, spectra of
 the transition family, orthogonality, and a linear probe regressing the
 hidden transition parameters from the fitted operators.
 
-The prediction routines call ``model.fit_np`` then ``model.predict_np``,
-which run the training loss's own estimator and rollout functions on a
-scratch tape, so their numbers coincide with the tape loss on identical
-inputs. Each batch is fitted once; cross-sequence predictions pair one
+The prediction routines call ``model.fit_np``, which runs the training
+loss's own estimator on a scratch tape, then ``model.predict_np``, which
+forms the training rollout's own products forward-only, so their numbers
+coincide with the tape loss on identical inputs. Each batch is fitted once; cross-sequence predictions pair one
 batch's operators with another batch's latents.
 """
 

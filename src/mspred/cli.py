@@ -90,14 +90,24 @@ def _write_json(payload: dict, path) -> None:
     atomic_write(path, (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
+def _file_sha256(path, chunk: int = 1 << 16) -> str:
+    """Hex SHA-256 of a file, read through one reused buffer of ``chunk`` bytes."""
+    digest = hashlib.sha256()
+    buf = bytearray(chunk)
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     batch = datagen.make_dataset(cfg.generator, cfg.master_seed, cfg.mode)
     path = os.path.join(cfg.out_dir, DATASET_FILE)
     datagen.save_dataset(batch, path)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = _file_sha256(path)
     log.info("dataset %s (%d sequences)", path, batch.num_sequences)
     print(digest)
     return EXIT_OK

@@ -439,8 +439,10 @@ def make_orbit_probe(spec: GeneratorSpec, master_seed: int, offsets: int) -> Seq
 
     Sequence l (l = 0..offsets) starts at theta0 + l * v, i.e. the original
     start advanced l transition steps, so all probe sequences share the
-    hidden per-step transition exactly.
+    hidden per-step transition exactly. The probe is always in velocity
+    mode, so an acceleration spec's ``accel_range`` is dropped.
     """
+    spec = replace(spec, accel_range=(0.0, 0.0))
     spec.validate("velocity")
     one = replace(spec, num_sequences=1)
     v, _alpha = _transitions(one, master_seed, "velocity")

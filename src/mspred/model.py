@@ -14,8 +14,9 @@ getting its own transition. Losses are averaged over sequences and
 predicted frames (the summed variant only rescales the learning rate).
 Every gradient-free number (held-out error by horizon, fitted
 transitions, equivariance, swaps) comes from ``fit_np`` and
-``predict_np`` at the bottom, which run the same estimator and rollout
-functions on a scratch tape, so their numbers equal the training loss
+``predict_np`` at the bottom: the fit runs the same estimator functions
+on a scratch tape, and the rollout forms the same products as
+``rollout`` without a tape, so their numbers equal the training loss
 bit for bit on identical inputs.
 """
 
@@ -725,31 +726,60 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
                          vel=None if est.m_last is None else est.m_last.value)
 
 
-def predict_np(model, fit: TransitionFit, steps: int) -> np.ndarray:
-    """Roll each fit forward ``steps`` times and decode in one batch.
+def _checked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, rejected as ``ad.matmul`` rejects a non-finite product."""
+    out = a @ b
+    if not np.isfinite(out).all():
+        raise NumericError("matmul produced a non-finite value")
+    return out
 
-    The rollout is ``rollout`` (or ``rollout_second_order`` when the fit
-    has velocity operators) on a scratch tape; returns (N, steps, n). The
-    N * steps latent rows are decoded through ``_mlp_np``, in near-equal
-    blocks of at most ``ROW_BLOCK`` rows (none of them a single row, whose
-    gemv product would round differently), so the decoded frames equal a
-    one-pass decode bit for bit.
+
+def _predicted_groups(model, fit: TransitionFit, steps: int):
+    """Roll each fit forward ``steps`` times; yield the decoded frames group by group.
+
+    Yields (lo, hi, frames), with frames the (N, hi - lo, n) predictions
+    at horizons lo + 1 .. hi.
+
+    The latent advances with the products ``rollout`` forms (M cur), or
+    ``rollout_second_order``'s (S = A S, then S cur) when the fit has
+    velocity operators, so it equals the tape rollout bit for bit. Each
+    group of horizons is decoded as soon as its latents exist and then
+    dropped, so no (N, steps, a*m) array is ever formed. Groups are
+    near-equal and hold at most max(1, ROW_BLOCK // N) horizons, so one
+    decode covers at most max(N, ROW_BLOCK) rows and is never a single row
+    unless N * steps is 1 (a 1-row product goes through gemv, which rounds
+    differently from gemm).
     """
+    if steps < 1:
+        raise ContractError("steps must be >= 1")
     n_seq, a, m = fit.last.shape
-    # rows is allocated before the rollout's latents, which are freed before
-    # the decode: otherwise their freed blocks fragment the heap, and peak RSS
-    # grows by about the size of rows over repeated evaluations
-    rows = np.empty((n_seq, steps, a * m))
-    tape = ad.Tape()
-    second = fit.vel is not None
-    est = TransitionEstimate(order=2 if second else 1, m_star=tape.input(fit.op),
-                             m_last=tape.input(fit.vel) if second else None,
-                             residual=float("nan"))
-    roll = rollout_second_order if second else rollout
-    for j, pred in enumerate(roll(est, tape.input(fit.last), steps)):
-        rows[:, j] = pred.value.reshape(n_seq, a * m)
-    del tape, est, pred
-    return decode_rows_np(model, rows.reshape(n_seq * steps, a * m)).reshape(n_seq, steps, -1)
+    count = -(-steps // max(1, ROW_BLOCK // n_seq))
+    bounds = [steps * i // count for i in range(count + 1)]
+    cur, step_op = fit.last, fit.vel
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = np.empty((n_seq, hi - lo, a * m))
+        for j in range(hi - lo):
+            if step_op is None:
+                cur = _checked_product(fit.op, cur)
+            else:
+                step_op = _checked_product(fit.op, step_op)
+                cur = _checked_product(step_op, cur)
+            rows[:, j] = cur.reshape(n_seq, a * m)
+        frames = decode_rows_np(model, rows.reshape(n_seq * (hi - lo), a * m))
+        yield lo, hi, frames.reshape(n_seq, hi - lo, -1)
+
+
+def predict_np(model, fit: TransitionFit, steps: int) -> np.ndarray:
+    """Predicted frames (N, steps, n) of each fit at horizons 1..steps.
+
+    The rollout is forward-only, with the products of ``rollout`` (or of
+    ``rollout_second_order`` when the fit has velocity operators), and
+    the latents are decoded one group of horizons at a time (see
+    ``_predicted_groups``); every decode is a gemm through ``_mlp_np``,
+    so the frames equal a one-pass decode of the tape rollout bit for bit.
+    """
+    return np.concatenate([frames for _, _, frames in _predicted_groups(model, fit, steps)],
+                          axis=1)
 
 
 def batch_transitions_np(model, obs, T_c: int, *, order: int = 1,
@@ -766,16 +796,19 @@ def horizon_errors_np(model, obs, T_c: int, horizons: int, *,
                       order: int = 1, transition: str | None = None) -> np.ndarray:
     """Mean squared frame error at each prediction horizon 1..horizons.
 
-    Fits the per-sequence transition on the first T_c frames, rolls the
-    latent forward, decodes every predicted latent in one batch, and
-    averages ||error||_2^2 over sequences per horizon.
+    Fits the per-sequence transition on the first T_c frames, then rolls
+    the latent forward, decodes and scores one group of horizons at a
+    time (see ``_predicted_groups``), so memory stays at one group's
+    decode however many horizons are asked for. Returns ||error||_2^2
+    averaged over sequences per horizon.
     """
     obs = _as_batch(obs)
     if obs.shape[1] < T_c + horizons:
         raise DimensionError(f"need T >= {T_c + horizons}, got {obs.shape[1]}")
     fit = fit_np(model, obs, T_c, order=order, transition=transition)
-    pred = predict_np(model, fit, horizons)
-    return ((pred - obs[:, T_c : T_c + horizons]) ** 2).sum(axis=2).mean(axis=0)
+    err = [((frames - obs[:, T_c + lo : T_c + hi]) ** 2).sum(axis=2)
+           for lo, hi, frames in _predicted_groups(model, fit, horizons)]
+    return np.concatenate(err, axis=1).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

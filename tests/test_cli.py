@@ -309,6 +309,29 @@ def test_sbd_fits_an_order_2_model_with_its_own_estimator(tmp_path):
     np.testing.assert_allclose(result["mean_abs_v_minus_i"], energy, rtol=1e-12)
 
 
+def test_eval_and_report_run_on_an_order_2_acceleration_model(tmp_path):
+    path = write_config(tmp_path, generator={"T": 10, "mode": "acceleration",
+                                             "accel_range": [-0.08, 0.08]})
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    assert cli.main(["train", "--config", str(path), "--order", "2"]) == 0
+    assert cli.main(["eval", "--config", str(path), "--order", "2"]) == 0
+    assert cli.main(["report", "--config", str(path), "--order", "2"]) == 0
+    report = json.loads((tmp_path / "run" / cli.EVAL_REPORT_FILE).read_text())
+    jsonschema.validate(report, EVAL_REPORT_SCHEMA)
+    # the horizon curve is the second-order fit's, on the eval batch
+    cfg = cfgmod.load(path)
+    params, train_cfg = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
+    train_cfg = train_cfg.resolved()
+    assert train_cfg.order == 2
+    eval_spec = datagen.with_length(
+        datagen.with_num_sequences(cfg.generator, cfg.eval_spec["eval_sequences"]),
+        train_cfg.T_c + cfg.eval_spec["horizons"])
+    eval_batch = datagen.make_dataset(eval_spec, datagen.mix64(cfg.master_seed, 1001), cfg.mode)
+    direct = mm.horizon_errors_np(params, eval_batch.observations, train_cfg.T_c,
+                                  cfg.eval_spec["horizons"], order=2)
+    assert report["horizons"]["lp"] == [float(x) for x in direct]
+
+
 def test_report_charts_and_missing_inputs(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["report", "--config", str(path)]) == 5

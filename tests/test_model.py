@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mspred import autodiff as ad
 from mspred import model as mm
-from mspred.datagen import GeneratorSpec, latent_rotation, make_dataset
+from mspred.datagen import (GeneratorSpec, acceleration_spec, latent_rotation, make_dataset,
+                            velocity_spec)
 from mspred.errors import (ContractError, DimensionError, NumericError, SingularityError,
                            ValidationError)
 
@@ -779,8 +781,92 @@ def test_horizon_curve_temporaries_stay_small():
     peak = traced_peak(mm.decode_rows_np, params, latents)
     assert peak <= 6 * 2**20, f"the 9,216-row decode peaked at {peak / 2**20:.1f} MB"
     obs = rng.normal(size=(512, 20, params.obs_dim))
+    # one group of horizons is rolled out, decoded and scored at a time
     peak = traced_peak(mm.horizon_errors_np, params, obs, 2, 18)
-    assert peak <= 24 * 2**20, f"horizon_errors_np peaked at {peak / 2**20:.1f} MB"
+    assert peak <= 6 * 2**20, f"horizon_errors_np peaked at {peak / 2**20:.1f} MB"
+
+
+# (estimator, order, T_c): T_c = 2 is the neural head's input width, and a
+# second-order fit on 3 frames is too ill-conditioned to roll out 18 steps
+CURVE_ESTIMATORS = [("lstsq", 1, 3), ("lstsq", 2, 5), ("neural", 1, 2)]
+CURVE_SHAPES = [(1, 1), (1, 18), (2, 18), (3, 7), (40, 13), (128, 1), (512, 18), (700, 4)]
+
+
+def curve_case(n_seq, horizons, transition, order, t_c):
+    params = desk_model("neural_mstar" if transition == "neural" else "msp")
+    spec = (velocity_spec if order == 1 else acceleration_spec)(T=t_c + horizons,
+                                                                num_sequences=n_seq)
+    obs = make_dataset(spec, n_seq, "velocity" if order == 1 else "acceleration").observations
+    return params, obs
+
+
+def one_pass_curve(params, fit, obs, t_c, horizons):
+    """Predictions and horizon curve in one pass: the tape rollout of the
+    fit, one unblocked decode of every latent, one error reduction."""
+    n_seq = fit.last.shape[0]
+    tape = ad.Tape()
+    second = fit.vel is not None
+    est = mm.TransitionEstimate(order=2 if second else 1, m_star=tape.input(fit.op),
+                                m_last=tape.input(fit.vel) if second else None,
+                                residual=float("nan"))
+    roll = mm.rollout_second_order if second else mm.rollout
+    latents = np.stack([p.value for p in roll(est, tape.input(fit.last), horizons)], axis=1)
+    rows = latents.reshape(n_seq * horizons, -1)
+    pred = unblocked_mlp(params.dec, rows).reshape(n_seq, horizons, -1)
+    err = ((pred - obs[:, t_c : t_c + horizons]) ** 2).sum(axis=2).mean(axis=0)
+    return pred, err
+
+
+@pytest.mark.parametrize("transition, order, t_c", CURVE_ESTIMATORS)
+@pytest.mark.parametrize("n_seq, horizons", CURVE_SHAPES)
+def test_streamed_horizon_curve_equals_one_pass_bitwise(n_seq, horizons, transition, order, t_c):
+    params, obs = curve_case(n_seq, horizons, transition, order, t_c)
+    fit = mm.fit_np(params, obs, t_c, order=order, transition=transition)
+    pred, err = one_pass_curve(params, fit, obs, t_c, horizons)
+    assert np.array_equal(mm.predict_np(params, fit, horizons), pred)
+    assert np.array_equal(mm.horizon_errors_np(params, obs, t_c, horizons, order=order,
+                                               transition=transition), err)
+
+
+@pytest.mark.parametrize("n_seq, horizons, decodes", [
+    (1, 1, [1]), (1, 18, [18]), (3, 7, [21]), (40, 13, [240, 280]),
+    (512, 18, [512] * 18), (700, 4, [700] * 4), (1, 513, [256, 257])])
+def test_streamed_curve_decodes_near_equal_groups_of_horizons(monkeypatch, n_seq, horizons,
+                                                              decodes):
+    # at most max(N, ROW_BLOCK) rows per decode, and no single-row decode
+    # that one pass would not have made
+    params, obs = curve_case(n_seq, horizons, "lstsq", 1, 3)
+    fit = mm.fit_np(params, obs, 3)
+    seen = []
+    decode = mm.decode_rows_np
+
+    def counting_decode(model, rows):
+        seen.append(rows.shape[0])
+        return decode(model, rows)
+
+    monkeypatch.setattr(mm, "decode_rows_np", counting_decode)
+    mm.predict_np(params, fit, horizons)
+    assert seen == decodes
+
+
+@pytest.mark.parametrize("field", ["op", "vel", "last"])
+def test_non_finite_rollout_is_a_numeric_error(field):
+    params, obs = curve_case(40, 13, "lstsq", 2, 5)
+    fit = mm.fit_np(params, obs, 5, order=2)
+    bad = getattr(fit, field).copy()
+    bad[7, 0, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        mm.predict_np(params, replace(fit, **{field: bad}), 13)
+
+
+def test_rollout_overflow_in_a_later_group_is_a_numeric_error():
+    params, obs = curve_case(40, 13, "lstsq", 1, 3)
+    fit = mm.fit_np(params, obs, 3)
+    # horizons 1..6 form the first group; the product overflows at horizon 7
+    exploding = mm.TransitionFit(last=fit.last / np.abs(fit.last).max(),
+                                 op=np.broadcast_to(1e50 * np.eye(8), fit.op.shape))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+        mm.predict_np(params, exploding, 13)
 
 
 def test_empty_batch_is_a_dimension_error():
