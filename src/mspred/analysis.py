@@ -9,8 +9,9 @@ hidden transition parameters from the fitted operators.
 The prediction routines call ``model.fit_np``, which runs the training
 loss's own estimator on a scratch tape, then ``model.predict_np``, which
 forms the training rollout's own products forward-only, so their numbers
-coincide with the tape loss on identical inputs. Each batch is fitted once; cross-sequence predictions pair one
-batch's operators with another batch's latents.
+coincide with the tape loss on identical inputs. Each batch is fitted
+once; cross-sequence predictions pair one batch's operators with another
+batch's latents.
 """
 
 from __future__ import annotations

@@ -90,10 +90,10 @@ def _write_json(payload: dict, path) -> None:
     atomic_write(path, (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
-def _file_sha256(path, chunk: int = 1 << 16) -> str:
-    """Hex SHA-256 of a file, read through one reused buffer of ``chunk`` bytes."""
+def _file_sha256(path) -> str:
+    """Hex SHA-256 of a file, read through one reused 64 KiB buffer."""
     digest = hashlib.sha256()
-    buf = bytearray(chunk)
+    buf = bytearray(1 << 16)
     view = memoryview(buf)
     with open(path, "rb") as fh:
         while size := fh.readinto(buf):

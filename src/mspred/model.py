@@ -726,14 +726,6 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
                          vel=None if est.m_last is None else est.m_last.value)
 
 
-def _checked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, rejected as ``ad.matmul`` rejects a non-finite product."""
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise NumericError("matmul produced a non-finite value")
-    return out
-
-
 def _predicted_groups(model, fit: TransitionFit, steps: int):
     """Roll each fit forward ``steps`` times; yield the decoded frames group by group.
 
@@ -753,6 +745,9 @@ def _predicted_groups(model, fit: TransitionFit, steps: int):
     if steps < 1:
         raise ContractError("steps must be >= 1")
     n_seq, a, m = fit.last.shape
+    for name, op in (("op", fit.op), ("vel", fit.vel)):
+        if op is not None and op.shape != (n_seq, a, a):
+            raise DimensionError(f"{name} {op.shape} does not fit latent {fit.last.shape}")
     count = -(-steps // max(1, ROW_BLOCK // n_seq))
     bounds = [steps * i // count for i in range(count + 1)]
     cur, step_op = fit.last, fit.vel
@@ -760,10 +755,10 @@ def _predicted_groups(model, fit: TransitionFit, steps: int):
         rows = np.empty((n_seq, hi - lo, a * m))
         for j in range(hi - lo):
             if step_op is None:
-                cur = _checked_product(fit.op, cur)
+                cur = ad._finite(fit.op @ cur, "matmul")
             else:
-                step_op = _checked_product(fit.op, step_op)
-                cur = _checked_product(step_op, cur)
+                step_op = ad._finite(fit.op @ step_op, "matmul")
+                cur = ad._finite(step_op @ cur, "matmul")
             rows[:, j] = cur.reshape(n_seq, a * m)
         frames = decode_rows_np(model, rows.reshape(n_seq * (hi - lo), a * m))
         yield lo, hi, frames.reshape(n_seq, hi - lo, -1)

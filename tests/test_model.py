@@ -859,6 +859,14 @@ def test_non_finite_rollout_is_a_numeric_error(field):
         mm.predict_np(params, replace(fit, **{field: bad}), 13)
 
 
+@pytest.mark.parametrize("field", ["op", "vel", "last"])
+def test_rollout_with_mismatched_batch_is_a_dimension_error(field):
+    params, obs = curve_case(40, 13, "lstsq", 2, 5)
+    fit = mm.fit_np(params, obs, 5, order=2)
+    with pytest.raises(DimensionError, match="does not fit latent"):
+        mm.predict_np(params, replace(fit, **{field: getattr(fit, field)[:1]}), 13)
+
+
 def test_rollout_overflow_in_a_later_group_is_a_numeric_error():
     params, obs = curve_case(40, 13, "lstsq", 1, 3)
     fit = mm.fit_np(params, obs, 3)
