@@ -42,7 +42,7 @@ tape3 = ad.Tape()
 est = mm.estimate_transition([tape3.input(h0), tape3.input(h1)])
 print("\ntrue rotation:\n", rot)
 print("recovered transition:\n", est.m_star.value.round(12))
-print("fit residual:", est.residual)
+print("fit residual:", float(((est.m_star.value @ h0 - h1) ** 2).sum()))
 
 # rolling the transition forward composes the rotation
 preds = mm.rollout(est, tape3.input(h0), 3)

@@ -74,25 +74,6 @@ class Var:
     def value(self) -> Array:
         return self.tape.values[self.index]
 
-    def __matmul__(self, other: "Var") -> "Var":
-        return matmul(self, other)
-
-    def __add__(self, other: "Var") -> "Var":
-        return add(self, other)
-
-    def __sub__(self, other: "Var") -> "Var":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return hadamard(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Var":
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Var(index={self.index}, shape={self.shape})"
 

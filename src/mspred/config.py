@@ -4,32 +4,22 @@ A run is fully determined by its config, so the config is canonicalized
 (defaults materialized, keys sorted) before hashing; the SHA-256 of that
 canonical JSON, without ``out_dir`` and with ``NUMERICS_VERSION``,
 identifies every artifact the run produces, wherever it is written.
-Unknown keys are rejected rather than ignored. The ``train`` section's
-keys and defaults are ``TrainConfig``'s fields.
+Unknown keys are rejected rather than ignored. The ``generator``
+section's keys and defaults are those of ``datagen.velocity_spec()``
+plus ``mode`` ("velocity"); the ``train`` section's are ``TrainConfig``'s
+fields. Both sections are parsed by their dataclass's ``from_dict``, the
+same parser the dataset and checkpoint readers use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
-from .datagen import GeneratorSpec
-from .errors import FormatError, ValidationError
+from .datagen import GeneratorSpec, velocity_spec
+from .errors import FormatError, ValidationError, require_int, require_real
 from .model import TrainConfig
-from .training import _config_to_dict, config_from_dict
-
-_GENERATOR_DEFAULTS = {
-    "k": 3,
-    "obs_dim": 24,
-    "T": 3,
-    "num_sequences": 5000,
-    "mixing_seed": 7,
-    "velocity_range": [-math.pi / 2, math.pi / 2],
-    "accel_range": [0.0, 0.0],
-    "mode": "velocity",
-}
 
 _EVAL_DEFAULTS = {
     "horizons": 18,
@@ -71,10 +61,10 @@ class ExperimentConfig:
     config_hash: str
 
 
-def _validate_section(section: str, validate, *args) -> None:
-    """Run a spec's own ``validate`` and name any offending field by its section."""
+def _in_section(section: str, fn, *args):
+    """Call a spec's parser or ``validate``; name any offending field by its section."""
     try:
-        validate(*args)
+        return fn(*args)
     except ValidationError as exc:
         raise ValidationError(str(exc), field=f"{section}.{exc.field}") from exc
 
@@ -90,50 +80,6 @@ def _merge_section(raw: dict, defaults: dict, section: str) -> dict:
     return merged
 
 
-def _require_int(value, field):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{field} must be an integer", field=field)
-    return value
-
-
-def _require_real(value, field):
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    if isinstance(value, bool) or not finite:
-        raise ValidationError(f"{field} must be a finite number", field=field)
-    return value
-
-
-def _range(value, field) -> tuple:
-    """A (low, high) pair of finite floats; the low < high check is the spec's."""
-    try:
-        pair = tuple(float(x) for x in value)
-    except (TypeError, ValueError, OverflowError):
-        pair = ()
-    if (not isinstance(value, (list, tuple)) or len(pair) != 2
-            or not all(map(math.isfinite, pair))):
-        raise ValidationError(f"{field} must be a pair of finite numbers", field=field)
-    return pair
-
-
-def _check_train_types(train: dict) -> None:
-    """Every train value must have the JSON type of its TrainConfig default;
-    fields defaulting to None take an integer or null."""
-    for key, default in _config_to_dict(TrainConfig()).items():
-        value, field = train[key], f"train.{key}"
-        if isinstance(default, list):
-            if not isinstance(value, list):
-                raise ValidationError(f"{field} must be a list of integers", field=field)
-            for size in value:
-                _require_int(size, field)
-        elif isinstance(default, float):
-            _require_real(value, field)
-        elif isinstance(default, str):
-            if not isinstance(value, str):
-                raise ValidationError(f"{field} must be a string", field=field)
-        elif value is not None or default is not None:
-            _require_int(value, field)
-
-
 def from_dict(raw: dict) -> ExperimentConfig:
     """Validate a parsed config document and materialize all defaults."""
     if not isinstance(raw, dict):
@@ -146,55 +92,42 @@ def from_dict(raw: dict) -> ExperimentConfig:
     for field in _REQUIRED:
         if field not in raw:
             raise ValidationError(f"missing required field {field!r}", field=field)
-    master_seed = _require_int(raw["master_seed"], "master_seed")
+    master_seed = require_int(raw["master_seed"], "master_seed")
     out_dir = raw["out_dir"]
     if not isinstance(out_dir, str) or not out_dir:
         raise ValidationError("out_dir must be a non-empty string", field="out_dir")
 
-    gen = _merge_section(raw.get("generator", {}), _GENERATOR_DEFAULTS, "generator")
+    gen = _merge_section(raw.get("generator", {}),
+                         {**velocity_spec().to_dict(), "mode": "velocity"}, "generator")
     mode = gen.pop("mode")
-    spec = GeneratorSpec(
-        k=_require_int(gen["k"], "generator.k"),
-        obs_dim=_require_int(gen["obs_dim"], "generator.obs_dim"),
-        T=_require_int(gen["T"], "generator.T"),
-        num_sequences=_require_int(gen["num_sequences"], "generator.num_sequences"),
-        mixing_seed=_require_int(gen["mixing_seed"], "generator.mixing_seed"),
-        velocity_range=_range(gen["velocity_range"], "generator.velocity_range"),
-        accel_range=_range(gen["accel_range"], "generator.accel_range"),
-    )
-    _validate_section("generator", spec.validate, mode)
+    spec = _in_section("generator", GeneratorSpec.from_dict, gen)
+    _in_section("generator", spec.validate, mode)
 
-    train_raw = _merge_section(raw.get("train", {}), _config_to_dict(TrainConfig()), "train")
-    _check_train_types(train_raw)
-    train_cfg = config_from_dict(train_raw).resolved()
-    _validate_section("train", train_cfg.validate)
+    train_raw = _merge_section(raw.get("train", {}), TrainConfig().to_dict(), "train")
+    train_cfg = _in_section("train", TrainConfig.from_dict, train_raw).resolved()
+    _in_section("train", train_cfg.validate)
 
     eval_spec = _merge_section(raw.get("eval", {}), _EVAL_DEFAULTS, "eval")
     for key in eval_spec:
-        _require_int(eval_spec[key], f"eval.{key}")
+        require_int(eval_spec[key], f"eval.{key}")
         if eval_spec[key] < 1:
             raise ValidationError(f"eval.{key} must be >= 1", field=f"eval.{key}")
 
     sbd_spec = _merge_section(raw.get("sbd", {}), _SBD_DEFAULTS, "sbd")
     for key in ("iters", "num_transitions", "restarts", "seed"):
-        _require_int(sbd_spec[key], f"sbd.{key}")
+        require_int(sbd_spec[key], f"sbd.{key}")
         if key != "seed" and sbd_spec[key] < 1:
             raise ValidationError(f"sbd.{key} must be >= 1", field=f"sbd.{key}")
-    if not _require_real(sbd_spec["lr"], "sbd.lr") > 0.0:
+    if not require_real(sbd_spec["lr"], "sbd.lr") > 0.0:
         raise ValidationError("sbd.lr must be > 0", field="sbd.lr")
-    if not 0.0 < _require_real(sbd_spec["threshold"], "sbd.threshold") < 1.0:
+    if not 0.0 < require_real(sbd_spec["threshold"], "sbd.threshold") < 1.0:
         raise ValidationError("sbd.threshold must be in (0, 1)", field="sbd.threshold")
 
     canonical = {
         "master_seed": master_seed,
         "out_dir": out_dir,
-        "generator": {
-            "k": spec.k, "obs_dim": spec.obs_dim, "T": spec.T,
-            "num_sequences": spec.num_sequences, "mixing_seed": spec.mixing_seed,
-            "velocity_range": list(spec.velocity_range),
-            "accel_range": list(spec.accel_range), "mode": mode,
-        },
-        "train": _config_to_dict(train_cfg),
+        "generator": {**spec.to_dict(), "mode": mode},
+        "train": train_cfg.to_dict(),
         "eval": dict(sorted(eval_spec.items())),
         "sbd": dict(sorted(sbd_spec.items())),
     }

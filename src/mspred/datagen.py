@@ -36,12 +36,12 @@ another order and moves last bits).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import container
-from .errors import FormatError, ValidationError
+from .errors import DictForm, FormatError, ValidationError, require_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,7 +87,7 @@ def mix64(seed, index):
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(DictForm):
     """Parameters of the synthetic sequence generator.
 
     ``velocity_range`` and ``accel_range`` are half-open intervals applied
@@ -479,29 +479,13 @@ def make_single_factor(spec: GeneratorSpec, master_seed: int, factor: int) -> Se
 # dataset file format: magic, u32-LE header length, JSON header, payloads
 
 
-def _spec_to_header(spec: GeneratorSpec) -> dict:
-    d = asdict(spec)
-    d["velocity_range"] = list(d["velocity_range"])
-    d["accel_range"] = list(d["accel_range"])
-    return d
-
-
-def _spec_from_header(d: dict) -> GeneratorSpec:
-    return GeneratorSpec(
-        k=int(d["k"]), obs_dim=int(d["obs_dim"]), T=int(d["T"]),
-        num_sequences=int(d["num_sequences"]), mixing_seed=int(d["mixing_seed"]),
-        velocity_range=tuple(float(x) for x in d["velocity_range"]),
-        accel_range=tuple(float(x) for x in d["accel_range"]),
-    )
-
-
 _TENSOR_ORDER = ("observations", "theta0", "velocity", "acceleration")
 
 
 def save_dataset(batch: SequenceBatch, path) -> None:
     """Write the MSPDAT01 container; the layout is in ``container``."""
     header = {
-        "spec": _spec_to_header(batch.spec),
+        "spec": batch.spec.to_dict(),
         "master_seed": int(batch.master_seed),
         "mode": batch.mode,
         "shapes": {name: list(getattr(batch, name).shape) for name in _TENSOR_ORDER},
@@ -517,17 +501,17 @@ def _dataset_layout(header: dict) -> list:
 
 
 def load_dataset(path) -> SequenceBatch:
-    """Read an MSPDAT01 file; its spec must validate and fix every array's shape."""
+    """Read an MSPDAT01 file; its spec must parse, validate and fix every array's shape."""
     header, arrays = container.read(path, DATASET_MAGIC, "dataset", _dataset_layout)
     try:
-        spec = _spec_from_header(header["spec"])
-        master_seed = int(header["master_seed"])
+        spec = GeneratorSpec.from_dict(header["spec"])
+        master_seed = require_int(header["master_seed"], "master_seed")
         mode = header["mode"]
         spec.validate(mode)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise FormatError(f"dataset header missing field: {exc}") from exc
     except ValidationError as exc:
-        raise FormatError(f"dataset header holds an invalid spec: {exc}") from exc
+        raise FormatError(f"dataset header field {exc.field}: {exc}") from exc
     if arrays["observations"].shape != (spec.num_sequences, spec.T, spec.obs_dim):
         raise FormatError("observation shape disagrees with spec")
     for name in ("theta0", "velocity", "acceleration"):

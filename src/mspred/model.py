@@ -32,7 +32,8 @@ from . import autodiff as ad
 from .autodiff import Var
 from .autodiff import cholesky_lower  # noqa: F401  re-exported: the benchmark tracer wraps it here
 from .datagen import MixingMap, mix64
-from .errors import ContractError, DimensionError, NumericError, SingularityError, ValidationError
+from .errors import (ContractError, DictForm, DimensionError, NumericError,
+                     SingularityError, ValidationError)
 
 VARIANTS = ("msp", "rec_model", "fixed_blocks", "neural_mstar")
 
@@ -42,7 +43,7 @@ VARIANTS = ("msp", "rec_model", "fixed_blocks", "neural_mstar")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(DictForm):
     """Hyperparameters of one training run.
 
     ``T_c``/``T_p`` default to (2, 1) for first order and (5, 5) for
@@ -296,14 +297,11 @@ class TransitionEstimate:
 
     ``m_star`` is the a x a transition (first order) or the acceleration
     operator (second order, with ``m_last`` the final velocity operator).
-    ``residual`` is the fit error of the internal problem, from forward
-    values only.
     """
 
     order: int
     m_star: Var
     m_last: Var | None
-    residual: float
 
 
 class Frames(Sequence):
@@ -342,8 +340,7 @@ def estimate_transition(latents: Sequence[Var]) -> TransitionEstimate:
     ``latents`` are the encoded conditional frames, each (a, m) or a
     batch (N, a, m) with one transition per sequence; the optimum is
     H_plus1 pinv(H_plus0) over their horizontal concatenations, solved
-    by one ``lstsq_right`` call. ``residual`` sums the fit error over
-    the batch.
+    by one ``lstsq_right`` call.
 
     Raises:
         SingularityError: the stacked conditioning latent is rank
@@ -357,9 +354,7 @@ def estimate_transition(latents: Sequence[Var]) -> TransitionEstimate:
     if h0.shape[-1] < a:
         raise DimensionError(f"conditioning latents give {h0.shape[-1]} columns for {a} "
                              "rows; need (T_c - 1) * m >= a")
-    m = ad.lstsq_right(h0, h1)
-    residual = float(((m.value @ h0.value - h1.value) ** 2).sum())
-    return TransitionEstimate(order=1, m_star=m, m_last=None, residual=residual)
+    return TransitionEstimate(order=1, m_star=ad.lstsq_right(h0, h1), m_last=None)
 
 
 def estimate_transition_blockwise(latents: Sequence[Var], block: int = 2) -> TransitionEstimate:
@@ -386,7 +381,7 @@ def estimate_transition_blockwise(latents: Sequence[Var], block: int = 2) -> Tra
     bands = ad.hcat([ad.reshape(est.m_star, *batch, a, block)] * n_blocks)
     mask = np.kron(np.eye(n_blocks), np.ones((block, block)))
     m_star = ad.hadamard(bands, latents[0].tape.input(np.broadcast_to(mask, bands.shape)))
-    return TransitionEstimate(order=1, m_star=m_star, m_last=None, residual=est.residual)
+    return TransitionEstimate(order=1, m_star=m_star, m_last=None)
 
 
 def estimate_second_order(latents: Sequence[Var]) -> TransitionEstimate:
@@ -439,8 +434,7 @@ def estimate_second_order(latents: Sequence[Var]) -> TransitionEstimate:
         raise SingularityError(f"velocity stage: {exc}", pivot=exc.pivot,
                                matrix=exc.matrix) from exc
     m_last = ad.transpose(ad.slice_rows(bands, (pairs - 1) * a, pairs * a))
-    residual = float(((acc.value @ v0.value - v1.value) ** 2).sum())
-    return TransitionEstimate(order=2, m_star=acc, m_last=m_last, residual=residual)
+    return TransitionEstimate(order=2, m_star=acc, m_last=m_last)
 
 
 def estimate(latents: Sequence[Var], *, order: int = 1, transition: str = "lstsq",
@@ -457,7 +451,7 @@ def estimate(latents: Sequence[Var], *, order: int = 1, transition: str = "lstsq
     if transition == "blockwise":
         return estimate_transition_blockwise(latents)
     if transition == "neural":
-        return TransitionEstimate(order=1, m_star=head, m_last=None, residual=float("nan"))
+        return TransitionEstimate(order=1, m_star=head, m_last=None)
     raise ContractError(f"unknown transition kind {transition!r}")
 
 

@@ -279,7 +279,7 @@ def detect_blocks(v_list, threshold: float = 0.01) -> BlockStructure:
     return BlockStructure(blocks=list(blocks), threshold=threshold)
 
 
-def fit_sbd(transitions, iters: int = 1500, lr: float = 0.05, seed: int = 0, *,
+def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
             threshold: float = 0.01, restarts: int = 4) -> SbdResult:
     """Optimize the orthogonal basis that block-diagonalizes a family.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,21 +230,6 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
 # checkpoint format: magic, u32-LE header length, JSON manifest, payloads
 
 
-def _config_to_dict(cfg: mm.TrainConfig) -> dict:
-    d = asdict(cfg)
-    for key in ("enc_hidden", "dec_hidden", "mstar_hidden"):
-        d[key] = list(d[key])
-    return d
-
-
-def config_from_dict(d: dict) -> mm.TrainConfig:
-    kwargs = dict(d)
-    for key in ("enc_hidden", "dec_hidden", "mstar_hidden"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(int(x) for x in kwargs[key])
-    return mm.TrainConfig(**kwargs)
-
-
 def save_checkpoint(params: mm.ModelParams, path, config: mm.TrainConfig | None = None) -> None:
     """Write the MSPCKP01 container (layout in ``container``); round-trips bit-exactly.
 
@@ -257,7 +242,7 @@ def save_checkpoint(params: mm.ModelParams, path, config: mm.TrainConfig | None 
         entries.append([name, list(arr.shape), offset])
         offset += arr.size * 8
     manifest = {
-        "config": _config_to_dict(config) if config is not None else None,
+        "config": config.to_dict() if config is not None else None,
         "model": {"a": params.a, "m": params.m, "obs_dim": params.obs_dim,
                   "T_c": params.T_c,
                   "layers": {"enc": len(params.enc), "dec": len(params.dec),
@@ -279,7 +264,8 @@ def _checkpoint_layout(manifest: dict) -> list:
 
 
 def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
-    """Read an MSPCKP01 file; every tensor must belong to a layer whose widths chain."""
+    """Read an MSPCKP01 file; every tensor must belong to a layer whose widths chain,
+    and a stored config must parse as ``TrainConfig.from_dict`` and fit the model."""
     manifest, tensors = container.read(path, CHECKPOINT_MAGIC, "checkpoint", _checkpoint_layout)
     used = set()
 
@@ -313,12 +299,30 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
                  if layer_counts["mstar"] else None)
         params = mm.ModelParams(a=a, m=m, obs_dim=obs_dim, T_c=t_c, enc=enc, dec=dec,
                                 mstar=mstar)
-        cfg = config_from_dict(manifest["config"]) if manifest.get("config") else None
+        stored = manifest["config"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint manifest is malformed: {exc!r}") from exc
     if used != set(tensors):
         raise FormatError(f"checkpoint tensors {sorted(set(tensors) - used)} belong to no layer")
-    return params, cfg
+    return params, None if stored is None else _stored_config(stored, params)
+
+
+def _stored_config(doc, params: mm.ModelParams) -> mm.TrainConfig:
+    """The manifest's config as stored (unresolved, so it re-saves bit-exactly).
+
+    Resolved, it must validate and agree with the model block on a, m and T_c.
+    """
+    try:
+        cfg = mm.TrainConfig.from_dict(doc)
+        resolved = cfg.resolved()
+        resolved.validate()
+    except ValidationError as exc:
+        raise FormatError(f"checkpoint config field {exc.field}: {exc}") from exc
+    for key in ("a", "m", "T_c"):
+        if getattr(resolved, key) != getattr(params, key):
+            raise FormatError(f"checkpoint config has {key} {getattr(resolved, key)}, "
+                              f"its model {getattr(params, key)}")
+    return cfg
 
 
 def write_metrics(records: list[MetricsRecord], path) -> None:

@@ -54,8 +54,7 @@ def _cache_key(cfg: mm.TrainConfig, dataset_tag: str) -> str:
     doc = {
         "master_seed": 0,
         "out_dir": "cache",
-        "train": {k: (list(v) if isinstance(v, tuple) else v)
-                  for k, v in tr._config_to_dict(cfg).items()},
+        "train": cfg.to_dict(),
     }
     exp = cfgmod.from_dict(doc)
     return f"{dataset_tag}-{exp.config_hash[:16]}"

@@ -137,6 +137,8 @@ def test_config_rejects_unknown_and_missing_fields(tmp_path):
     ("generator", "num_sequences", 0),
     ("generator", "velocity_range", [1.0, 0.0]),
     ("generator", "mode", "sideways"),
+    ("generator", "k", 3.5),
+    ("train", "order", 3),
 ])
 def test_config_rejects_malformed_values(section, key, value):
     doc = {"master_seed": 1, "out_dir": "x", section: {key: value}}
@@ -149,6 +151,23 @@ def test_range_error_exits_2_naming_its_section(tmp_path, capsys):
     bad = write_config(tmp_path, train={"batch_size": 0})
     assert cli.main(["generate", "--config", str(bad)]) == 2
     assert "(field train.batch_size)" in capsys.readouterr().err
+
+
+def test_eval_and_sbd_on_a_checkpoint_with_a_bad_config_exit_2(tmp_path, capsys):
+    # with T_c 3 a second-order fit runs, so only the reader can refuse order 3
+    path = write_config(tmp_path, generator={"T": 4}, train={"T_c": 3})
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    assert cli.main(["train", "--config", str(path)]) == 0
+    ckpt = tmp_path / "run" / cli.CHECKPOINT_FILE
+    raw = ckpt.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    manifest = json.loads(raw[12 : 12 + hlen].decode())
+    manifest["config"]["order"] = 3
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    ckpt.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+    for command in ("eval", "sbd"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "order" in capsys.readouterr().err
 
 
 def test_sbd_with_malformed_seed_exits_2(tmp_path, capsys):

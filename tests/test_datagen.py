@@ -299,8 +299,15 @@ def _tampered_header(tmp_path, edit):
     lambda h: h["spec"].update(velocity_range=[0.5]),
     lambda h: h["shapes"].update(acceleration=[2**32, 2**32]),
     lambda h: h["shapes"].update(extra=[0]),
+    # int() would read k 2.5 as the k = 2 that the arrays fit
+    lambda h: h["spec"].update(k=2.5),
+    lambda h: h["spec"].update(obs_dim=True),
+    lambda h: h["spec"].update(mixing_seed=True),
+    lambda h: h["spec"].pop("mixing_seed"),
+    lambda h: h["spec"].update(noise=0.1),
 ], ids=["negative-shape", "non-integer-shape", "bogus-mode", "one-element-range",
-        "overflowing-shape", "unknown-array"])
+        "overflowing-shape", "unknown-array", "fractional-k", "boolean-obs-dim",
+        "boolean-mixing-seed", "missing-spec-key", "unknown-spec-key"])
 def test_dataset_file_rejects_bad_header(tmp_path, edit):
     with pytest.raises(FormatError):
         load_dataset(_tampered_header(tmp_path, edit))

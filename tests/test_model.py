@@ -45,7 +45,8 @@ def test_estimate_transition_identity_on_constant_latents():
     tape = ad.Tape()
     est = mm.estimate_transition(tape_latents(tape, [h, h, h]))
     assert np.abs(est.m_star.value - np.eye(3)).max() < 1e-10
-    assert est.residual < 1e-18
+    h01 = np.concatenate([h, h], axis=1)
+    assert ((est.m_star.value @ h01 - h01) ** 2).sum() < 1e-18
 
 
 def test_estimate_transition_exact_rotation():
@@ -89,7 +90,6 @@ def test_least_squares_optimality_under_perturbation():
     tape = ad.Tape()
     est = mm.estimate_transition(tape_latents(tape, list(lat)))
     base = ((est.m_star.value @ h0 - h1) ** 2).sum()
-    assert abs(base - est.residual) < 1e-12
     for _ in range(100):
         direction = rng.normal(size=(3, 3))
         perturbed = est.m_star.value + 1e-3 * direction
@@ -154,10 +154,10 @@ def test_rollout_identity_rotation_and_recurrence():
 def test_rollout_contracts():
     tape = ad.Tape()
     h = tape.input(np.eye(2))
-    est = mm.TransitionEstimate(order=2, m_star=h, m_last=h, residual=0.0)
+    est = mm.TransitionEstimate(order=2, m_star=h, m_last=h)
     with pytest.raises(ContractError):
         mm.rollout(est, h, 1)
-    est1 = mm.TransitionEstimate(order=1, m_star=h, m_last=None, residual=0.0)
+    est1 = mm.TransitionEstimate(order=1, m_star=h, m_last=None)
     with pytest.raises(ContractError):
         mm.rollout(est1, h, 0)
 
@@ -260,7 +260,7 @@ def test_rollout_second_order_reduces_to_first_order_when_acc_identity():
     est = mm.estimate_second_order(tape_latents(tape, lats))
     h = tape.input(lats[-1])
     preds = mm.rollout_second_order(est, h, 3)
-    est1 = mm.TransitionEstimate(order=1, m_star=est.m_last, m_last=None, residual=0.0)
+    est1 = mm.TransitionEstimate(order=1, m_star=est.m_last, m_last=None)
     ref = mm.rollout(est1, h, 3)
     for p, r in zip(preds, ref):
         assert np.abs(p.value - r.value).max() < 1e-8
@@ -471,7 +471,7 @@ def _blockwise_2d(tape, lat, block=2):
         band = [zero] * n_blocks
         band[r] = est.m_star
         bands.append(ad.hcat(band))
-    return mm.TransitionEstimate(order=1, m_star=ad.vcat(bands), m_last=None, residual=0.0)
+    return mm.TransitionEstimate(order=1, m_star=ad.vcat(bands), m_last=None)
 
 
 def per_sequence_loss(bound, obs, T_c, T_p, kind):
@@ -494,7 +494,7 @@ def per_sequence_loss(bound, obs, T_c, T_p, kind):
                 est = _blockwise_2d(tape, lat)
             elif kind == "neural":
                 mat = ad.reshape(ad.slice_rows(head, i, i + 1), a, a)
-                est = mm.TransitionEstimate(order=1, m_star=mat, m_last=None, residual=0.0)
+                est = mm.TransitionEstimate(order=1, m_star=mat, m_last=None)
             else:
                 est = mm.estimate_transition(lat)
             if kind == "rec":
@@ -807,8 +807,7 @@ def one_pass_curve(params, fit, obs, t_c, horizons):
     tape = ad.Tape()
     second = fit.vel is not None
     est = mm.TransitionEstimate(order=2 if second else 1, m_star=tape.input(fit.op),
-                                m_last=tape.input(fit.vel) if second else None,
-                                residual=float("nan"))
+                                m_last=tape.input(fit.vel) if second else None)
     roll = mm.rollout_second_order if second else mm.rollout
     latents = np.stack([p.value for p in roll(est, tape.input(fit.last), horizons)], axis=1)
     rows = latents.reshape(n_seq * horizons, -1)

@@ -411,9 +411,20 @@ def _append_entry(name, shape):
     _append_entry("junk", [1, 2]),
     lambda d: d.update(tensors=5),
     lambda d: d.update(tensors=None),
+    lambda d: d["config"].update(order=3),
+    lambda d: d["config"].update(variant="bogus"),
+    lambda d: d["config"].update(T_c=2.5),
+    lambda d: d["config"].update(lr="x"),
+    lambda d: d["config"].pop("beta2"),
+    lambda d: d["config"].update(dropout=0.5),
+    lambda d: d["config"].update(a=1),
+    lambda d: d["config"].update(m=4),
+    lambda d: d.pop("config"),
 ], ids=["negative-offset", "shifted-offset", "a-disagrees", "obs-dim-disagrees",
         "enc-layers-cut", "overflowing-shape", "duplicate-tensor", "unused-tensor",
-        "tensors-not-a-list", "tensors-null"])
+        "tensors-not-a-list", "tensors-null", "config-order-3", "config-variant-bogus",
+        "config-fractional-T_c", "config-string-lr", "config-missing-key",
+        "config-unknown-key", "config-a-disagrees", "config-m-disagrees", "config-absent"])
 def test_checkpoint_rejects_inconsistent_manifest(tmp_path, edit):
     with pytest.raises(FormatError):
         tr.load_checkpoint(_tampered_manifest(tmp_path, small_config(), edit))
@@ -422,9 +433,11 @@ def test_checkpoint_rejects_inconsistent_manifest(tmp_path, edit):
 @pytest.mark.parametrize("edit", [
     lambda d: d["model"].update(T_c=d["model"]["T_c"] + 1),
     lambda d: d["model"].update(a=d["model"]["m"], m=d["model"]["a"]),
-], ids=["T_c-disagrees", "a-and-m-swapped"])
+    lambda d: d["config"].update(T_c=d["config"]["T_c"] + 1),
+], ids=["T_c-disagrees", "a-and-m-swapped", "config-T_c-disagrees"])
 def test_checkpoint_rejects_mstar_widths_off_manifest(tmp_path, edit):
-    # the neural head reads T_c frames and emits an (a, a) matrix
+    # the neural head reads T_c frames and emits an (a, a) matrix; the stored
+    # config must agree with the model that it trained
     cfg = small_config(variant="neural_mstar")
     with pytest.raises(FormatError):
         tr.load_checkpoint(_tampered_manifest(tmp_path, cfg, edit))
@@ -449,5 +462,5 @@ def test_metrics_jsonl_format(tmp_path):
 
 def test_config_dict_roundtrip():
     cfg = small_config(variant="neural_mstar", invertibility_weight=0.5)
-    again = tr.config_from_dict(tr._config_to_dict(cfg))
+    again = mm.TrainConfig.from_dict(cfg.to_dict())
     assert again == cfg
