@@ -12,6 +12,14 @@ forms the training rollout's own products forward-only, so their numbers
 coincide with the tape loss on identical inputs. Each batch is fitted
 once; cross-sequence predictions pair one batch's operators with another
 batch's latents.
+
+Every section reads a model through its default estimator
+(``model.default_transition``: the neural head if it has one, else the
+first-order least-squares fit). A caller that already fitted a paired
+batch passes ``paired_fits`` to ``equivariance_error`` and the operators
+to ``spectrum_distances`` instead of fitting again; ``mspred eval`` does
+so with one paired batch whose first ``pair_count`` pairs score
+equivariance and whose first ``spectrum_pairs`` give the spectra.
 """
 
 from __future__ import annotations
@@ -60,25 +68,39 @@ class EquivarianceReport:
                 "ratio": self.ratio, "sample_count": self.sample_count}
 
 
-def equivariance_error(model, paired: PairedBatch, T_c: int, T_p: int) -> EquivarianceReport:
+def paired_fits(model, paired: PairedBatch, T_c: int) -> tuple[mm.TransitionFit,
+                                                                 mm.TransitionFit]:
+    """``fit_np`` of both sides of a paired batch, with the model's default
+    estimator (``model.default_transition``): one fit per side."""
+    return (mm.fit_np(model, paired.first.observations, T_c),
+            mm.fit_np(model, paired.second.observations, T_c))
+
+
+def equivariance_error(model, paired: PairedBatch, T_c: int, T_p: int, *,
+                       fits: tuple[mm.TransitionFit, mm.TransitionFit] | None = None,
+                       ) -> EquivarianceReport:
     """Score transitions fitted on one batch against its paired partner.
 
     ``lp`` predicts each partner sequence with its own fitted transition;
     ``lp_equiv`` predicts it with the transition fitted on the sequence
     that shares its hidden motion. Transitions come from the model's
-    neural head if it has one, else from the least-squares fit. The ratio
-    is None when the baseline is below the floating-point floor.
+    neural head if it has one, else from the least-squares fit: the
+    ``paired_fits`` of the batch, or ``fits`` when the caller already
+    made them. The ratio is None when the baseline is below the
+    floating-point floor.
     """
-    first, second = paired.first, paired.second
-    if first.num_sequences != second.num_sequences:
+    count = paired.second.num_sequences
+    if paired.first.num_sequences != count:
         raise ContractError("paired batches differ in length")
-    own = mm.fit_np(model, second.observations, T_c)
-    cross = replace(own, op=mm.fit_np(model, first.observations, T_c).op)
-    lp = _prediction_error(mm.predict_np(model, own, T_p), second.observations, T_c)
-    lp_equiv = _prediction_error(mm.predict_np(model, cross, T_p), second.observations, T_c)
+    first, own = fits if fits is not None else paired_fits(model, paired, T_c)
+    if first.last.shape[0] != count or own.last.shape[0] != count:
+        raise ContractError("fits and paired batch differ in length")
+    cross = replace(own, op=first.op)
+    targets = paired.second.observations
+    lp = _prediction_error(mm.predict_np(model, own, T_p), targets, T_c)
+    lp_equiv = _prediction_error(mm.predict_np(model, cross, T_p), targets, T_c)
     ratio = (lp_equiv / lp) if lp >= RATIO_FLOOR else None
-    return EquivarianceReport(lp=lp, lp_equiv=lp_equiv, ratio=ratio,
-                              sample_count=first.num_sequences)
+    return EquivarianceReport(lp=lp, lp_equiv=lp_equiv, ratio=ratio, sample_count=count)
 
 
 @dataclass
@@ -153,7 +175,7 @@ def homogeneity_check(model, probe: SequenceBatch, T_c: int = 2) -> HomogeneityR
     steps further along the same orbit with the same hidden velocity. A
     transition map constant on orbits gives all distances zero.
     """
-    mats = fitted_transitions(model, probe.observations, T_c)
+    mats = mm.fit_np(model, probe.observations, T_c).op
     base = mats[0]
     distances = [float(np.linalg.norm(base - mats[ell])) for ell in range(1, len(mats))]
     return HomogeneityReport(distances=distances,
@@ -186,7 +208,7 @@ def canonical_spectrum(mats) -> np.ndarray:
     return np.take_along_axis(eig, order, axis=-1)
 
 
-def _spectrum_distances(m1, m2) -> np.ndarray:
+def spectrum_distances(m1, m2) -> np.ndarray:
     """Sum of moduli of differences between canonically sorted spectra, one
     per matrix pair of two equally shaped stacks; one eigensolver call."""
     m1 = np.asarray(m1, dtype=np.float64)
@@ -199,14 +221,13 @@ def _spectrum_distances(m1, m2) -> np.ndarray:
 
 def spectrum_distance(m1, m2) -> float:
     """Sum of moduli of differences between canonically sorted spectra."""
-    return float(_spectrum_distances(m1, m2))
+    return float(spectrum_distances(m1, m2))
 
 
 def paired_spectrum_distances(model, paired: PairedBatch, T_c: int = 2) -> list[float]:
     """Spectrum distance between same-motion, different-orbit transitions."""
-    mats_a = fitted_transitions(model, paired.first.observations, T_c)
-    mats_b = fitted_transitions(model, paired.second.observations, T_c)
-    return _spectrum_distances(mats_a, mats_b).tolist()
+    first, second = paired_fits(model, paired, T_c)
+    return spectrum_distances(first.op, second.op).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,23 @@ The eval report is a JSON object with keys: kind ("eval_report"),
 config_hash, version, horizons {t_p: [...], lp: [...]},
 equivariance / homogeneity / spectrum / regression sub-reports (each with
 its own "kind"), and artifacts (paths of files this run wrote).
+
+Eval generates each of its batches once and fits each once per estimator;
+every section reads those fits:
+
+- the eval batch (eval_sequences sequences of T_c + horizons frames): the
+  horizon curve reads its fit with the model's own estimator
+  (``TrainConfig.transition`` and ``order``), the regression probe its fit
+  with the default one (``model.default_transition``, first order). That
+  is one fit whenever the two agree, which holds for every order-1 model
+  but ``fixed_blocks``;
+- the paired batch (max(pair_count, spectrum_pairs) pairs of T_c + T_p
+  frames), each side fitted once with the default estimator: equivariance
+  reads the first pair_count pairs, the spectrum distances the
+  transitions of the first spectrum_pairs, so the spectrum pairs are the
+  first spectrum_pairs of the equivariance pairs;
+- the orbit probe (probe_offsets + 1 sequences of T_c + 1 frames), fitted
+  once with the default estimator for homogeneity.
 """
 
 from __future__ import annotations
@@ -181,37 +198,42 @@ def cmd_eval(args) -> int:
     horizons = ev["horizons"]
     kind = _transition_kind(args, train_cfg)
     spec = dataset.spec
+    T_c = train_cfg.T_c
 
     eval_spec = datagen.with_length(
-        datagen.with_num_sequences(spec, ev["eval_sequences"]),
-        train_cfg.T_c + horizons)
+        datagen.with_num_sequences(spec, ev["eval_sequences"]), T_c + horizons)
     eval_batch = datagen.make_dataset(eval_spec, datagen.mix64(cfg.master_seed, _EVAL_SEED_LANE),
                                       cfg.mode)
-    lp_curve = mm.horizon_errors_np(params, eval_batch.observations, train_cfg.T_c,
-                                    horizons, order=train_cfg.order, transition=kind)
-    target_var = float(eval_batch.observations[:, train_cfg.T_c].var(axis=0).sum())
+    eval_obs = eval_batch.observations
+    curve_fit = mm.fit_np(params, eval_obs, T_c, order=train_cfg.order, transition=kind)
+    lp_curve = mm.horizon_errors_np(params, eval_obs, T_c, horizons, fit=curve_fit)
+    target_var = float(eval_obs[:, T_c].var(axis=0).sum())
+    # the regression reads the model's default estimator, which is the
+    # curve's unless the curve is a blockwise or second-order lstsq fit
+    shares_fit = (kind == mm.default_transition(params)
+                  and (kind != "lstsq" or train_cfg.order == 1))
+    reg_fit = curve_fit if shares_fit else mm.fit_np(params, eval_obs, T_c)
+    reg_scores = an.regress_transition_params(
+        reg_fit.op, an.velocity_targets(eval_batch), seed=cfg.master_seed)
 
+    # one paired batch: equivariance reads its first pair_count pairs, the
+    # spectrum distances the first spectrum_pairs
+    pair_count, spectrum_pairs = ev["pair_count"], ev["spectrum_pairs"]
     pair_spec = datagen.with_length(
-        datagen.with_num_sequences(spec, ev["pair_count"]), train_cfg.T_c + train_cfg.T_p)
+        datagen.with_num_sequences(spec, max(pair_count, spectrum_pairs)), T_c + train_cfg.T_p)
     paired = datagen.make_paired(pair_spec, datagen.mix64(cfg.master_seed, _PAIR_SEED_LANE),
                                  cfg.mode)
-    equi = an.equivariance_error(params, paired, train_cfg.T_c, train_cfg.T_p)
+    first_fit, second_fit = an.paired_fits(params, paired, T_c)
+    equi = an.equivariance_error(params, paired.head(pair_count), T_c, train_cfg.T_p,
+                                 fits=(first_fit.head(pair_count), second_fit.head(pair_count)))
+    spec_dists = an.spectrum_distances(first_fit.op[:spectrum_pairs],
+                                       second_fit.op[:spectrum_pairs]).tolist()
 
-    probe_spec = datagen.with_length(datagen.with_num_sequences(spec, 1), train_cfg.T_c + 1)
+    probe_spec = datagen.with_length(datagen.with_num_sequences(spec, 1), T_c + 1)
     probe = datagen.make_orbit_probe(probe_spec,
                                      datagen.mix64(cfg.master_seed, _PROBE_SEED_LANE),
                                      ev["probe_offsets"])
-    homo = an.homogeneity_check(params, probe, T_c=train_cfg.T_c)
-
-    spec_pairs_spec = datagen.with_length(
-        datagen.with_num_sequences(spec, ev["spectrum_pairs"]), train_cfg.T_c + 1)
-    spec_paired = datagen.make_paired(
-        spec_pairs_spec, datagen.mix64(cfg.master_seed, _PAIR_SEED_LANE), cfg.mode)
-    spec_dists = an.paired_spectrum_distances(params, spec_paired, T_c=train_cfg.T_c)
-
-    reg_mats = an.fitted_transitions(params, eval_batch.observations, train_cfg.T_c)
-    reg_scores = an.regress_transition_params(
-        reg_mats, an.velocity_targets(eval_batch), seed=cfg.master_seed)
+    homo = an.homogeneity_check(params, probe, T_c=T_c)
     factor_names = ([f"cos_v{j}" for j in range(spec.k)]
                     + [f"sin_v{j}" for j in range(spec.k)])
 

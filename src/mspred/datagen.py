@@ -35,13 +35,14 @@ another order and moves last bits).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import container
-from .errors import DictForm, FormatError, ValidationError, require_int
+from .errors import ContractError, DictForm, FormatError, ValidationError, require_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,6 +220,8 @@ class MixingMap:
         pw3 = proj @ self.w3
         self._demix_proj = proj
         self._demix_solve = np.linalg.solve(pw3.T @ pw3, pw3.T)
+        for weights in (self.w1, self.w2, self.w3, self._demix_proj, self._demix_solve):
+            weights.flags.writeable = False
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """Mix latent rows (..., 2k) into observation rows (..., n)."""
@@ -235,6 +238,20 @@ class MixingMap:
         """
         x = np.asarray(x, dtype=np.float64)
         return (x @ self._demix_proj.T) @ self._demix_solve.T
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_mixing_map(k: int, obs_dim: int, mixing_seed: int) -> MixingMap:
+    return MixingMap(GeneratorSpec(k=k, obs_dim=obs_dim, T=1, num_sequences=1,
+                                   mixing_seed=mixing_seed))
+
+
+def mixing_map(spec: GeneratorSpec) -> MixingMap:
+    """The spec's mixing map, built once per (k, obs_dim, mixing_seed) per process.
+
+    Its weights are read-only, so every caller may share it.
+    """
+    return _shared_mixing_map(spec.k, spec.obs_dim, spec.mixing_seed)
 
 
 @dataclass
@@ -264,6 +281,17 @@ class SequenceBatch:
         """Per-factor angle increment from frame t to t+1: v + alpha * t."""
         return self.velocity + self.acceleration * t
 
+    def head(self, count: int) -> "SequenceBatch":
+        """The first ``count`` sequences, as views. Every sequence draws from
+        its own streams, so they equal a batch of ``count`` sequences
+        generated from the same spec and seed."""
+        if not 1 <= count <= self.num_sequences:
+            raise ContractError(f"head of {count} from {self.num_sequences} sequences")
+        return replace(self, observations=self.observations[:count],
+                       theta0=self.theta0[:count], velocity=self.velocity[:count],
+                       acceleration=self.acceleration[:count],
+                       spec=replace(self.spec, num_sequences=count))
+
 
 @dataclass
 class PairedBatch:
@@ -271,6 +299,10 @@ class PairedBatch:
 
     first: SequenceBatch
     second: SequenceBatch
+
+    def head(self, count: int) -> "PairedBatch":
+        """The first ``count`` pairs, as views."""
+        return PairedBatch(self.first.head(count), self.second.head(count))
 
 
 def _stream_seeds(master_seed: int, count: int, lane: int) -> np.ndarray:
@@ -394,7 +426,7 @@ def _starts(spec: GeneratorSpec, master_seed: int, lane: int):
 
 def _observe(spec: GeneratorSpec, theta0, v, alpha, z0) -> np.ndarray:
     """Batched pass: obs[i, t] = mix(rotation(theta_t[i]) @ z0[i]), chunked."""
-    mixing = MixingMap(spec)
+    mixing = mixing_map(spec)
     t = np.arange(spec.T, dtype=np.float64)[:, None]
     drift = t * (t - 1) / 2.0
     obs = np.empty((len(theta0), spec.T, spec.obs_dim))

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .autodiff import cholesky_lower  # noqa: F401  re-exported: the benchmark tracer wraps it here
-from .datagen import MixingMap, mix64
+from .datagen import mix64, mixing_map
 from .errors import (ContractError, DictForm, DimensionError, NumericError,
                      SingularityError, ValidationError)
 
@@ -622,34 +622,38 @@ def variant_loss(tape_model: TapeModel, obs, cfg: TrainConfig) -> Var:
 ROW_BLOCK = 512
 
 
-def _mlp_rows(layers, h):
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        h = h @ w + b
-        if i < last:
-            h = np.tanh(h)
-    return h
-
-
 def _mlp_np(layers, x):
     """Forward pass of a tanh MLP over the rows of ``x``.
 
+    Every layer forms ``h @ w + b`` (then ``tanh`` unless it is the last)
+    as ``matmul`` into a buffer, an in-place bias add and an in-place
+    ``tanh``: the same arithmetic bit for bit, with one buffer per hidden
+    layer allocated per call, and the last layer written straight into
+    the returned array, so no result of a call is ever reused by another.
+
     An input of more than ``ROW_BLOCK`` rows runs in ceil(R / ROW_BLOCK)
-    near-equal row blocks written into one preallocated output, so every
-    layer's temporaries stay cache-sized instead of R rows wide. Blocks are
+    near-equal row blocks through the same buffers, so every layer's
+    temporaries stay cache-sized instead of R rows wide. Blocks are
     near-equal, not ``ROW_BLOCK`` rows and a remainder, because a remainder
     of one row would go through gemv, which rounds differently from gemm;
     every block has more than ROW_BLOCK / 2 rows, so the result equals one
     unblocked pass bit for bit.
     """
     rows = x.shape[0]
-    count = -(-rows // ROW_BLOCK)
-    if count <= 1:
-        return _mlp_rows(layers, x)
-    out = np.empty((rows, layers[-1][0].shape[1]))
+    count = max(1, -(-rows // ROW_BLOCK))
     bounds = [rows * i // count for i in range(count + 1)]
+    block = -(-rows // count)
+    *hidden, (w_out, b_out) = layers
+    bufs = [np.empty((block, w.shape[1])) for w, _ in hidden]
+    out = np.empty((rows, w_out.shape[1]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[lo:hi] = _mlp_rows(layers, x[lo:hi])
+        h = x[lo:hi]
+        for (w, b), buf in zip(hidden, bufs):
+            h = np.matmul(h, w, out=buf[: hi - lo])
+            h += b
+            np.tanh(h, out=h)
+        np.matmul(h, w_out, out=out[lo:hi])
+        out[lo:hi] += b_out
     return out
 
 
@@ -687,6 +691,17 @@ class TransitionFit:
     op: np.ndarray
     vel: np.ndarray | None = None
 
+    def head(self, count: int) -> "TransitionFit":
+        """The fits of the first ``count`` sequences, as views."""
+        return TransitionFit(last=self.last[:count], op=self.op[:count],
+                             vel=None if self.vel is None else self.vel[:count])
+
+
+def default_transition(model) -> str:
+    """The estimator that reads a model when none is named: its neural
+    head if it has one, else the first-order "lstsq" fit."""
+    return "neural" if getattr(model, "mstar", None) is not None else "lstsq"
+
 
 def fit_np(model, obs, T_c: int, *, order: int = 1,
            transition: str | None = None) -> TransitionFit:
@@ -701,7 +716,7 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
     but the last one, where a rollout starts, so it encodes only frame T_c.
     """
     if transition is None:
-        transition = "neural" if getattr(model, "mstar", None) is not None else "lstsq"
+        transition = default_transition(model)
     obs = _as_batch(obs)
     n_seq, _, n_dim = obs.shape
     a, m = model.a, model.m
@@ -744,9 +759,11 @@ def _predicted_groups(model, fit: TransitionFit, steps: int):
             raise DimensionError(f"{name} {op.shape} does not fit latent {fit.last.shape}")
     count = -(-steps // max(1, ROW_BLOCK // n_seq))
     bounds = [steps * i // count for i in range(count + 1)]
+    # one latent buffer for the largest group; the decode writes fresh frames
+    scratch = np.empty(n_seq * -(-steps // count) * a * m)
     cur, step_op = fit.last, fit.vel
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows = np.empty((n_seq, hi - lo, a * m))
+        rows = scratch[: n_seq * (hi - lo) * a * m].reshape(n_seq, hi - lo, a * m)
         for j in range(hi - lo):
             if step_op is None:
                 cur = ad._finite(fit.op @ cur, "matmul")
@@ -781,20 +798,27 @@ def batch_transitions_np(model, obs, T_c: int, *, order: int = 1,
     return fit.op if fit.vel is None else fit.vel
 
 
-def horizon_errors_np(model, obs, T_c: int, horizons: int, *,
-                      order: int = 1, transition: str | None = None) -> np.ndarray:
+def horizon_errors_np(model, obs, T_c: int, horizons: int, *, order: int = 1,
+                      transition: str | None = None,
+                      fit: TransitionFit | None = None) -> np.ndarray:
     """Mean squared frame error at each prediction horizon 1..horizons.
 
-    Fits the per-sequence transition on the first T_c frames, then rolls
-    the latent forward, decodes and scores one group of horizons at a
-    time (see ``_predicted_groups``), so memory stays at one group's
-    decode however many horizons are asked for. Returns ||error||_2^2
-    averaged over sequences per horizon.
+    Fits the per-sequence transition on the first T_c frames, or takes
+    ``fit``, this batch's ``fit_np`` already made by the caller (then
+    ``order`` and ``transition`` are unused). It then rolls the latent
+    forward, decodes and scores one group of horizons at a time (see
+    ``_predicted_groups``), so memory stays at one group's decode however
+    many horizons are asked for. Returns ||error||_2^2 averaged over
+    sequences per horizon.
     """
     obs = _as_batch(obs)
     if obs.shape[1] < T_c + horizons:
         raise DimensionError(f"need T >= {T_c + horizons}, got {obs.shape[1]}")
-    fit = fit_np(model, obs, T_c, order=order, transition=transition)
+    if fit is None:
+        fit = fit_np(model, obs, T_c, order=order, transition=transition)
+    elif fit.last.shape[0] != obs.shape[0]:
+        raise DimensionError(f"fit of {fit.last.shape[0]} sequences for a batch of "
+                             f"{obs.shape[0]}")
     err = [((frames - obs[:, T_c + lo : T_c + hi]) ** 2).sum(axis=2)
            for lo, hi, frames in _predicted_groups(model, fit, horizons)]
     return np.concatenate(err, axis=1).mean(axis=0)
@@ -818,7 +842,7 @@ class OracleModel:
 
     def __init__(self, spec, m: int | None = None):
         self.spec = spec
-        self.mixing = MixingMap(spec)
+        self.mixing = mixing_map(spec)
         self.a = spec.latent_dim
         self.m = m if m is not None else self.a + 2
         k = spec.k

@@ -22,7 +22,7 @@ from . import container
 from . import model as mm
 from .datagen import SequenceBatch, mix64
 from .errors import (ContractError, FormatError, NumericError, SingularityError,
-                     TrainingAbort, ValidationError)
+                     TrainingAbort, ValidationError, require_int)
 
 CHECKPOINT_MAGIC = b"MSPCKP01"
 
@@ -292,7 +292,8 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
     try:
         meta = manifest["model"]
         layer_counts = meta["layers"]
-        a, m, obs_dim, t_c = (int(meta[key]) for key in ("a", "m", "obs_dim", "T_c"))
+        a, m, obs_dim, t_c = (require_int(meta[key], f"model.{key}")
+                              for key in ("a", "m", "obs_dim", "T_c"))
         enc = collect("enc", layer_counts["enc"], obs_dim, a * m)
         dec = collect("dec", layer_counts["dec"], a * m, obs_dim)
         mstar = (collect("mstar", layer_counts["mstar"], t_c * obs_dim, a * a)
@@ -300,6 +301,8 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
         params = mm.ModelParams(a=a, m=m, obs_dim=obs_dim, T_c=t_c, enc=enc, dec=dec,
                                 mstar=mstar)
         stored = manifest["config"]
+    except ValidationError as exc:
+        raise FormatError(f"checkpoint manifest {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint manifest is malformed: {exc!r}") from exc
     if used != set(tensors):

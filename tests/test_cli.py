@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mspred import cli, config as cfgmod, datagen, model as mm, training as tr
+from mspred import analysis as an, cli, config as cfgmod, datagen, model as mm, training as tr
 from mspred.errors import ValidationError
 
 
@@ -385,3 +385,117 @@ def test_variant_and_seed_overrides(tmp_path):
     _, cfg = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
     assert cfg.variant == "rec_model"
     assert cfg.iterations == 4
+
+
+def separate_sections_report(path):
+    """The eval sections of a trained run, each generated and fitted on its
+    own: the curve, the regression's separate fit, a pair batch for
+    equivariance and another for the spectra, each side fitted again."""
+    cfg = cfgmod.load(path)
+    params, train_cfg = tr.load_checkpoint(cfg.out_dir + "/" + cli.CHECKPOINT_FILE)
+    train_cfg = train_cfg.resolved()
+    ev, spec, t_c, t_p = cfg.eval_spec, cfg.generator, train_cfg.T_c, train_cfg.T_p
+
+    def batch(count, length):
+        return datagen.with_length(datagen.with_num_sequences(spec, count), length)
+
+    eval_batch = datagen.make_dataset(batch(ev["eval_sequences"], t_c + ev["horizons"]),
+                                      datagen.mix64(cfg.master_seed, 1001), cfg.mode)
+    lp = mm.horizon_errors_np(params, eval_batch.observations, t_c, ev["horizons"],
+                              order=train_cfg.order, transition=train_cfg.transition)
+    regression = an.regress_transition_params(
+        an.fitted_transitions(params, eval_batch.observations, t_c),
+        an.velocity_targets(eval_batch), seed=cfg.master_seed)
+    paired = datagen.make_paired(batch(ev["pair_count"], t_c + t_p),
+                                 datagen.mix64(cfg.master_seed, 1002), cfg.mode)
+    spec_paired = datagen.make_paired(batch(ev["spectrum_pairs"], t_c + 1),
+                                      datagen.mix64(cfg.master_seed, 1002), cfg.mode)
+    probe = datagen.make_orbit_probe(batch(1, t_c + 1), datagen.mix64(cfg.master_seed, 1003),
+                                     ev["probe_offsets"])
+    return {
+        "target_variance": float(eval_batch.observations[:, t_c].var(axis=0).sum()),
+        "lp": [float(x) for x in lp],
+        "equivariance": an.equivariance_error(params, paired, t_c, t_p).to_dict(),
+        "homogeneity": an.homogeneity_check(params, probe, T_c=t_c).to_dict(),
+        "spectrum": an.paired_spectrum_distances(params, spec_paired, T_c=t_c),
+        "regression": regression,
+    }
+
+
+def assert_report_equals_separate_sections(path, report):
+    ref = separate_sections_report(path)
+    assert report["target_variance"] == ref["target_variance"]
+    assert report["horizons"]["lp"] == ref["lp"]
+    assert report["equivariance"] == ref["equivariance"]
+    assert report["homogeneity"] == ref["homogeneity"]
+    assert report["spectrum"]["distances"] == ref["spectrum"]
+    assert report["spectrum"]["mean"] == float(np.mean(ref["spectrum"]))
+    assert report["spectrum"]["max"] == float(np.max(ref["spectrum"]))
+    assert report["regression"]["one_minus_r2"] == ref["regression"]
+
+
+def eval_run(tmp_path, train_flags=(), **overrides):
+    path = write_config(tmp_path, **overrides)
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    assert cli.main(["train", "--config", str(path), *train_flags]) == 0
+    assert cli.main(["eval", "--config", str(path)]) == 0
+    return path, json.loads((tmp_path / "run" / cli.EVAL_REPORT_FILE).read_text())
+
+
+ACCELERATION = {"generator": {"T": 10, "mode": "acceleration", "accel_range": [-0.08, 0.08]},
+                "train": {"order": 2, "T_c": 5, "T_p": 5}}
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"eval": {"pair_count": 5, "spectrum_pairs": 9}},
+    {"train": {"variant": "neural_mstar", "mstar_hidden": [8]}},
+    {"train": {"variant": "fixed_blocks"}},
+    {"generator": {"T": 4}, "train": {"T_p": 2}},
+    ACCELERATION,
+], ids=["velocity-msp", "more-spectrum-pairs", "neural", "blockwise", "T_p-2",
+        "acceleration-order-2"])
+def test_eval_report_equals_each_section_made_on_its_own(tmp_path, overrides):
+    # sharing the eval-batch fit and one paired batch moves no bit of the report
+    path, report = eval_run(tmp_path, **overrides)
+    assert_report_equals_separate_sections(path, report)
+
+
+def test_eval_generates_and_fits_each_batch_once(tmp_path, monkeypatch):
+    # desk dimensions and eval sizes; the checkpoint is the initialization
+    path = write_config(tmp_path, generator={"k": 3, "obs_dim": 24, "num_sequences": 64},
+                        train={"a": 8, "m": 16, "enc_hidden": [128, 128],
+                               "dec_hidden": [128, 128]},
+                        eval={"horizons": 18, "eval_sequences": 512, "pair_count": 256,
+                              "probe_offsets": 5, "spectrum_pairs": 50})
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    assert cli.main(["train", "--config", str(path), "--iters", "0"]) == 0
+    fits, pairs, maps = [], [], []
+    fit_np, make_paired, mixing_init = mm.fit_np, datagen.make_paired, datagen.MixingMap.__init__
+
+    def counting_fit(model, obs, *args, **kwargs):
+        fits.append(obs)
+        return fit_np(model, obs, *args, **kwargs)
+
+    def counting_paired(*args, **kwargs):
+        pairs.append(make_paired(*args, **kwargs))
+        return pairs[-1]
+
+    def counting_init(self, *args, **kwargs):
+        maps.append(self)
+        mixing_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mm, "fit_np", counting_fit)
+    monkeypatch.setattr(datagen, "make_paired", counting_paired)
+    monkeypatch.setattr(datagen.MixingMap, "__init__", counting_init)
+    datagen._shared_mixing_map.cache_clear()
+    assert cli.main(["eval", "--config", str(path)]) == 0
+    assert len(pairs) == 1 and len(maps) == 1
+    eval_fits = [obs for obs in fits if obs.shape == (512, 20, 24)]
+    assert len(eval_fits) == 1
+    sides = [obs for obs in fits if obs.shape[0] == 256]
+    assert len(sides) == 2
+    assert sides[0] is pairs[0].first.observations
+    assert sides[1] is pairs[0].second.observations
+    # the remaining fit is the homogeneity probe's
+    assert len(fits) == 4

@@ -77,6 +77,34 @@ def test_mixing_determinism_and_zero():
     np.testing.assert_array_equal(m1.apply(np.zeros((1, 4))), np.zeros((1, 6)))
 
 
+def test_mixing_map_is_built_once_per_key_and_read_only():
+    spec = small_spec()
+    shared = datagen.mixing_map(spec)
+    # T, the sequence count and the ranges do not enter the map
+    assert datagen.mixing_map(small_spec(T=9, num_sequences=3)) is shared
+    assert datagen.mixing_map(small_spec(mixing_seed=6)) is not shared
+    fresh = MixingMap(spec)
+    for name in ("w1", "w2", "w3", "_demix_proj", "_demix_solve"):
+        weights = getattr(shared, name)
+        assert np.array_equal(weights, getattr(fresh, name))
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("mode", ["velocity", "acceleration"])
+def test_head_of_a_paired_batch_is_the_smaller_batch_bit_for_bit(mode):
+    # per-sequence streams: 300 pairs span two generation chunks, and their
+    # first 50 equal a 50-pair batch byte for byte
+    spec = small_spec(T=5, accel_range=(-0.1, 0.1) if mode == "acceleration" else (0.0, 0.0))
+    big = make_paired(datagen.with_num_sequences(spec, 300), 11, mode).head(50)
+    small = make_paired(datagen.with_num_sequences(spec, 50), 11, mode)
+    for side in ("first", "second"):
+        head, ref = getattr(big, side), getattr(small, side)
+        assert head.spec == ref.spec
+        for name in ("observations", "theta0", "velocity", "acceleration"):
+            assert getattr(head, name).tobytes() == getattr(ref, name).tobytes()
+
+
 def test_mixing_empirical_injectivity():
     spec = small_spec()
     mixing = MixingMap(spec)
@@ -371,6 +399,7 @@ def test_make_dataset_seeds_streams_without_default_rng(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
+    datagen._shared_mixing_map.cache_clear()   # a map built earlier would hide its draw
     make_dataset(_pin_spec("acceleration"), master_seed=23, mode="acceleration")
     assert len(calls) == 1
 

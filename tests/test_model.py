@@ -746,7 +746,8 @@ def unblocked_mlp(layers, x):
     return h
 
 
-@pytest.mark.parametrize("rows", [1, 2, mm.ROW_BLOCK - 1, mm.ROW_BLOCK, mm.ROW_BLOCK + 1,
+@pytest.mark.parametrize("rows", [1, 2, mm.ROW_BLOCK // 2 - 1, mm.ROW_BLOCK // 2,
+                                  mm.ROW_BLOCK - 1, mm.ROW_BLOCK, mm.ROW_BLOCK + 1,
                                   2 * mm.ROW_BLOCK + 1, 9216])
 def test_row_blocked_forward_equals_one_pass_bitwise(rows):
     params = desk_model("neural_mstar")
@@ -761,6 +762,31 @@ def test_row_blocked_forward_equals_one_pass_bitwise(rows):
                           unblocked_mlp(params.enc, cond[:, params.obs_dim:]))
     assert np.array_equal(mm.transition_rows_np(params, cond),
                           unblocked_mlp(params.mstar, cond))
+
+
+@pytest.mark.parametrize("rows", [3, 2 * mm.ROW_BLOCK + 1])
+def test_forward_results_are_never_overwritten_by_a_later_call(rows):
+    params = desk_model("neural_mstar")
+    rng = np.random.default_rng(rows)
+    for forward, width in ((mm.encode_rows_np, params.obs_dim),
+                           (mm.decode_rows_np, params.a * params.m),
+                           (mm.transition_rows_np, params.T_c * params.obs_dim)):
+        first = forward(params, rng.normal(size=(rows, width)))
+        kept = first.copy()
+        forward(params, rng.normal(size=(rows, width)))
+        assert np.array_equal(first, kept)
+
+
+def test_streamed_curve_groups_are_never_overwritten_by_later_groups():
+    params, obs = curve_case(512, 18, "lstsq", 1, 3)
+    fit = mm.fit_np(params, obs, 3)
+    groups = mm._predicted_groups(params, fit, 18)
+    _, _, first = next(groups)
+    kept = first.copy()
+    later = [frames for _, _, frames in groups]
+    assert len(later) == 17
+    assert np.array_equal(first, kept)
+    assert not any(np.shares_memory(first, frames) for frames in later)
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -443,6 +443,22 @@ def test_checkpoint_rejects_mstar_widths_off_manifest(tmp_path, edit):
         tr.load_checkpoint(_tampered_manifest(tmp_path, cfg, edit))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a", 2.5), ("m", 3.5), ("obs_dim", 4.5), ("T_c", 2.9),
+    ("a", "2"), ("m", "3"), ("obs_dim", "4"), ("T_c", "2"), ("T_c", True),
+])
+def test_checkpoint_model_block_reads_exact_integers(tmp_path, field, value):
+    # int() would read 2.5 as 2, "2" as 2 and true as 1, so a manifest that
+    # does not describe its tensors would load; without a stored config
+    # nothing else compares T_c with the model
+    def edit(manifest):
+        manifest["model"][field] = value
+        manifest["config"] = None
+
+    with pytest.raises(FormatError, match=rf"model\.{field}"):
+        tr.load_checkpoint(_tampered_manifest(tmp_path, small_config(), edit))
+
+
 def test_metrics_jsonl_format(tmp_path):
     records = [
         tr.MetricsRecord(iter=2, loss=0.5, loss_eval=None, ortho_defect=1.25, wall_ms=10.0),
