@@ -140,13 +140,18 @@ def transition_swap(model, seq_a, seq_b, T_c: int, T_p: int) -> SwapResult:
                       err_self_a=err[2], err_self_b=err[3])
 
 
-def orthogonality_defect(mat) -> float:
-    """||I - M M^T||_F^2; zero exactly when M is orthogonal."""
+def orthogonality_defect(mat) -> float | np.ndarray:
+    """||I - M M^T||_F^2; zero exactly when M is orthogonal.
+
+    A square matrix gives a float; a (..., n, n) stack gives the array of
+    its per-matrix defects, each equal bit for bit to the 2-D call.
+    """
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"orthogonality defect needs a square matrix, got {mat.shape}")
-    eye = np.eye(mat.shape[0])
-    return float(((eye - mat @ mat.T) ** 2).sum())
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise DimensionError(f"orthogonality defect needs square matrices, got {mat.shape}")
+    eye = np.eye(mat.shape[-1])
+    defects = ((eye - mat @ mat.swapaxes(-1, -2)) ** 2).sum(axis=(-2, -1))
+    return float(defects) if mat.ndim == 2 else defects
 
 
 @dataclass

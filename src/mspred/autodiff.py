@@ -169,6 +169,18 @@ def _mT(x: Array) -> Array:
     return x.swapaxes(-1, -2)
 
 
+def _mT_copy(x: Array) -> Array:
+    """``_mT`` as a C-contiguous copy, for the right operand of a stacked product.
+
+    numpy runs a stacked (N, r, c) product more slowly when its right
+    operand is a swapped-axes view, or when both operands view one array
+    (a Gram product), than on a contiguous copy, copy included, and gives
+    the same bits. A transposed left operand is as fast as a view, so a
+    copy there would only add its own cost.
+    """
+    return np.ascontiguousarray(x.swapaxes(-1, -2))
+
+
 def _finite(out: Array, op: str) -> Array:
     if not np.isfinite(out).all():
         raise NumericError(f"{op} produced a non-finite value")
@@ -187,7 +199,8 @@ def matmul(a: Var, b: Var) -> Var:
     out = _finite(av @ bv, "matmul")
 
     def vjp(g):
-        return g @ _mT(bv), _mT(av) @ g
+        # a 2-D product hands the transposed view to BLAS as it is
+        return g @ (_mT(bv) if bv.ndim == 2 else _mT_copy(bv)), _mT(av) @ g
 
     return tape._push(out, (a.index, b.index), vjp)
 
@@ -446,9 +459,9 @@ def lstsq_right(h0: Var, h1: Var) -> Var:
         raise DimensionError(f"lstsq_right needs cols >= rows, got {h0.shape}")
     tape = _same_tape(h0, h1)
     x0, x1 = h0.value, h1.value
-    x0t = _mT(x0)
+    x0t = _mT_copy(x0)
     linv = np.linalg.inv(cholesky_lower(x0 @ x0t))
-    ginv = _mT(linv) @ linv  # G^{-1} = L^{-T} L^{-1}
+    ginv = _mT_copy(linv) @ linv  # G^{-1} = L^{-T} L^{-1}
     out = _finite((x1 @ x0t) @ ginv, "lstsq_right")
 
     def vjp(g):

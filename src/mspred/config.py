@@ -156,7 +156,14 @@ def load(path) -> ExperimentConfig:
 
 def with_overrides(cfg: ExperimentConfig, *, seed=None, out_dir=None, variant=None,
                    order=None, horizons=None, iters=None) -> ExperimentConfig:
-    """Re-derive a config (and its hash) with CLI flag overrides applied."""
+    """Re-derive a config (and its hash) with CLI flag overrides applied.
+
+    With every override None this is ``cfg`` itself. A new ``order``
+    re-resolves ``T_c``/``T_p`` to that order's defaults; the order the
+    config already has keeps them.
+    """
+    if all(v is None for v in (seed, out_dir, variant, order, horizons, iters)):
+        return cfg
     doc = json.loads(json.dumps(cfg.canonical))
     if seed is not None:
         doc["master_seed"] = int(seed)
@@ -164,9 +171,8 @@ def with_overrides(cfg: ExperimentConfig, *, seed=None, out_dir=None, variant=No
         doc["out_dir"] = str(out_dir)
     if variant is not None:
         doc["train"]["variant"] = variant
-    if order is not None:
+    if order is not None and int(order) != doc["train"]["order"]:
         doc["train"]["order"] = int(order)
-        # order-dependent windows re-resolve from scratch
         doc["train"]["T_c"] = None
         doc["train"]["T_p"] = None
     if horizons is not None:

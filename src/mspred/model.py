@@ -226,7 +226,9 @@ class TapeModel:
 
     Construct a fresh instance per loss evaluation; ``leaf_vars`` maps
     parameter names to their tape handles so the trainer can read
-    gradients after backward(). One scan of ``params.flat`` checks every
+    gradients after backward(), and ``variant_loss`` sets ``estimate`` to
+    the ``TransitionEstimate`` its objective built, so the trainer can
+    read the step's own transitions. One scan of ``params.flat`` checks every
     parameter is finite; each leaf is then a read-only view of it with
     no copy, so leaves alias the parameters until the next update writes
     them in place: read the tape's values and gradients before updating.
@@ -245,6 +247,7 @@ class TapeModel:
         self.a = params.a
         self.m = params.m
         self.leaf_vars: dict[str, Var] = {}
+        self.estimate: TransitionEstimate | None = None
         self._enc = self._enter("enc", params.enc)
         self._dec = self._enter("dec", params.dec)
         self._mstar = self._enter("mstar", params.mstar) if params.mstar else None
@@ -533,10 +536,11 @@ def _mean_frame_error(tape_model, rows: Var, targets: Var) -> Var:
 
 
 def _prediction_loss(tape_model, obs, T_c: int, T_p: int, order: int,
-                     transition: str) -> tuple[Var, Var, Var]:
-    """``loss_pred``, also returning the conditioning rows it entered and
+                     transition: str) -> tuple[Var, Var, Var, TransitionEstimate]:
+    """``loss_pred``, also returning the conditioning rows it entered,
     their encodings (see ``_encode_frames``), so that another term of the
-    objective can reuse the one encoder pass."""
+    objective can reuse the one encoder pass, and the transition estimate
+    it rolled out."""
     obs = _as_batch(obs)
     n_seq, t_len, n_dim = obs.shape
     if t_len < T_c + T_p:
@@ -550,7 +554,8 @@ def _prediction_loss(tape_model, obs, T_c: int, T_p: int, order: int,
         head = ad.reshape(tape_model.transition_rows(cond), n_seq, a, a)
     est = estimate(lat, order=order, transition=transition, head=head)
     targets = tape.input(obs[:, T_c : T_c + T_p].reshape(n_seq * T_p, n_dim))
-    return _mean_frame_error(tape_model, _rollout_rows(est, lat[-1], T_p), targets), rows, enc
+    loss = _mean_frame_error(tape_model, _rollout_rows(est, lat[-1], T_p), targets)
+    return loss, rows, enc, est
 
 
 def loss_pred(tape_model: TapeModel, obs, T_c: int, T_p: int, *,
@@ -566,13 +571,8 @@ def loss_pred(tape_model: TapeModel, obs, T_c: int, T_p: int, *,
     return _prediction_loss(tape_model, obs, T_c, T_p, order, transition)[0]
 
 
-def loss_rec(tape_model: TapeModel, obs, T_c: int) -> Var:
-    """Reconstruction loss: fit on all T_c frames, re-predict frames 2..T_c.
-
-    The transition is estimated from the full conditional sequence and
-    then asked to reproduce the frames it was fitted on, starting from
-    the first latent. No unseen frames are involved.
-    """
+def _reconstruction_loss(tape_model, obs, T_c: int) -> tuple[Var, TransitionEstimate]:
+    """``loss_rec``, also returning the transition estimate it rolled out."""
     obs = _as_batch(obs)
     n_seq, t_len, n_dim = obs.shape
     if t_len < T_c:
@@ -580,7 +580,17 @@ def loss_rec(tape_model: TapeModel, obs, T_c: int) -> Var:
     lat = _frames(_encode_frames(tape_model, obs, T_c)[1], n_seq, tape_model.a, tape_model.m)
     est = estimate_transition(lat)
     targets = tape_model.tape.input(obs[:, 1:T_c].reshape(n_seq * (T_c - 1), n_dim))
-    return _mean_frame_error(tape_model, _rollout_rows(est, lat[0], T_c - 1), targets)
+    return _mean_frame_error(tape_model, _rollout_rows(est, lat[0], T_c - 1), targets), est
+
+
+def loss_rec(tape_model: TapeModel, obs, T_c: int) -> Var:
+    """Reconstruction loss: fit on all T_c frames, re-predict frames 2..T_c.
+
+    The transition is estimated from the full conditional sequence and
+    then asked to reproduce the frames it was fitted on, starting from
+    the first latent. No unseen frames are involved.
+    """
+    return _reconstruction_loss(tape_model, obs, T_c)[0]
 
 
 def invertibility_loss(tape_model: TapeModel, obs, T_c: int) -> Var:
@@ -601,14 +611,19 @@ def variant_loss(tape_model: TapeModel, obs, cfg: TrainConfig) -> Var:
     one encoder pass over the conditioning frames: the same forward
     value as two separate passes, and one summed gradient into the
     encoder.
+
+    The objective's ``TransitionEstimate`` is recorded as
+    ``tape_model.estimate``: for ``rec_model`` the first-order fit on its
+    max(T_c, 3) frames, otherwise the estimate of ``loss_pred``.
     """
     cfg = cfg.resolved()
     if cfg.variant not in VARIANTS:
         raise ContractError(f"unknown variant {cfg.variant!r}")
     if cfg.variant == "rec_model":
-        return loss_rec(tape_model, obs, max(cfg.T_c, 3))
-    pred, rows, enc = _prediction_loss(tape_model, obs, cfg.T_c, cfg.T_p, cfg.order,
-                                       cfg.transition)
+        loss, tape_model.estimate = _reconstruction_loss(tape_model, obs, max(cfg.T_c, 3))
+        return loss
+    pred, rows, enc, tape_model.estimate = _prediction_loss(
+        tape_model, obs, cfg.T_c, cfg.T_p, cfg.order, cfg.transition)
     if cfg.variant != "neural_mstar" or cfg.invertibility_weight == 0.0:
         return pred
     inv = _mean_frame_error(tape_model, enc, rows)

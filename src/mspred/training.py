@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis
 from . import autodiff as ad
 from . import container
 from . import model as mm
@@ -31,9 +32,13 @@ CHECKPOINT_MAGIC = b"MSPCKP01"
 class MetricsRecord:
     """One row of the training log.
 
-    ``loss_eval`` is the held-out prediction error (None without a
-    holdout); ``ortho_defect`` is ||I - M M^T||_F^2 of the minibatch-mean
-    transition; ``wall_ms`` is wallclock since training started.
+    ``loss`` and ``ortho_defect`` describe the same forward pass: the
+    step's objective on its minibatch, with the parameters before the
+    step's update. ``ortho_defect`` is the minibatch mean of the
+    per-sequence defect ||I - M M^T||_F^2 of the transitions that
+    objective fitted (see ``_ortho_defect_of_batch``). ``loss_eval`` is the
+    held-out prediction error, read after the update (None without a
+    holdout); ``wall_ms`` is wallclock since training started.
     """
 
     iter: int
@@ -132,20 +137,18 @@ def lr_at(cfg: mm.TrainConfig, iteration: int) -> float:
     return cfg.lr if iteration < cfg.decay_at else cfg.lr_final
 
 
-def _ortho_defect_of_batch(params, obs, cfg):
+def _ortho_defect_of_batch(est: mm.TransitionEstimate) -> float:
     """Minibatch mean of the per-sequence defect ||I - M M^T||_F^2.
 
-    M is the variant's own transition (``cfg.transition``); for
-    second-order runs it is the final velocity operator. Averaging the
-    defects, not the operators, is what trends toward zero as transitions
-    become rotations; the mean operator of distinct rotations is
-    contractive and its defect has a velocity-distribution-dependent floor.
+    M is the transition the step's objective fitted (``est``, recorded by
+    ``variant_loss``); for second-order runs it is the final velocity
+    operator. Averaging the defects, not the operators, is what trends
+    toward zero as transitions become rotations; the mean operator of
+    distinct rotations is contractive and its defect has a
+    velocity-distribution-dependent floor.
     """
-    mats = mm.batch_transitions_np(params, obs, cfg.T_c, order=cfg.order,
-                                   transition=cfg.transition)
-    eye = np.eye(mats.shape[1])
-    defects = ((eye[None] - np.einsum("nij,nkj->nik", mats, mats)) ** 2).sum(axis=(1, 2))
-    return float(defects.mean())
+    mats = est.m_star if est.m_last is None else est.m_last
+    return float(analysis.orthogonality_defect(mats.value).mean())
 
 
 def _holdout_lp(params, obs, cfg):
@@ -164,7 +167,7 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
     Raises:
         TrainingAbort: on a non-finite loss or gradient, or a rank
             collapse (``SingularityError``) in the transition solve of a
-            step or of its logged held-out and orthogonality fits;
+            step or of its logged held-out fit;
             carries the parameters as they stood at the failure (never
             half updated: ``adam_step`` is all or nothing) and the
             metrics so far.
@@ -217,7 +220,7 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
                     loss=loss_val,
                     loss_eval=(_holdout_lp(params, eval_obs, cfg)
                                if eval_obs is not None else None),
-                    ortho_defect=_ortho_defect_of_batch(params, batch, cfg),
+                    ortho_defect=_ortho_defect_of_batch(bound.estimate),
                     wall_ms=(time.perf_counter() - started) * 1000.0,
                 ))
         except (NumericError, SingularityError) as exc:

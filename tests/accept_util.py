@@ -2,7 +2,8 @@
 
 Desk-scale training runs are pure functions of their configs, so trained
 checkpoints are cached on disk keyed by the canonical config hash; delete
-tests/.cache to force retraining.
+tests/.cache to force retraining. ``prune_stale`` removes the checkpoints
+no current key can name, such as those of an older ``NUMERICS_VERSION``.
 """
 
 import os
@@ -12,6 +13,7 @@ import numpy as np
 
 from mspred import config as cfgmod
 from mspred import datagen, model as mm, training as tr
+from mspred.errors import FormatError
 
 CACHE_DIR = pathlib.Path(__file__).parent / ".cache"
 
@@ -58,6 +60,26 @@ def _cache_key(cfg: mm.TrainConfig, dataset_tag: str) -> str:
     }
     exp = cfgmod.from_dict(doc)
     return f"{dataset_tag}-{exp.config_hash[:16]}"
+
+
+def prune_stale(cache_dir=CACHE_DIR) -> list[str]:
+    """Delete every cached checkpoint that fails to load, stores no config,
+    or whose stored config no longer keys to its file name; return their names.
+
+    A file is named ``{dataset_tag}-{key}.mspckp`` by ``train_cached``, so
+    its key is recomputed from the tag in its name and its stored config.
+    """
+    removed = []
+    for path in sorted(pathlib.Path(cache_dir).glob("*.mspckp")):
+        tag = path.stem.rpartition("-")[0]
+        try:
+            _, cfg = tr.load_checkpoint(path)
+        except FormatError:
+            cfg = None
+        if cfg is None or _cache_key(cfg, tag) != path.stem:
+            path.unlink()
+            removed.append(path.name)
+    return removed
 
 
 def train_cached(cfg: mm.TrainConfig, dataset, dataset_tag: str) -> mm.ModelParams:

@@ -18,7 +18,8 @@ from mspred import cli
 from mspred import datagen, model as mm, sbd, training as tr
 from mspred.errors import FormatError
 
-from accept_util import DESK, criterion, desk_config, desk_dataset, offblock_mass, train_cached
+from accept_util import (DESK, criterion, desk_config, desk_dataset, offblock_mass, prune_stale,
+                         train_cached)
 from oracles import central_diff, connected_components, lstsq_transition, rel_err
 from test_autodiff import GRAD_CASES
 
@@ -26,6 +27,11 @@ from test_autodiff import GRAD_CASES
 def rot2(theta):
     return np.array([[math.cos(theta), -math.sin(theta)],
                      [math.sin(theta), math.cos(theta)]])
+
+
+@pytest.fixture(scope="session", autouse=True)
+def stale_checkpoints_pruned():
+    return prune_stale()
 
 
 @pytest.fixture(scope="module")

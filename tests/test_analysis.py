@@ -99,6 +99,19 @@ def test_orthogonality_defect_examples():
     assert an.orthogonality_defect(2 * np.eye(2)) == 18.0
     with pytest.raises(DimensionError):
         an.orthogonality_defect(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        an.orthogonality_defect(np.ones((4, 2, 3)))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2), (32, 8, 8), (3, 5, 4, 4)])
+def test_orthogonality_defect_of_a_stack_is_per_matrix_bitwise(shape):
+    mats = np.random.default_rng(5).normal(size=shape)
+    defects = an.orthogonality_defect(mats)
+    assert isinstance(defects, np.ndarray) and defects.shape == shape[:-2]
+    flat = mats.reshape(-1, *shape[-2:])
+    want = [an.orthogonality_defect(m) for m in flat]
+    assert all(isinstance(x, float) for x in want)
+    assert defects.ravel().tolist() == want
 
 
 def test_homogeneity_oracle_is_exact_and_random_is_not():

@@ -85,6 +85,23 @@ def test_config_defaults_and_hash(tmp_path):
     assert bare.train == mm.TrainConfig().resolved()
 
 
+def test_order_override_keeps_windows_of_the_same_order(tmp_path):
+    path = write_config(tmp_path, generator={"T": 10, "mode": "acceleration",
+                                             "accel_range": [-0.08, 0.08]},
+                        train={"order": 2, "T_c": 4, "T_p": 2})
+    cfg = cfgmod.load(path)
+    # no override: the same config object, so the same hash
+    assert cfgmod.with_overrides(cfg) is cfg
+    assert cfgmod.with_overrides(cfg, order=None, seed=None).config_hash == cfg.config_hash
+    assert cfgmod.with_overrides(cfg, order=2).config_hash == cfg.config_hash
+    first = cfgmod.with_overrides(cfg, order=1).train
+    assert (first.order, first.T_c, first.T_p) == (1, 2, 1)
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    assert cli.main(["train", "--config", str(path), "--order", "2", "--iters", "2"]) == 0
+    _, stored = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
+    assert (stored.order, stored.T_c, stored.T_p) == (2, 4, 2)
+
+
 def test_config_hash_includes_numerics_version(tmp_path, monkeypatch):
     path = write_config(tmp_path)
     cfg = cfgmod.load(path)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mspred import analysis as an
 from mspred import autodiff as ad
 from mspred import model as mm
 from mspred import training as tr
@@ -231,6 +232,53 @@ def test_fixed_blocks_holdout_uses_blockwise_solve():
     ref = mm.loss_pred(mm.TapeModel(tape, params), holdout, 2, 1,
                        transition="blockwise").value[0, 0]
     assert abs(metrics[-1].loss_eval - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("holdout, fits", [(0, 0), (4, 1)])
+def test_logging_step_fits_only_the_holdout(monkeypatch, holdout, fits):
+    calls = []
+    real = mm.fit_np
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mm, "fit_np", counted)
+    tr.train(small_config(iterations=1, log_interval=1, holdout=holdout), small_dataset(n=20))
+    assert len(calls) == fits
+    assert calls == [holdout] * fits
+
+
+# (config fields, dataset length, frames the objective fits on)
+STEP_FIT_CASES = {
+    "msp": (dict(), 3, 2),
+    "fixed_blocks": (dict(a=4, m=5, variant="fixed_blocks"), 3, 2),
+    "neural_mstar": (dict(variant="neural_mstar"), 3, 2),
+    "order_2": (dict(order=2, T_c=4, T_p=1), 5, 4),
+    "rec_model": (dict(variant="rec_model"), 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_FIT_CASES))
+def test_logged_ortho_defect_is_the_steps_own_fit(monkeypatch, case):
+    fields, length, frames = STEP_FIT_CASES[case]
+    cfg = small_config(iterations=1, log_interval=1, **fields)
+    batches = []
+    real = mm.variant_loss
+
+    def recorded(tape_model, obs, config):
+        batches.append(obs.copy())
+        return real(tape_model, obs, config)
+
+    monkeypatch.setattr(mm, "variant_loss", recorded)
+    ds = small_dataset(T=length)
+    _, metrics = tr.train(cfg, ds)
+    # the parameters before the step's update, on the step's minibatch
+    init = mm.ModelParams.initialize(cfg, obs_dim=4)
+    order = 1 if cfg.variant == "rec_model" else cfg.order
+    fit = mm.fit_np(init, batches[0], frames, order=order, transition=cfg.transition)
+    ops = fit.op if fit.vel is None else fit.vel
+    assert metrics[0].ortho_defect == float(an.orthogonality_defect(ops).mean())
 
 
 def test_train_validates_dataset_length():
