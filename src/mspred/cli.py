@@ -40,7 +40,6 @@ every section reads those fits:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -107,24 +106,12 @@ def _write_json(payload: dict, path) -> None:
     atomic_write(path, (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
-def _file_sha256(path) -> str:
-    """Hex SHA-256 of a file, read through one reused 64 KiB buffer."""
-    digest = hashlib.sha256()
-    buf = bytearray(1 << 16)
-    view = memoryview(buf)
-    with open(path, "rb") as fh:
-        while size := fh.readinto(buf):
-            digest.update(view[:size])
-    return digest.hexdigest()
-
-
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     batch = datagen.make_dataset(cfg.generator, cfg.master_seed, cfg.mode)
     path = os.path.join(cfg.out_dir, DATASET_FILE)
-    datagen.save_dataset(batch, path)
-    digest = _file_sha256(path)
+    digest = datagen.save_dataset(batch, path)
     log.info("dataset %s (%d sequences)", path, batch.num_sequences)
     print(digest)
     return EXIT_OK

@@ -48,13 +48,20 @@ NUMERICS_VERSION = 4
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus its canonical identity."""
+    """Validated experiment description plus its canonical identity.
+
+    ``train`` is resolved; ``train_unresolved`` is the train section with
+    ``TrainConfig``'s defaults but its order- and budget-dependent fields
+    still None where the config left them out. It is not hashed: it tells
+    ``with_overrides`` which resolved values to derive again.
+    """
 
     master_seed: int
     out_dir: str
     generator: GeneratorSpec
     mode: str
     train: TrainConfig
+    train_unresolved: TrainConfig
     eval_spec: dict
     sbd_spec: dict
     canonical: dict
@@ -104,7 +111,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
     _in_section("generator", spec.validate, mode)
 
     train_raw = _merge_section(raw.get("train", {}), TrainConfig().to_dict(), "train")
-    train_cfg = _in_section("train", TrainConfig.from_dict, train_raw).resolved()
+    train_unresolved = _in_section("train", TrainConfig.from_dict, train_raw)
+    train_cfg = train_unresolved.resolved()
     _in_section("train", train_cfg.validate)
 
     eval_spec = _merge_section(raw.get("eval", {}), _EVAL_DEFAULTS, "eval")
@@ -138,8 +146,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return ExperimentConfig(master_seed=master_seed, out_dir=out_dir, generator=spec,
-                            mode=mode, train=train_cfg, eval_spec=eval_spec,
-                            sbd_spec=sbd_spec, canonical=canonical, config_hash=digest)
+                            mode=mode, train=train_cfg, train_unresolved=train_unresolved,
+                            eval_spec=eval_spec, sbd_spec=sbd_spec, canonical=canonical,
+                            config_hash=digest)
 
 
 def load(path) -> ExperimentConfig:
@@ -160,11 +169,14 @@ def with_overrides(cfg: ExperimentConfig, *, seed=None, out_dir=None, variant=No
 
     With every override None this is ``cfg`` itself. A new ``order``
     re-resolves ``T_c``/``T_p`` to that order's defaults; the order the
-    config already has keeps them.
+    config already has keeps them. A new ``iters`` re-derives ``decay_at``
+    only if the config left it out; an explicit ``decay_at`` stays.
     """
     if all(v is None for v in (seed, out_dir, variant, order, horizons, iters)):
         return cfg
     doc = json.loads(json.dumps(cfg.canonical))
+    # derived train fields stay derived, so they follow the overrides
+    doc["train"] = cfg.train_unresolved.to_dict()
     if seed is not None:
         doc["master_seed"] = int(seed)
     if out_dir is not None:
@@ -179,5 +191,4 @@ def with_overrides(cfg: ExperimentConfig, *, seed=None, out_dir=None, variant=No
         doc["eval"]["horizons"] = int(horizons)
     if iters is not None:
         doc["train"]["iterations"] = int(iters)
-        doc["train"]["decay_at"] = None
     return from_dict(doc)

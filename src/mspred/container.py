@@ -21,20 +21,27 @@ from .errors import FormatError
 _F8 = np.dtype("<f8")
 
 
-def atomic_write(path, *chunks) -> None:
-    """Write the bytes-like ``chunks`` in order to a temporary file, then rename it to ``path``."""
+def atomic_write(path, *chunks, digest=None) -> None:
+    """Write the bytes-like ``chunks`` in order to a temporary file, then rename it to ``path``.
+
+    ``digest``, a ``hashlib`` hash object, is updated with each chunk as it
+    is written, so it ends as the hash of the file's bytes.
+    """
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         for chunk in chunks:
             fh.write(chunk)
+            if digest is not None:
+                digest.update(chunk)
     os.replace(tmp, path)
 
 
-def write(path, magic: bytes, header: dict, arrays) -> None:
-    """Write ``header`` and then each array of ``arrays`` as float64."""
+def write(path, magic: bytes, header: dict, arrays, digest=None) -> None:
+    """Write ``header`` and then each array of ``arrays`` as float64;
+    ``digest`` is passed to ``atomic_write``."""
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     atomic_write(path, magic, len(blob).to_bytes(4, "little"), blob,
-                 *(np.ascontiguousarray(arr, dtype=_F8) for arr in arrays))
+                 *(np.ascontiguousarray(arr, dtype=_F8) for arr in arrays), digest=digest)
 
 
 def _unique_keys(pairs: list) -> dict:

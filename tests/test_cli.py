@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -100,6 +101,34 @@ def test_order_override_keeps_windows_of_the_same_order(tmp_path):
     assert cli.main(["train", "--config", str(path), "--order", "2", "--iters", "2"]) == 0
     _, stored = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
     assert (stored.order, stored.T_c, stored.T_p) == (2, 4, 2)
+
+
+def test_iters_override_keeps_an_explicit_decay_at():
+    explicit = cfgmod.from_dict({"master_seed": 1, "out_dir": "x",
+                                 "train": {"iterations": 1000, "decay_at": 500}})
+    derived = cfgmod.from_dict({"master_seed": 1, "out_dir": "x",
+                                "train": {"iterations": 1000}})
+    # the unresolved train section is kept outside the hashed form
+    assert explicit.config_hash == (
+        "dd2f36aeffe8228be19f2dbe1c24a579774fb2e1e7b1511de43df94f2e3a3bad")
+    assert derived.config_hash == (
+        "a0cd1dd0cf772bcb7a18894e4e21b2b31babcb06d5401ab8ee40eecd200b1b1b")
+    assert cfgmod.with_overrides(explicit, iters=1000).config_hash == explicit.config_hash
+    for iters in (1000, 2000):
+        assert cfgmod.with_overrides(explicit, iters=iters).train.decay_at == 500
+        again = cfgmod.with_overrides(derived, iters=iters)
+        assert again.train.decay_at == int(0.8 * iters)
+        # a derived decay_at stays derived through an earlier override
+        seeded = cfgmod.with_overrides(derived, seed=5)
+        assert cfgmod.with_overrides(seeded, iters=iters).train.decay_at == int(0.8 * iters)
+
+
+def test_order_2_below_four_conditioning_frames_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, generator={"T": 10, "mode": "acceleration",
+                                             "accel_range": [-0.08, 0.08]},
+                        train={"order": 2, "T_c": 3, "T_p": 2})
+    assert cli.main(["train", "--config", str(path), "--order", "2"]) == 2
+    assert "(field train.T_c)" in capsys.readouterr().err
 
 
 def test_config_hash_includes_numerics_version(tmp_path, monkeypatch):
@@ -208,6 +237,19 @@ def test_generate_is_deterministic_and_readable(tmp_path, capsys):
     assert data_file.read_bytes() == blob1
     batch = datagen.load_dataset(data_file)
     assert batch.num_sequences == 24
+
+
+def test_generate_prints_the_sha256_of_the_file_it_wrote(tmp_path, capsys):
+    path = write_config(tmp_path, generator={"num_sequences": 300})
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out.strip()
+    written = (tmp_path / "run" / cli.DATASET_FILE).read_bytes()
+    assert printed == hashlib.sha256(written).hexdigest()
+    cfg = cfgmod.load(path)
+    other = tmp_path / "direct.mspdat"
+    batch = datagen.make_dataset(cfg.generator, cfg.master_seed, cfg.mode)
+    assert datagen.save_dataset(batch, other) == printed
+    assert other.read_bytes() == written
 
 
 def test_generate_missing_field_exits_2(tmp_path, capsys):

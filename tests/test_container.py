@@ -146,6 +146,14 @@ def test_read_rejects_malformed_files(tmp_path, raw, message):
         container.read(path, MAGIC, "test", _listed)
 
 
+def test_write_hashes_the_bytes_it_writes(tmp_path):
+    path = tmp_path / "c"
+    digest = hashlib.sha256()
+    container.write(path, MAGIC, {"arrays": [["a", [2, 3]]]},
+                    [np.asfortranarray(np.arange(6.0).reshape(2, 3))], digest=digest)
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_atomic_write_replaces_whole_files(tmp_path):
     path = tmp_path / "f"
     path.write_bytes(b"old contents, longer than the new ones")

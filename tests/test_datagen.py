@@ -105,6 +105,46 @@ def test_head_of_a_paired_batch_is_the_smaller_batch_bit_for_bit(mode):
             assert getattr(head, name).tobytes() == getattr(ref, name).tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_mixing_a_stack_equals_the_stacked_reference_bitwise(k):
+    """A (N, T, 2k) stack is mixed with flattened (N*T, 2k) W1 and W3
+    GEMMs; the result equals one GEMM per sequence bit for bit.
+
+    The equality was measured on OpenBLAS 0.3.31's SkylakeX kernels, on
+    which the dataset pins were made. Under its Haswell kernels
+    (``OPENBLAS_CORETYPE=Haswell``) the flattened products move last bits
+    for odd T, and the dataset pins fail there at the stacked form too.
+    """
+    rng = np.random.default_rng(k)
+    for obs_dim in range(2 * k + 1, 41):
+        mixing = MixingMap(GeneratorSpec(k=k, obs_dim=obs_dim, T=3, num_sequences=1,
+                                         mixing_seed=7))
+        for T in range(2, 26):
+            z = rng.normal(size=(256, T, 2 * k))
+            # one GEMM per sequence, so a prefix's reference is the prefix
+            want = np.tanh(z @ mixing.w1.T) @ mixing.w2.T + z @ mixing.w3.T
+            for count in (1, 2, 7, 136, 256):
+                assert np.array_equal(mixing.apply(z[:count]), want[:count]), (obs_dim, T, count)
+
+
+def test_mixing_rows_and_single_frame_stacks_keep_the_stacked_form():
+    mixing = MixingMap(small_spec())
+    rng = np.random.default_rng(4)
+
+    def stacked(z):
+        return np.tanh(z @ mixing.w1.T) @ mixing.w2.T + z @ mixing.w3.T
+
+    # rows, one row, and a T = 1 stack, whose products numpy runs as gemv
+    for shape in ((5, 4), (4,), (7, 1, 4)):
+        z = rng.normal(size=shape)
+        assert np.array_equal(mixing.apply(z), stacked(z))
+    for shape in ((7, 1, 4), (7, 3, 4)):
+        z = rng.normal(size=shape)
+        out = np.empty((*shape[:-1], 6))
+        assert mixing.apply(z, out=out) is out
+        assert np.array_equal(out, mixing.apply(z))
+
+
 def test_mixing_empirical_injectivity():
     spec = small_spec()
     mixing = MixingMap(spec)

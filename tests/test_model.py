@@ -925,6 +925,11 @@ def test_config_validation():
         tiny_config(variant="nope").validate()
     with pytest.raises(ValidationError):
         tiny_config(order=2, T_c=2).validate()
+    # at T_c = 3 the second-order velocity stage is exactly determined
+    with pytest.raises(ValidationError) as exc:
+        tiny_config(order=2, T_c=3).validate()
+    assert exc.value.field == "T_c"
+    tiny_config(order=2, T_c=4).validate()
     with pytest.raises(ValidationError):
         tiny_config(batch_size=0).validate()
     cfg = mm.TrainConfig(order=2).resolved()
