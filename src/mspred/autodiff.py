@@ -7,8 +7,11 @@ lightweight handle (tape, node index, shape). The matrix ops (``matmul``,
 ``transpose``, ``reshape``, ``slice_rows``, ``hcat``, ``vcat``,
 ``spd_inverse``, ``pinv_right``, ``lstsq_right``) act on the last two
 axes, so one op runs a whole batch with the same per-matrix arithmetic as
-N separate 2-D calls; elementwise ops and the reductions (``reduce_sum``,
-``frobenius_sq``) take any shape. Calling :meth:`Tape.backward` on a
+N separate 2-D calls; the elementwise ops (``add``, ``sub``,
+``hadamard``, ``scale``, ``relu``, ``square``, ``smooth_abs``,
+``rsqrt``) and the reductions (``reduce_sum``, ``frobenius_sq``) take
+any shape. ``dense`` is one MLP layer, ``x @ w + b`` and an optional
+tanh, as a single node on 2-D rows. Calling :meth:`Tape.backward` on a
 scalar loss runs one reverse topological sweep and fills a gradient slot
 per reachable node.
 
@@ -36,6 +39,7 @@ Design notes, fixed once and relied on by tests:
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -93,7 +97,7 @@ class Tape:
         self.grads: list | None = None
 
     def _push(self, value: Array, parents=(), vjp=None) -> Var:
-        value.flags.writeable = False
+        value.setflags(write=False)
         self.values.append(value)
         self.parents.append(parents)
         self.vjps.append(vjp)
@@ -236,11 +240,6 @@ def scale(a: Var, c: float) -> Var:
     return a.tape._push(out, (a.index,), lambda g: (g * c,))
 
 
-def tanh(a: Var) -> Var:
-    y = _finite(np.tanh(a.value), "tanh")
-    return a.tape._push(y, (a.index,), lambda g: (g * (1.0 - y * y),))
-
-
 def relu(a: Var) -> Var:
     mask = a.value > 0.0
     out = np.where(mask, a.value, 0.0)
@@ -276,7 +275,7 @@ def transpose(a: Var) -> Var:
 
 def reshape(a: Var, *shape: int) -> Var:
     """Row-major reshape to ``shape``: (rows, cols) or a batch (N, rows, cols)."""
-    if len(shape) not in (2, 3) or int(np.prod(shape)) != a.value.size:
+    if len(shape) not in (2, 3) or math.prod(shape) != a.value.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
     out = a.value.reshape(shape)  # a read-only view: values are never written
@@ -323,13 +322,34 @@ def vcat(parts: list[Var]) -> Var:
     return _concat(parts, -2, "vcat")
 
 
-def add_rowvec(a: Var, b: Var) -> Var:
-    """Broadcast-add a 1 x c row vector to every row of an r x c matrix."""
-    if b.shape != (1, a.shape[1]):
-        raise DimensionError(f"row vector {b.shape} does not match {a.shape}")
-    tape = _same_tape(a, b)
-    out = _finite(a.value + b.value, "add_rowvec")
-    return tape._push(out, (a.index, b.index), lambda g: (g, g.sum(axis=0, keepdims=True)))
+def dense(x: Var, w: Var, b: Var, act: bool) -> Var:
+    """One MLP layer as one node: ``x @ w + b``, then tanh if ``act``.
+
+    ``x`` is (r, n) rows, ``w`` (n, c) and ``b`` a (1, c) row vector. The
+    bias add and the tanh run in place on the product's array, each with
+    the arithmetic of its own op, so the value and every gradient equal
+    those of a matmul node, a broadcast bias-add node and a tanh node bit
+    for bit. The product and the biased sum are checked finite; tanh maps
+    finite values to finite values.
+    """
+    if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"dense dims differ: {x.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise DimensionError(f"row vector {b.shape} does not match {w.shape}")
+    tape = _same_tape(x, w, b)
+    xv, wv = x.value, w.value
+    out = _finite(xv @ wv, "dense product")
+    out += b.value
+    _finite(out, "dense bias add")
+    if act:
+        np.tanh(out, out=out)
+
+    def vjp(g):
+        if act:
+            g = g * (1.0 - out * out)
+        return g @ _mT(wv), _mT(xv) @ g, g.sum(axis=0, keepdims=True)
+
+    return tape._push(out, (x.index, w.index, b.index), vjp)
 
 
 def reduce_sum(a: Var) -> Var:

@@ -91,12 +91,28 @@ class TrainConfig(DictForm):
             raise ValidationError(f"unknown variant {cfg.variant!r}", field="variant")
         if cfg.order not in (1, 2):
             raise ValidationError("order must be 1 or 2", field="order")
+        if cfg.a < 1:
+            raise ValidationError("latent dimension a must be >= 1", field="a")
         if cfg.m <= cfg.a:
             raise ValidationError("multiplicity m must exceed a", field="m")
-        if cfg.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1", field="batch_size")
-        if cfg.iterations < 0:
-            raise ValidationError("iterations must be >= 0", field="iterations")
+        for key in ("enc_hidden", "dec_hidden", "mstar_hidden"):
+            if any(width < 1 for width in getattr(cfg, key)):
+                raise ValidationError(f"{key} widths must be >= 1", field=key)
+        for key in ("batch_size", "log_interval"):
+            if getattr(cfg, key) < 1:
+                raise ValidationError(f"{key} must be >= 1", field=key)
+        for key in ("iterations", "decay_at", "holdout"):
+            if getattr(cfg, key) < 0:
+                raise ValidationError(f"{key} must be >= 0", field=key)
+        # a moment decay of 1 never moves its moment off zero: Adam divides 0 by 0
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(cfg, key) < 1.0:
+                raise ValidationError(f"{key} must be in [0, 1)", field=key)
+        if not cfg.eps > 0.0:
+            raise ValidationError("eps must be > 0", field="eps")
+        if not cfg.invertibility_weight >= 0.0:
+            raise ValidationError("invertibility_weight must be >= 0",
+                                  field="invertibility_weight")
         # at order 2 and T_c = 3 the velocity stage is exactly determined:
         # its operators reach spectral radius 47-2,000 on desk data and a
         # long rollout overflows; from T_c = 4 they stay near 1.4-4
@@ -271,9 +287,7 @@ class TapeModel:
         h = x
         last = len(layers) - 1
         for i, (w, b) in enumerate(layers):
-            h = ad.add_rowvec(ad.matmul(h, w), b)
-            if i < last:
-                h = ad.tanh(h)
+            h = ad.dense(h, w, b, act=i < last)
         return h
 
     def encode_rows(self, x: Var) -> Var:

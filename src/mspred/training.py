@@ -121,8 +121,11 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     v *= state.beta2
     np.multiply(g, g, out=s)
     v += np.multiply(s, 1.0 - state.beta2, out=s)
-    np.divide(m, bc1, out=s)
-    s *= state.lr
+    if bc1 == 1.0:  # from t = 356 at beta1 = 0.9 (t = 1 at 0): m / 1.0 is m
+        np.multiply(m, state.lr, out=s)
+    else:
+        np.divide(m, bc1, out=s)
+        s *= state.lr
     np.divide(v, bc2, out=g)
     np.sqrt(g, out=g)
     g += state.eps
@@ -185,6 +188,10 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
         raise ValidationError("holdout leaves no training sequences", field="holdout")
     eval_obs = obs[obs.shape[0] - cfg.holdout :] if cfg.holdout > 0 else None
     train_obs = obs[: obs.shape[0] - cfg.holdout] if cfg.holdout > 0 else obs
+    n_train = train_obs.shape[0]
+    if cfg.batch_size > n_train:
+        raise ValidationError(f"batch_size {cfg.batch_size} exceeds the {n_train} "
+                              "training sequences", field="batch_size")
 
     params = mm.ModelParams.initialize(cfg, obs_dim=obs.shape[2])
     tensors = params.named_tensors()
@@ -192,7 +199,6 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
                      lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     perm_rng = np.random.default_rng(mix64(cfg.seed, 29))
     metrics: list[MetricsRecord] = []
-    n_train = train_obs.shape[0]
     order = np.empty(0, dtype=np.int64)
     cursor = 0
     started = time.perf_counter()

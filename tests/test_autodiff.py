@@ -58,6 +58,9 @@ def _fixed(tape, arr):
 B23 = np.array([[0.3, -1.2, 0.7], [1.1, 0.4, -0.5]])
 B223 = np.stack([B23, -0.5 * B23[::-1]])  # (2, 2, 3)
 B232 = np.swapaxes(B223, 1, 2)  # (2, 3, 2)
+X34 = np.array([[0.5, -0.2, 0.9, 0.1], [-1.0, 0.3, 0.4, -0.6], [0.2, 0.8, -0.3, 0.7]])
+W42 = np.array([[0.4, -0.3], [0.1, 0.6], [-0.5, 0.2], [0.3, 0.3]])
+B12 = np.array([[0.2, -0.1]])
 
 GRAD_CASES = [
     GradCase("matmul_left", (3, 2), lambda t, x: ad.reduce_sum(ad.matmul(x, _fixed(t, B23)))),
@@ -66,7 +69,6 @@ GRAD_CASES = [
     GradCase("sub", (3, 3), lambda t, x: ad.frobenius_sq(ad.sub(_fixed(t, np.ones((3, 3))), x))),
     GradCase("hadamard", (2, 5), lambda t, x: ad.reduce_sum(ad.hadamard(x, ad.square(x)))),
     GradCase("scale", (4, 2), lambda t, x: ad.frobenius_sq(ad.scale(x, -1.7))),
-    GradCase("tanh", (3, 4), lambda t, x: ad.reduce_sum(ad.tanh(x))),
     GradCase("relu", (3, 4), lambda t, x: ad.frobenius_sq(ad.relu(x))),
     GradCase("square", (2, 3), lambda t, x: ad.reduce_sum(ad.square(x))),
     GradCase("smooth_abs", (3, 3), lambda t, x: ad.reduce_sum(ad.smooth_abs(x, 1e-12))),
@@ -75,7 +77,13 @@ GRAD_CASES = [
     GradCase("slice_rows", (5, 3), lambda t, x: ad.frobenius_sq(ad.slice_rows(x, 1, 4))),
     GradCase("hcat", (3, 2), lambda t, x: ad.frobenius_sq(ad.hcat([x, ad.square(x)]))),
     GradCase("vcat", (2, 3), lambda t, x: ad.frobenius_sq(ad.vcat([x, ad.scale(x, 2.0)]))),
-    GradCase("add_rowvec", (1, 4), lambda t, x: ad.frobenius_sq(ad.add_rowvec(_fixed(t, np.ones((3, 4))), x))),
+    # dense: x @ w + b with and without tanh, through each of its operands
+    GradCase("dense_tanh_x", (3, 4), lambda t, x: ad.reduce_sum(ad.dense(x, _fixed(t, W42), _fixed(t, B12), True))),
+    GradCase("dense_tanh_w", (4, 2), lambda t, x: ad.frobenius_sq(ad.dense(_fixed(t, X34), x, _fixed(t, B12), True))),
+    GradCase("dense_tanh_b", (1, 2), lambda t, x: ad.frobenius_sq(ad.dense(_fixed(t, X34), _fixed(t, W42), x, True))),
+    GradCase("dense_linear_x", (3, 4), lambda t, x: ad.frobenius_sq(ad.dense(x, _fixed(t, W42), _fixed(t, B12), False))),
+    GradCase("dense_linear_w", (4, 2), lambda t, x: ad.frobenius_sq(ad.dense(_fixed(t, X34), x, _fixed(t, B12), False))),
+    GradCase("dense_linear_b", (1, 2), lambda t, x: ad.frobenius_sq(ad.dense(_fixed(t, X34), _fixed(t, W42), x, False))),
     GradCase("spd_inverse", (4, 4), lambda t, x: ad.frobenius_sq(
         ad.spd_inverse(ad.add(ad.matmul(x, ad.transpose(x)), _fixed(t, np.eye(4)))))),
     GradCase("pinv_right", (2, 5), lambda t, x: ad.frobenius_sq(ad.pinv_right(x))),
@@ -180,7 +188,7 @@ def test_add_zero_and_tanh_zero():
     x = tape.input([[1.0, -2.0]])
     np.testing.assert_array_equal(ad.add(x, tape.input(np.zeros((1, 2)))).value, x.value)
     z = tape.input(np.zeros((2, 2)))
-    y = ad.tanh(z)
+    y = ad.dense(z, tape.input(np.eye(2)), tape.input(np.zeros((1, 2))), act=True)
     np.testing.assert_array_equal(y.value, np.zeros((2, 2)))
     tape.backward(ad.reduce_sum(y))
     np.testing.assert_array_equal(tape.grad(z), np.ones((2, 2)))  # tanh'(0) = 1
@@ -200,6 +208,18 @@ def test_elementwise_shape_errors():
     for op in (ad.add, ad.sub, ad.hadamard):
         with pytest.raises(DimensionError):
             op(a, b)
+
+
+def test_dense_shape_errors_name_shapes():
+    tape = ad.Tape()
+    x, w, b = (tape.input(np.ones(s)) for s in ((2, 3), (3, 4), (1, 4)))
+    assert ad.dense(x, w, b, act=False).shape == (2, 4)
+    for args in ((x, tape.input(np.ones((2, 4))), b), (tape.input(np.ones((2, 2, 3))), w, b)):
+        with pytest.raises(DimensionError, match=r"dense dims differ"):
+            ad.dense(*args, act=True)
+    for bias in ((1, 3), (2, 4)):
+        with pytest.raises(DimensionError, match=r"row vector"):
+            ad.dense(x, w, tape.input(np.ones(bias)), act=True)
 
 
 def test_transpose_involution_and_vector():
@@ -525,6 +545,11 @@ NON_FINITE_CASES = {  # op name: (op, input whose output is not finite)
     # 1/sqrt of a finite positive entry is finite; a NaN entered by
     # input_view (which skips the scan) passes rsqrt's sign check
     "rsqrt": (ad.rsqrt, [[np.nan, 1.0]]),
+    "dense product": (lambda x: ad.dense(x, x.tape.input([[1e200], [1.0]]),
+                                         x.tape.input([[0.0]]), act=True), [[1e200, 1.0]]),
+    # tanh maps a finite sum to a finite value, so the sum is checked
+    "dense bias add": (lambda x: ad.dense(x, x.tape.input([[1.0], [0.0]]),
+                                          x.tape.input([[1e308]]), act=True), [[1e308, 1.0]]),
 }
 
 
@@ -543,7 +568,7 @@ def test_tape_determinism_bitwise():
         t = ad.Tape()
         a = t.input(rng.normal(size=(4, 6)))
         b = t.input(rng.normal(size=(6, 3)))
-        h = ad.tanh(ad.matmul(a, b))
+        h = ad.dense(a, b, t.input(rng.normal(size=(1, 3))), act=True)
         loss = ad.frobenius_sq(ad.matmul(ad.transpose(h), h))
         t.backward(loss)
         return loss.value.copy(), t.grad(a).copy(), t.grad(b).copy()

@@ -764,6 +764,86 @@ def test_row_blocked_forward_equals_one_pass_bitwise(rows):
                           unblocked_mlp(params.mstar, cond))
 
 
+def three_node_mlp(layers, x):
+    """``TapeModel._mlp`` as a matmul node, a broadcast bias-add node and a
+    tanh node per layer, each with its own VJP expression."""
+    tape = x.tape
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = ad.matmul(h, w)
+        h = tape._push(h.value + b.value, (h.index, b.index),
+                       lambda g: (g, g.sum(axis=0, keepdims=True)))
+        if i < len(layers) - 1:
+            y = np.tanh(h.value)
+            h = tape._push(y, (h.index,), lambda g, y=y: (g * (1.0 - y * y),))
+    return h
+
+
+def perturbed_desk_model(variant, seed):
+    """Desk-sized parameters with nonzero biases (a fresh init has zero biases)."""
+    params = desk_model(variant)
+    params.flat += 0.1 * np.random.default_rng(seed).normal(size=params.flat.shape)
+    return params
+
+
+def mlp_values_and_grads(params, group, x, weight, mlp):
+    tape = ad.Tape()
+    bound = mm.TapeModel(tape, params)
+    xv = tape.input(x)
+    out = mlp(getattr(bound, f"_{group}"), xv)
+    tape.backward(ad.reduce_sum(ad.hadamard(out, tape.input(weight))))
+    return out.value.copy(), tape.grad(xv).copy(), bound.gradients()
+
+
+@pytest.mark.parametrize("rows", [32, 64, 160])
+@pytest.mark.parametrize("group", ["enc", "dec", "mstar"])
+def test_dense_mlp_equals_three_node_layers_bitwise(rows, group):
+    params = perturbed_desk_model("neural_mstar", rows)
+    width = {"enc": params.obs_dim, "dec": params.a * params.m,
+             "mstar": params.T_c * params.obs_dim}[group]
+    out_width = {"enc": params.a * params.m, "dec": params.obs_dim,
+                 "mstar": params.a * params.a}[group]
+    rng = np.random.default_rng(rows + 1)
+    x = rng.normal(size=(rows, width))
+    weight = rng.normal(size=(rows, out_width))
+    got = mlp_values_and_grads(params, group, x, weight, mm.TapeModel._mlp)
+    want = mlp_values_and_grads(params, group, x, weight, three_node_mlp)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2].keys() == want[2].keys()
+    for name in got[2]:
+        assert np.array_equal(got[2][name], want[2][name]), name
+
+
+@pytest.mark.parametrize("variant, order", [("msp", 1), ("neural_mstar", 1), ("msp", 2)],
+                         ids=["msp", "neural", "accel"])
+def test_training_step_through_dense_equals_three_node_layers_bitwise(monkeypatch, variant,
+                                                                      order):
+    # the neural objective decodes twice (prediction and invertibility), so
+    # each decoder weight sums two gradients
+    params = perturbed_desk_model(variant, 5)
+    cfg = mm.TrainConfig(a=8, m=16, variant=variant, order=order).resolved()
+    spec = acceleration_spec() if order == 2 else velocity_spec()
+    obs = make_dataset(replace(spec, num_sequences=32), master_seed=4,
+                       mode="acceleration" if order == 2 else "velocity").observations
+
+    def step():
+        tape = ad.Tape()
+        bound = mm.TapeModel(tape, params)
+        loss = mm.variant_loss(bound, obs[:, : cfg.T_c + cfg.T_p], cfg)
+        tape.backward(loss)
+        return loss.value.copy(), bound.gradients(), len(tape.values)
+
+    loss, grads, nodes = step()
+    monkeypatch.setattr(mm.TapeModel, "_mlp", staticmethod(three_node_mlp))
+    ref_loss, ref_grads, ref_nodes = step()
+    assert ref_nodes > nodes  # the reference layers really ran
+    assert np.array_equal(loss, ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 @pytest.mark.parametrize("rows", [3, 2 * mm.ROW_BLOCK + 1])
 def test_forward_results_are_never_overwritten_by_a_later_call(rows):
     params = desk_model("neural_mstar")

@@ -100,22 +100,28 @@ def _desk_shapes():
     return {n: t.shape for n, t in params.named_tensors().items()}
 
 
-@pytest.mark.parametrize("shapes", [_desk_shapes(), {"p": (28, 1)}], ids=["desk", "sbd"])
-def test_flat_adam_matches_per_tensor_reference_bitwise(shapes):
+@pytest.mark.parametrize("shapes, beta1", [(_desk_shapes(), 0.9), ({"p": (28, 1)}, 0.9),
+                                           (_desk_shapes(), 0.0)],
+                         ids=["desk", "sbd", "desk-beta1-0"])
+def test_flat_adam_matches_per_tensor_reference_bitwise(shapes, beta1):
+    # 420 steps pass t = 356, from which 1 - 0.9**t is exactly 1.0 and the
+    # flat update skips its division by it; at beta1 = 0 that holds from t = 1
+    steps = 420
+    assert 1.0 - beta1**steps == 1.0
     rng = np.random.default_rng(11)
     start = {n: rng.normal(size=s) for n, s in shapes.items()}
     got, want = ({n: x.copy() for n, x in start.items()} for _ in range(2))
-    state = tr.AdamState(list(shapes), list(shapes.values()), lr=1e-3)
-    ref = SimpleNamespace(step_count=0, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
+    state = tr.AdamState(list(shapes), list(shapes.values()), lr=1e-3, beta1=beta1)
+    ref = SimpleNamespace(step_count=0, lr=1e-3, beta1=beta1, beta2=0.999, eps=1e-8,
                           m={n: np.zeros(s) for n, s in shapes.items()},
                           v={n: np.zeros(s) for n, s in shapes.items()})
-    for it in range(200):
+    for it in range(steps):
         # the step schedule of lr_at, with widely ranging gradient scales
         state.lr = ref.lr = 1e-3 if it < 120 else 1e-4
         grads = {n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for n, s in shapes.items()}
         tr.adam_step(state, got, grads)
         reference_adam_step(ref, want, grads)
-    assert state.step_count == ref.step_count == 200
+    assert state.step_count == ref.step_count == steps
     for n in shapes:
         assert np.array_equal(got[n], want[n])
         assert np.array_equal(state.m[n], ref.m[n])
@@ -279,6 +285,31 @@ def test_logged_ortho_defect_is_the_steps_own_fit(monkeypatch, case):
     fit = mm.fit_np(init, batches[0], frames, order=order, transition=cfg.transition)
     ops = fit.op if fit.vel is None else fit.vel
     assert metrics[0].ortho_defect == float(an.orthogonality_defect(ops).mean())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("log_interval", 0), ("beta1", 1.0), ("beta2", 1.0), ("beta1", 1.5), ("beta1", -0.1),
+    ("enc_hidden", (0,)), ("dec_hidden", (-3,)), ("mstar_hidden", (0, 8)), ("a", 0),
+    ("eps", 0.0), ("holdout", -3), ("decay_at", -1), ("invertibility_weight", -1.0),
+    ("batch_size", 100),
+])
+def test_out_of_range_train_fields_are_rejected_by_name(tmp_path, field, value):
+    # unchecked, each of these crashes mid-run (ZeroDivisionError, numpy's
+    # ValueError), writes NaN parameters, or trains on what it was not asked
+    cfg = small_config(**{field: value})
+    with pytest.raises(ValidationError) as exc:
+        tr.train(cfg, small_dataset(n=16))
+    assert exc.value.field == field
+    if field == "batch_size":  # 100 is in range; the 16-sequence dataset is too small
+        cfg.validate()
+        return
+    with pytest.raises(ValidationError) as exc:
+        cfg.validate()
+    assert exc.value.field == field
+    stored = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(FormatError, match=f"config field {field}"):
+        tr.load_checkpoint(_tampered_manifest(tmp_path, small_config(),
+                                              lambda d: d["config"].update({field: stored})))
 
 
 def test_train_validates_dataset_length():
