@@ -30,7 +30,7 @@ print("R(alpha):")
 print(latent_rotation([alpha])[:2, :2].round(8))
 
 first = mm.estimate_transition(lat_vars)
-pred2 = mm.rollout_second_order(second, lat_vars[-1], 5)
+pred2 = mm.rollout(second, lat_vars[-1], 5)
 pred1 = mm.rollout(first, lat_vars[-1], 5)
 print("\nlatent prediction error by horizon:")
 print("  h | first order | second order")

@@ -2,9 +2,9 @@
 
 Everything here is gradient-free and pure: equivariance error (how well a
 transition fitted on one sequence predicts another sequence with the same
-hidden motion), transition swapping, intra-orbit homogeneity, spectra of
-the transition family, orthogonality, and a linear probe regressing the
-hidden transition parameters from the fitted operators.
+hidden motion), intra-orbit homogeneity, spectra of the transition
+family, orthogonality, and a linear probe regressing the hidden
+transition parameters from the fitted operators.
 
 The prediction routines call ``model.fit_np``, which runs the training
 loss's own estimator on a scratch tape, then ``model.predict_np``, which
@@ -101,43 +101,6 @@ def equivariance_error(model, paired: PairedBatch, T_c: int, T_p: int, *,
     lp_equiv = _prediction_error(mm.predict_np(model, cross, T_p), targets, T_c)
     ratio = (lp_equiv / lp) if lp >= RATIO_FLOOR else None
     return EquivarianceReport(lp=lp, lp_equiv=lp_equiv, ratio=ratio, sample_count=count)
-
-
-@dataclass
-class SwapResult:
-    """Decoded frames and per-frame errors for a transition swap."""
-
-    pred_a_on_b: np.ndarray
-    pred_b_on_a: np.ndarray
-    err_a_on_b: np.ndarray
-    err_b_on_a: np.ndarray
-    err_self_a: np.ndarray
-    err_self_b: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"kind": "swap",
-                "pred_a_on_b": self.pred_a_on_b.tolist(),
-                "pred_b_on_a": self.pred_b_on_a.tolist(),
-                "err_a_on_b": self.err_a_on_b.tolist(),
-                "err_b_on_a": self.err_b_on_a.tolist(),
-                "err_self_a": self.err_self_a.tolist(),
-                "err_self_b": self.err_self_b.tolist()}
-
-
-def transition_swap(model, seq_a, seq_b, T_c: int, T_p: int) -> SwapResult:
-    """Apply each sequence's fitted transition to the other sequence."""
-    seqs = [np.asarray(s, dtype=np.float64) for s in (seq_a, seq_b)]
-    if min(len(s) for s in seqs) < T_c + T_p:
-        raise DimensionError(f"both sequences need T >= {T_c + T_p}")
-    seqs = np.stack([s[: T_c + T_p] for s in seqs])
-    fit = mm.fit_np(model, seqs, T_c)
-    # rows: a's transition on b, b's on a, then each on itself
-    ops, lats = [0, 1, 0, 1], [1, 0, 0, 1]
-    pred = mm.predict_np(model, mm.TransitionFit(last=fit.last[lats], op=fit.op[ops]), T_p)
-    err = ((pred - seqs[lats, T_c:]) ** 2).sum(axis=2)
-    return SwapResult(pred_a_on_b=pred[0], pred_b_on_a=pred[1],
-                      err_a_on_b=err[0], err_b_on_a=err[1],
-                      err_self_a=err[2], err_self_b=err[3])
 
 
 def orthogonality_defect(mat) -> float | np.ndarray:

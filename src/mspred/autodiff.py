@@ -8,9 +8,8 @@ lightweight handle (tape, node index, shape). The matrix ops (``matmul``,
 ``spd_inverse``, ``pinv_right``, ``lstsq_right``) act on the last two
 axes, so one op runs a whole batch with the same per-matrix arithmetic as
 N separate 2-D calls; the elementwise ops (``add``, ``sub``,
-``hadamard``, ``scale``, ``relu``, ``square``, ``smooth_abs``,
-``rsqrt``) and the reductions (``reduce_sum``, ``frobenius_sq``) take
-any shape. ``dense`` is one MLP layer, ``x @ w + b`` and an optional
+``hadamard``, ``scale``, ``square``, ``smooth_abs``, ``rsqrt``) and the
+reductions (``reduce_sum``, ``frobenius_sq``) take any shape. ``dense`` is one MLP layer, ``x @ w + b`` and an optional
 tanh, as a single node on 2-D rows. Calling :meth:`Tape.backward` on a
 scalar loss runs one reverse topological sweep and fills a gradient slot
 per reachable node.
@@ -20,7 +19,6 @@ Design notes, fixed once and relied on by tests:
 * every forward value is checked finite; a NaN/Inf raises ``NumericError``
   naming the op that produced it (a leaf entered by ``Tape.input_view`` is
   checked by its caller instead);
-* ``relu`` uses relu'(0) = 0;
 * ``spd_inverse`` and ``lstsq_right`` factorize through ``cholesky_lower``
   (LAPACK's Cholesky, lower triangle only), which rejects matrices whose
   diagonal-based condition estimate exceeds ``COND_LIMIT``, each matrix
@@ -238,12 +236,6 @@ def scale(a: Var, c: float) -> Var:
     c = float(c)
     out = _finite(a.value * c, "scale")
     return a.tape._push(out, (a.index,), lambda g: (g * c,))
-
-
-def relu(a: Var) -> Var:
-    mask = a.value > 0.0
-    out = np.where(mask, a.value, 0.0)
-    return a.tape._push(out, (a.index,), lambda g: (g * mask,))
 
 
 def square(a: Var) -> Var:

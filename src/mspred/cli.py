@@ -53,6 +53,7 @@ from . import config as cfgmod
 from . import datagen, model as mm, sbd as sbdmod, svg, training as tr
 from .container import atomic_write
 from .errors import (
+    DimensionError,
     FormatError,
     MspredError,
     TrainingAbort,
@@ -119,11 +120,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    data_path = os.path.join(cfg.out_dir, DATASET_FILE)
-    if not os.path.exists(data_path):
-        log.error("dataset missing: %s (run generate first)", data_path)
-        return EXIT_MISSING
-    dataset = datagen.load_dataset(data_path)
+    dataset = datagen.load_dataset(os.path.join(cfg.out_dir, DATASET_FILE))
     ckpt_path = os.path.join(cfg.out_dir, CHECKPOINT_FILE)
     metrics_path = os.path.join(cfg.out_dir, METRICS_FILE)
     try:
@@ -144,27 +141,26 @@ def _load_eval_inputs(cfg, args):
     """Dataset, model and resolved train config that eval and sbd analyse.
 
     The model is the checkpoint, or the generator's oracle with --oracle.
-    Returns an exit code instead when an input is missing or the
-    checkpoint does not fit the dataset.
+    A checkpoint without a stored config is read with the run config's.
+
+    Raises:
+        FileNotFoundError: the dataset or checkpoint is missing.
+        DimensionError: the checkpoint does not fit the dataset, or its
+            neural transition head was built for another ``T_c``.
     """
-    data_path = os.path.join(cfg.out_dir, DATASET_FILE)
-    if not os.path.exists(data_path):
-        log.error("dataset missing: %s", data_path)
-        return EXIT_MISSING
-    dataset = datagen.load_dataset(data_path)
+    dataset = datagen.load_dataset(os.path.join(cfg.out_dir, DATASET_FILE))
     if args.oracle:
         log.info("using the oracle model (debug flag)")
         return dataset, mm.OracleModel(dataset.spec), cfg.train.resolved()
-    ckpt_path = os.path.join(cfg.out_dir, CHECKPOINT_FILE)
-    if not os.path.exists(ckpt_path):
-        log.error("checkpoint missing: %s (run train first)", ckpt_path)
-        return EXIT_MISSING
-    params, train_cfg = tr.load_checkpoint(ckpt_path)
+    params, train_cfg = tr.load_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE))
     if params.obs_dim != dataset.spec.obs_dim:
-        log.error("checkpoint expects obs_dim=%d but dataset has %d",
-                  params.obs_dim, dataset.spec.obs_dim)
-        return EXIT_SHAPE
-    return dataset, params, (train_cfg if train_cfg is not None else cfg.train).resolved()
+        raise DimensionError(f"checkpoint expects obs_dim={params.obs_dim} "
+                             f"but dataset has {dataset.spec.obs_dim}")
+    train_cfg = (train_cfg if train_cfg is not None else cfg.train).resolved()
+    if params.mstar and params.mstar[0][0].shape[0] != train_cfg.T_c * params.obs_dim:
+        raise DimensionError(f"the checkpoint's transition head reads T_c={params.T_c} "
+                             f"frames, the config has T_c={train_cfg.T_c}")
+    return dataset, params, train_cfg
 
 
 def _transition_kind(args, train_cfg) -> str:
@@ -177,10 +173,7 @@ def _transition_kind(args, train_cfg) -> str:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    loaded = _load_eval_inputs(cfg, args)
-    if isinstance(loaded, int):
-        return loaded
-    dataset, params, train_cfg = loaded
+    dataset, params, train_cfg = _load_eval_inputs(cfg, args)
     ev = cfg.eval_spec
     horizons = ev["horizons"]
     kind = _transition_kind(args, train_cfg)
@@ -252,10 +245,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sbd(args) -> int:
     cfg = _load_config(args)
-    loaded = _load_eval_inputs(cfg, args)
-    if isinstance(loaded, int):
-        return loaded
-    dataset, params, train_cfg = loaded
+    dataset, params, train_cfg = _load_eval_inputs(cfg, args)
     sp = cfg.sbd_spec
     spec = dataset.spec
     count = min(sp["num_transitions"], dataset.num_sequences)
@@ -307,15 +297,11 @@ def cmd_sbd(args) -> int:
 def cmd_report(args) -> int:
     cfg = _load_config(args)
     metrics_path = os.path.join(cfg.out_dir, METRICS_FILE)
-    report_path = os.path.join(cfg.out_dir, EVAL_REPORT_FILE)
-    if not os.path.exists(metrics_path) or not os.path.exists(report_path):
-        log.error("need %s and %s; run train and eval first", metrics_path, report_path)
-        return EXIT_MISSING
     rows = tr.read_metrics(metrics_path)
     if not rows:
         log.error("metrics file %s is empty", metrics_path)
         return EXIT_MISSING
-    with open(report_path, encoding="utf-8") as fh:
+    with open(os.path.join(cfg.out_dir, EVAL_REPORT_FILE), encoding="utf-8") as fh:
         report = json.load(fh)
 
     iters = [r["iter"] for r in rows]
@@ -394,6 +380,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         log.error("missing input: %s", exc)
         return EXIT_MISSING
+    except DimensionError as exc:
+        log.error("shape mismatch: %s", exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SHAPE
     except (ValidationError, FormatError) as exc:
         field = getattr(exc, "field", None)
         log.error("invalid config%s: %s", f" (field {field})" if field else "", exc)

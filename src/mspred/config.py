@@ -118,8 +118,10 @@ def from_dict(raw: dict) -> ExperimentConfig:
     eval_spec = _merge_section(raw.get("eval", {}), _EVAL_DEFAULTS, "eval")
     for key in eval_spec:
         require_int(eval_spec[key], f"eval.{key}")
-        if eval_spec[key] < 1:
-            raise ValidationError(f"eval.{key} must be >= 1", field=f"eval.{key}")
+        # the regression probe splits the eval sequences 80/20, which takes five
+        least = 5 if key == "eval_sequences" else 1
+        if eval_spec[key] < least:
+            raise ValidationError(f"eval.{key} must be >= {least}", field=f"eval.{key}")
 
     sbd_spec = _merge_section(raw.get("sbd", {}), _SBD_DEFAULTS, "sbd")
     for key in ("iters", "num_transitions", "restarts", "seed"):

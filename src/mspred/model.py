@@ -13,7 +13,7 @@ estimator and one rollout serve a whole batch, with each sequence
 getting its own transition. Losses are averaged over sequences and
 predicted frames (the summed variant only rescales the learning rate).
 Every gradient-free number (held-out error by horizon, fitted
-transitions, equivariance, swaps) comes from ``fit_np`` and
+transitions, equivariance) comes from ``fit_np`` and
 ``predict_np`` at the bottom: the fit runs the same estimator functions
 on a scratch tape, and the rollout forms the same products as
 ``rollout`` without a tape, so their numbers equal the training loss
@@ -477,37 +477,28 @@ def estimate(latents: Sequence[Var], *, order: int = 1, transition: str = "lstsq
 
 
 def rollout(est: TransitionEstimate, h: Var, steps: int) -> list[Var]:
-    """Latents M^1 h .. M^steps h by repeated multiplication."""
-    if est.order != 1:
-        raise ContractError("rollout expects a first-order estimate")
-    if steps < 1:
-        raise ContractError("steps must be >= 1")
-    out = []
-    cur = h
-    for _ in range(steps):
-        cur = ad.matmul(est.m_star, cur)
-        out.append(cur)
-    return out
+    """Latents of horizons 1..steps after ``h``, by repeated multiplication.
 
-
-def rollout_second_order(est: TransitionEstimate, h: Var, steps: int) -> list[Var]:
-    """Second-order rollout: step j applies S_j = A S_{j-1} = A^j B to the
-    previous latent, starting from S_0 = B, where A is the acceleration
-    operator and B the last velocity operator; the j-th output is
-    (A^j B)(A^{j-1} B)...(A B) h.
+    First order applies M each step: the j-th output is M^j h. Second
+    order first advances the step operator S_j = A S_{j-1} from S_0 = B,
+    with A the acceleration operator and B the last velocity operator,
+    then applies it: the j-th output is (A^j B)(A^{j-1} B)...(A B) h.
     """
-    if est.order != 2:
-        raise ContractError("rollout_second_order expects a second-order estimate")
     if steps < 1:
         raise ContractError("steps must be >= 1")
-    step_op = est.m_last
     out = []
-    cur = h
+    cur, step_op = h, est.m_last
     for _ in range(steps):
-        step_op = ad.matmul(est.m_star, step_op)
-        cur = ad.matmul(step_op, cur)
+        if est.order == 1:
+            cur = ad.matmul(est.m_star, cur)
+        else:
+            step_op = ad.matmul(est.m_star, step_op)
+            cur = ad.matmul(step_op, cur)
         out.append(cur)
     return out
+
+
+rollout_second_order = rollout  # a second name that perfbench's span tracer wraps
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +525,7 @@ def _frames(enc_rows: Var, n_seq: int, a: int, m: int) -> Frames:
 def _rollout_rows(est: TransitionEstimate, start: Var, steps: int) -> Var:
     """Roll (N, a, m) latents forward; (N * steps, a*m) rows, sequence-major."""
     n_seq, a, m = start.shape
-    roll = rollout if est.order == 1 else rollout_second_order
-    preds = [ad.reshape(p, n_seq, 1, a * m) for p in roll(est, start, steps)]
+    preds = [ad.reshape(p, n_seq, 1, a * m) for p in rollout(est, start, steps)]
     return ad.reshape(ad.hcat(preds), n_seq * steps, a * m)
 
 
@@ -774,11 +764,11 @@ def _predicted_groups(model, fit: TransitionFit, steps: int):
     Yields (lo, hi, frames), with frames the (N, hi - lo, n) predictions
     at horizons lo + 1 .. hi.
 
-    The latent advances with the products ``rollout`` forms (M cur), or
-    ``rollout_second_order``'s (S = A S, then S cur) when the fit has
-    velocity operators, so it equals the tape rollout bit for bit. Each
-    group of horizons is decoded as soon as its latents exist and then
-    dropped, so no (N, steps, a*m) array is ever formed. Groups are
+    The latent advances with the products ``rollout`` forms (M cur, or
+    S = A S, then S cur when the fit has velocity operators), so it
+    equals the tape rollout bit for bit. Each group of horizons is
+    decoded as soon as its latents exist and then dropped, so no
+    (N, steps, a*m) array is ever formed. Groups are
     near-equal and hold at most max(1, ROW_BLOCK // N) horizons, so one
     decode covers at most max(N, ROW_BLOCK) rows and is never a single row
     unless N * steps is 1 (a 1-row product goes through gemv, which rounds
@@ -811,8 +801,7 @@ def _predicted_groups(model, fit: TransitionFit, steps: int):
 def predict_np(model, fit: TransitionFit, steps: int) -> np.ndarray:
     """Predicted frames (N, steps, n) of each fit at horizons 1..steps.
 
-    The rollout is forward-only, with the products of ``rollout`` (or of
-    ``rollout_second_order`` when the fit has velocity operators), and
+    The rollout is forward-only, with the products of ``rollout``, and
     the latents are decoded one group of horizons at a time (see
     ``_predicted_groups``); every decode is a gemm through ``_mlp_np``,
     so the frames equal a one-pass decode of the tape rollout bit for bit.

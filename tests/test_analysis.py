@@ -74,25 +74,6 @@ def test_equivariance_random_model_shows_cross_error():
     assert report.ratio == report.lp_equiv / report.lp
 
 
-def test_transition_swap_same_sequence_is_identity():
-    params = tiny_params()
-    batch = make_dataset(small_spec(), master_seed=10)
-    seq = batch.observations[0]
-    res = an.transition_swap(params, seq, seq, 2, 2)
-    np.testing.assert_array_equal(res.pred_a_on_b, res.pred_b_on_a)
-    np.testing.assert_array_equal(res.err_a_on_b, res.err_self_b)
-
-
-def test_transition_swap_oracle_shared_motion():
-    spec = small_spec(k=2, obs_dim=6)
-    paired = make_paired(spec, master_seed=11)
-    oracle = mm.OracleModel(spec)
-    res = an.transition_swap(oracle, paired.first.observations[0],
-                             paired.second.observations[0], 2, 2)
-    assert res.err_a_on_b.max() < 1e-12
-    assert res.err_b_on_a.max() < 1e-12
-
-
 def test_orthogonality_defect_examples():
     assert an.orthogonality_defect(rot2(0.7)) < 1e-28
     assert an.orthogonality_defect(np.zeros((3, 3))) == 3.0

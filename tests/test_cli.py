@@ -185,6 +185,8 @@ def test_config_rejects_unknown_and_missing_fields(tmp_path):
     ("generator", "mode", "sideways"),
     ("generator", "k", 3.5),
     ("train", "order", 3),
+    # the regression probe's 80/20 split needs five eval sequences
+    ("eval", "eval_sequences", 4),
 ])
 def test_config_rejects_malformed_values(section, key, value):
     doc = {"master_seed": 1, "out_dir": "x", section: {key: value}}
@@ -345,6 +347,19 @@ def test_eval_shape_mismatch_exits_4(tmp_path):
     batch = datagen.make_dataset(cfg_b.generator, 5, "velocity")
     datagen.save_dataset(batch, tmp_path / "run" / cli.DATASET_FILE)
     assert cli.main(["eval", "--config", str(path_a)]) == 4
+
+
+def test_eval_and_sbd_on_a_head_built_for_another_T_c_exit_4(tmp_path, capsys):
+    # a checkpoint saved without its config is read with the run config's T_c
+    path = write_config(tmp_path, generator={"T": 4},
+                        train={"variant": "neural_mstar", "T_c": 3})
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    head_cfg = dataclasses.replace(cfgmod.load(path).train, T_c=2)
+    tr.save_checkpoint(mm.ModelParams.initialize(head_cfg, obs_dim=4),
+                       tmp_path / "run" / cli.CHECKPOINT_FILE)
+    for command in ("eval", "sbd"):
+        assert cli.main([command, "--config", str(path)]) == 4
+        assert "T_c=2" in capsys.readouterr().err
 
 
 def test_sbd_outputs_and_determinism(tmp_path):

@@ -2,7 +2,8 @@
 
 Demos 01 and 06 exercise the 2-D ``estimate_transition`` / ``rollout`` /
 ``estimate_second_order`` calls; 02 and 05 cover data generation and block
-structure, 04 equivariance and transition swapping, and 07 the whole
+structure, 04 the equivariance error of self and cross predictions
+(each pair's fitted transition applied to its partner), and 07 the whole
 command-line pipeline, including ``mspred sbd`` with two restarts. Each
 runs in a fresh interpreter, with the package that this test imported
 first on its path.
