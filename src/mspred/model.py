@@ -47,7 +47,8 @@ class TrainConfig(DictForm):
     """Hyperparameters of one training run.
 
     ``T_c``/``T_p`` default to (2, 1) for first order and (5, 5) for
-    second order, and ``T_c`` must be at least 2 and 4 respectively. The
+    second order, and ``T_c`` must be at least 2 and 4 respectively.
+    Only ``msp`` trains at second order. The
     learning rate drops from ``lr`` to ``lr_final`` at ``decay_at``
     (default: 80% of the iteration budget).
     """
@@ -91,6 +92,10 @@ class TrainConfig(DictForm):
             raise ValidationError(f"unknown variant {cfg.variant!r}", field="variant")
         if cfg.order not in (1, 2):
             raise ValidationError("order must be 1 or 2", field="order")
+        # the other variants' objectives fit first-order operators only
+        if cfg.order != 1 and cfg.variant != "msp":
+            raise ValidationError(f"order 2 needs variant msp, got {cfg.variant!r}",
+                                  field="order")
         if cfg.a < 1:
             raise ValidationError("latent dimension a must be >= 1", field="a")
         if cfg.m <= cfg.a:
@@ -120,7 +125,8 @@ class TrainConfig(DictForm):
         if cfg.T_c < min_tc:
             raise ValidationError(f"T_c must be >= {min_tc} for order {cfg.order}",
                                   field="T_c")
-        if cfg.T_p < 1 and cfg.variant != "rec_model":
+        # every variant is scored by predicting T_p frames, rec_model too
+        if cfg.T_p < 1:
             raise ValidationError("T_p must be >= 1", field="T_p")
         if cfg.variant == "fixed_blocks" and cfg.a % 2 != 0:
             raise ValidationError("fixed_blocks needs even a", field="a")

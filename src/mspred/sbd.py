@@ -30,9 +30,15 @@ coordinates: a spectral guess, then seeded random bases. It optimizes
 U = exp(S) U0 with S skew-symmetric and zero at the start, so ``U`` stays
 orthogonal to rounding error and the optimization is unconstrained; the
 exponential is one tape op built on the eigendecomposition of the
-Hermitian iS. The family is checked once per fit and conjugated by U0
-once per start, and that array enters every iteration's tape as a view,
-so an iteration's tape holds five nodes. Only U is reported: S alone no
+Hermitian iS. Adam optimizes the n x n matrix S itself, fed the gradient
+projected onto the skew matrices, G - G^T: that projection is skew, and
+Adam acts on each entry alone with an update odd in its gradient, so an
+entry and its mirror take exactly opposite steps and the diagonal never
+moves. S stays exactly skew, and its upper triangle takes the same steps
+as a vector of the n(n-1)/2 free parameters would. The family is checked
+once per fit and conjugated by U0 once per start, and that array enters
+every iteration's tape as a view, so an iteration's tape holds four
+nodes: S, U, the family and the loss. Only U is reported: S alone no
 longer determines it, so ``sbd_result.json`` carries no skew parameter.
 """
 
@@ -40,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -172,29 +177,6 @@ def _spectral_basis(mats: list[np.ndarray], rng) -> np.ndarray:
     return np.linalg.eigh(combo)[1].T
 
 
-@lru_cache(maxsize=None)
-def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle, read-only."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
-def skew_from_params(tape, params: Var, n: int) -> Var:
-    """Assemble an n x n skew-symmetric matrix from n(n-1)/2 parameters."""
-    count = n * (n - 1) // 2
-    if params.shape != (count, 1):
-        raise DimensionError(f"expected ({count}, 1) parameters, got {params.shape}")
-    rows, cols = _upper_indices(n)
-    p = params.value[:, 0]
-    out = np.zeros((n, n))
-    out[rows, cols] = p
-    out[cols, rows] = -p
-    return tape._push(out, (params.index,),
-                      lambda g: ((g[rows, cols] - g[cols, rows])[:, None],))
-
-
 @dataclass
 class BlockStructure:
     """Disjoint blocks of coordinate indices covering 0..a-1."""
@@ -232,22 +214,6 @@ class SbdResult:
                 "blocks": self.blocks.to_dict()}
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def detect_blocks(v_list, threshold: float = 0.01) -> BlockStructure:
     """Read the common block partition off a family of conjugated matrices.
 
@@ -264,19 +230,18 @@ def detect_blocks(v_list, threshold: float = 0.01) -> BlockStructure:
         if m.shape != (n, n):
             raise DimensionError("matrices differ in size")
     energy = np.mean([np.abs(m - np.eye(n)) for m in mats], axis=0)
-    scale = energy.max()
-    uf = _UnionFind(n)
-    if scale > 0.0:
-        cut = threshold * scale
-        for i in range(n):
-            for j in range(i + 1, n):
-                if max(energy[i, j], energy[j, i]) > cut:
-                    uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
-    return BlockStructure(blocks=list(blocks), threshold=threshold)
+    linked = np.maximum(energy, energy.T) > threshold * energy.max()
+    np.fill_diagonal(linked, True)
+    # each coordinate takes its neighbours' smallest label until none
+    # changes; then every component is labelled by its smallest member
+    labels = np.arange(n)
+    while True:
+        spread = np.where(linked, labels, n).min(axis=1)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    blocks = [tuple(np.flatnonzero(labels == root).tolist()) for root in np.unique(labels)]
+    return BlockStructure(blocks=blocks, threshold=threshold)
 
 
 def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
@@ -287,8 +252,9 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
     is the spectral guess of ``_spectral_basis``, the others are seeded
     random bases (the landscape has merged-block local minima). A start
     conjugates the family by U0 once, then runs Adam on the skew
-    parameter S of U = exp(S) U0 from S = 0 against the mean blockness
-    loss of U M_i U^T; the learning rate drops 3x for the last 40% of
+    generator S of U = exp(S) U0, from S = 0 and with the gradient
+    projected onto skew matrices, against the mean blockness loss of
+    U M_i U^T; the learning rate drops 3x for the last 40% of
     each start to settle the endgame. The recorded history is the
     running best across everything tried, so it is non-increasing, and
     the returned U is the best-loss iterate exp(S) U0; S itself is not
@@ -316,7 +282,6 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
     except NumericError as exc:
         bad = next(i for i, m in enumerate(mats) if not np.isfinite(m).all())
         raise NumericError(f"transition {bad} has a non-finite entry") from exc
-    count = n * (n - 1) // 2
     rng = np.random.default_rng(mix64(seed, 101))
     decay_from = int(0.6 * iters)
     best_loss = math.inf
@@ -327,13 +292,13 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
               else np.linalg.qr(rng.normal(size=(n, n)))[0])
         # U M U^T = exp(S) (U0 M U0^T) exp(S)^T: the family enters conjugated
         conjugated = (u0 @ family @ u0.T).reshape(-1, n)
-        p = np.zeros((count, 1))
-        adam = AdamState(["p"], [(count, 1)], lr=lr)
+        skew = np.zeros((n, n))
+        adam = AdamState(["s"], [(n, n)], lr=lr)
         for it in range(iters):
             adam.lr = lr if it < decay_from else 0.3 * lr
             tape = ad.Tape()
-            pv = tape.input(p)
-            rot = expm_skew(skew_from_params(tape, pv, n))
+            sv = tape.input(skew)
+            rot = expm_skew(sv)
             loss = _mean_blockness_batched(rot, tape.input_view(conjugated), n)
             loss_val = float(loss.value[0, 0])
             if not math.isfinite(loss_val):
@@ -346,7 +311,9 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
                 best_u = rot.value @ u0
             history.append(best_loss)
             tape.backward(loss)
-            adam_step(adam, {"p": p}, {"p": tape.grad(pv)})
+            g = tape.grad(sv)
+            # the projection onto skew matrices keeps S exactly skew
+            adam_step(adam, {"s": skew}, {"s": g - g.T})
     v_best = [best_u @ m @ best_u.T for m in mats]
     blocks = detect_blocks(v_best, threshold=threshold)
     return SbdResult(u=best_u, loss_history=history, blocks=blocks)

@@ -168,6 +168,8 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
     from ``lr`` to ``lr_final`` at ``decay_at`` iterations.
 
     Raises:
+        ValidationError: before step 0, for an invalid config, or for
+            sequences too short for the frames it reads (field "T").
         TrainingAbort: on a non-finite loss or gradient, or a rank
             collapse (``SingularityError``) in the transition solve of a
             step or of its logged held-out fit;
@@ -178,7 +180,10 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
     cfg = cfg.resolved()
     cfg.validate()
     obs = dataset.observations
-    needed = cfg.T_c + cfg.T_p if cfg.variant != "rec_model" else max(cfg.T_c, 3)
+    # rec_model trains on max(T_c, 3) frames; a held-out curve predicts T_p
+    # frames after T_c, as every other objective does
+    needed = (max(cfg.T_c, 3) if cfg.variant == "rec_model" and cfg.holdout == 0
+              else cfg.T_c + cfg.T_p)
     if obs.shape[1] < needed:
         raise ValidationError(
             f"dataset sequences of length {obs.shape[1]} cannot supply {needed} frames",

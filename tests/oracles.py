@@ -65,8 +65,8 @@ def lstsq_transition(h0, h1):
 def connected_components(adjacency, tol=0.0):
     """Count components of the graph whose edges are entries > tol.
 
-    Breadth-first flood fill; deliberately not union-find so it stays
-    independent of the package's component detection.
+    Breadth-first flood fill, independent of the package's label
+    propagation in ``sbd.detect_blocks``.
     """
     a = np.asarray(adjacency)
     n = a.shape[0]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from mspred import autodiff as ad
 from mspred import datagen, sbd
 from mspred.errors import ContractError, DimensionError, NumericError
+from mspred.training import AdamState, adam_step
 
 from oracles import connected_components
 
@@ -20,6 +22,15 @@ def block_rotations(thetas):
     out = np.zeros((2 * k, 2 * k))
     for j, t in enumerate(thetas):
         out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = rot2(t)
+    return out
+
+
+def skew(p, n):
+    """The n x n skew matrix whose strict upper triangle holds p, row by row."""
+    rows, cols = np.triu_indices(n, k=1)
+    out = np.zeros((n, n))
+    out[rows, cols] = np.ravel(p)
+    out[cols, rows] = -np.ravel(p)
     return out
 
 
@@ -163,8 +174,7 @@ def test_batched_blockness_is_laplacian_trace_norm_on_c04_family():
     rng = np.random.default_rng(13)
     for _ in range(10):
         tape = ad.Tape()
-        p = tape.input(rng.normal(0.0, 0.6, size=(28, 1)))
-        u = sbd.expm_skew(sbd.skew_from_params(tape, p, 8))
+        u = sbd.expm_skew(tape.input(skew(rng.normal(0.0, 0.6, size=28), 8)))
         got = float(sbd._mean_blockness_batched(u, tape.input(stacked), 8).value[0, 0])
         refs = [smoothed_trace_norm(u.value @ m @ u.value.T) for m in mats]
         ref = float(np.mean([r for r, _ in refs]))
@@ -199,8 +209,7 @@ def test_batched_blockness_gradient_matches_fd_at_c04_size(orthogonal):
     rng = np.random.default_rng(17)
     if orthogonal:
         tape = ad.Tape()
-        p = tape.input(rng.normal(0.0, 0.6, size=(28, 1)))
-        u0 = sbd.expm_skew(sbd.skew_from_params(tape, p, 8)).value
+        u0 = sbd.expm_skew(tape.input(skew(rng.normal(0.0, 0.6, size=28), 8))).value
     else:
         u0 = rng.normal(size=(8, 8))
     stack0 = np.concatenate(c04_family(), axis=0)
@@ -246,8 +255,8 @@ def test_sbd_iteration_tape_is_small(monkeypatch):
 
     monkeypatch.setattr(ad.Tape, "backward", counting)
     sbd.fit_sbd(c04_family()[:8], iters=5, seed=0, restarts=1)
-    # parameters, skew matrix, U, the family and the fused loss
-    assert sizes == [5] * 5
+    # the skew generator, U, the family and the fused loss
+    assert sizes == [4] * 5
 
 
 def test_fit_sbd_enters_one_validated_family(monkeypatch):
@@ -279,91 +288,71 @@ def test_fit_sbd_names_the_non_finite_transition(where, bad):
 
 def test_expm_skew_orthogonal_and_additive():
     rng = np.random.default_rng(3)
-    p = rng.normal(size=(6, 1))
     tape = ad.Tape()
-    s = sbd.skew_from_params(tape, tape.input(p), 4)
-    np.testing.assert_allclose(s.value, -s.value.T, atol=1e-15)
+    s = tape.input(skew(rng.normal(size=6), 4))
     u = sbd.expm_skew(s)
     assert np.abs(u.value @ u.value.T - np.eye(4)).max() < 1e-12
     half = sbd.expm_skew(ad.scale(s, 0.5))
     np.testing.assert_allclose(half.value @ half.value, u.value, atol=1e-12)
 
 
-def test_expm_skew_gradient_matches_fd():
-    from oracles import central_diff, rel_err
+def skew_fd_check(loss, p0, n):
+    """Projected gradient of ``loss`` at skew(p0) against differences along p.
 
-    rng = np.random.default_rng(4)
-    p0 = rng.normal(size=(3, 1))
+    Moving p_k moves S along E_rc - E_cr, so the difference quotient in p_k
+    is (G - G^T)_rc for the gradient G in S.
+    """
+    from oracles import central_diff
 
     def forward(p):
         tape = ad.Tape()
-        u = sbd.expm_skew(sbd.skew_from_params(tape, tape.input(p), 3))
-        return float(ad.frobenius_sq(ad.sub(u, tape.input(np.ones((3, 3))))).value[0, 0])
+        return float(loss(tape, tape.input(skew(p, n))).value[0, 0])
 
     tape = ad.Tape()
-    pv = tape.input(p0)
-    u = sbd.expm_skew(sbd.skew_from_params(tape, pv, 3))
-    tape.backward(ad.frobenius_sq(ad.sub(u, tape.input(np.ones((3, 3))))))
-    assert rel_err(tape.grad(pv), central_diff(forward, p0)) < 1e-4
+    sv = tape.input(skew(p0, n))
+    tape.backward(loss(tape, sv))
+    g = tape.grad(sv)
+    rows, cols = np.triu_indices(n, k=1)
+    return (g - g.T)[rows, cols], central_diff(forward, p0)
+
+
+def test_expm_skew_gradient_matches_fd():
+    from oracles import rel_err
+
+    def loss(tape, s):
+        return ad.frobenius_sq(ad.sub(sbd.expm_skew(s), tape.input(np.ones((3, 3)))))
+
+    got, fd = skew_fd_check(loss, np.random.default_rng(4).normal(size=3), 3)
+    assert rel_err(got, fd) < 1e-4
 
 
 def test_expm_skew_orthogonal_at_large_norm():
     for n in (4, 8):
         for seed in range(8):
-            p = np.random.default_rng(seed).normal(size=(n * (n - 1) // 2, 1))
+            p = np.random.default_rng(seed).normal(size=n * (n - 1) // 2)
             p *= 20.0 / np.linalg.norm(p)
-            tape = ad.Tape()
-            u = sbd.expm_skew(sbd.skew_from_params(tape, tape.input(p), n)).value
+            u = sbd.expm_skew(ad.Tape().input(skew(p, n))).value
             assert np.abs(u @ u.T - np.eye(n)).max() <= 1e-14
             assert np.linalg.det(u) > 0.0
 
 
 def test_expm_skew_gradient_at_zero_matches_fd():
     # S = 0 has all eigenvalues equal: the coincident-eigenvalue limit
-    from oracles import central_diff, rel_err
+    from oracles import rel_err
 
     target = np.random.default_rng(7).normal(size=(4, 4))  # not symmetric
 
-    def loss(tape, p):
-        u = sbd.expm_skew(sbd.skew_from_params(tape, p, 4))
-        return ad.frobenius_sq(ad.sub(u, tape.input(target)))
+    def loss(tape, s):
+        return ad.frobenius_sq(ad.sub(sbd.expm_skew(s), tape.input(target)))
 
-    def forward(p):
-        tape = ad.Tape()
-        return float(loss(tape, tape.input(p)).value[0, 0])
-
-    p0 = np.zeros((6, 1))
-    tape = ad.Tape()
-    pv = tape.input(p0)
-    tape.backward(loss(tape, pv))
-    fd = central_diff(forward, p0)
+    got, fd = skew_fd_check(loss, np.zeros(6), 4)
     assert np.abs(fd).max() > 1e-3
-    assert rel_err(tape.grad(pv), fd) < 1e-8
-
-
-def test_skew_from_params_matches_scatter_reference():
-    # reference: p^T times a (count, n^2) matrix of +-1 scatter entries
-    n = 5
-    rows, cols = np.triu_indices(n, k=1)
-    count = rows.size
-    scatter = np.zeros((count, n * n))
-    scatter[np.arange(count), rows * n + cols] = 1.0
-    scatter[np.arange(count), cols * n + rows] = -1.0
-    rng = np.random.default_rng(16)
-    p0 = rng.normal(size=(count, 1))
-    g = rng.normal(size=(n, n))
-    tape = ad.Tape()
-    pv = tape.input(p0)
-    s = sbd.skew_from_params(tape, pv, n)
-    assert len(tape.values) == 2
-    tape.backward(ad.reduce_sum(ad.hadamard(s, tape.input(g))))
-    assert np.array_equal(s.value, (p0.T @ scatter).reshape(n, n))
-    assert np.array_equal(tape.grad(pv), scatter @ g.reshape(-1, 1))
+    assert rel_err(got, fd) < 1e-8
 
 
 def test_expm_skew_is_one_tape_node():
     tape = ad.Tape()
-    s = sbd.skew_from_params(tape, tape.input(np.full((3, 1), 0.4)), 3)
+    s = tape.input(skew(np.full(3, 0.4), 3))
     before = len(tape.values)
     sbd.expm_skew(s)
     assert len(tape.values) == before + 1
@@ -391,6 +380,34 @@ def test_detect_blocks_with_noise():
         mats.append(v)
     structure = sbd.detect_blocks(mats, threshold=0.01)
     assert structure.blocks == [(0, 1), (2, 3), (4, 5)]
+
+
+def test_detect_blocks_are_the_components_of_random_thresholded_families():
+    rng = np.random.default_rng(18)
+    for trial in range(300):
+        n = int(rng.integers(1, 10))
+        count = int(rng.integers(1, 4))
+        density = rng.uniform()
+        mats = [np.eye(n) + rng.normal(size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+                for _ in range(count)]
+        if trial % 50 == 0:
+            mats = [np.eye(n)] * count  # no energy at all: every coordinate alone
+        threshold = float(rng.choice([0.01, 0.1, 0.3, 0.6]))
+        structure = sbd.detect_blocks(mats, threshold=threshold)
+        energy = np.mean([np.abs(m - np.eye(n)) for m in mats], axis=0)
+        edges = np.maximum(energy, energy.T) > threshold * energy.max()
+        assert len(structure.blocks) == connected_components(edges.astype(float))
+        members = [i for block in structure.blocks for i in block]
+        assert sorted(members) == list(range(n))
+        assert all(type(i) is int for i in members)
+        assert all(list(b) == sorted(b) for b in structure.blocks)
+        assert [b[0] for b in structure.blocks] == sorted(b[0] for b in structure.blocks)
+        label = np.empty(n, dtype=int)
+        for j, block in enumerate(structure.blocks):
+            label[list(block)] = j
+        # no edge joins two blocks, so with the count they are the components
+        assert not (edges & (label[:, None] != label[None, :])).any()
+        json.dumps(structure.to_dict())
 
 
 def test_fit_sbd_recovers_planted_blocks():
@@ -447,6 +464,57 @@ def test_fit_sbd_deterministic():
     assert r1.blocks.blocks == r2.blocks.blocks
 
 
+def reference_fit_sbd(mats, iters, lr, seed, restarts, threshold=0.01):
+    """SBD over the n(n-1)/2 free parameters of S, scattered into S by a
+    (count, n^2) matrix of +-1 entries, with the transposed scatter as VJP."""
+    n = mats[0].shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    count = rows.size
+    scatter = np.zeros((count, n * n))
+    scatter[np.arange(count), rows * n + cols] = 1.0
+    scatter[np.arange(count), cols * n + rows] = -1.0
+    family = np.stack(mats)
+    rng = np.random.default_rng(datagen.mix64(seed, 101))
+    best_loss, best_u, history = math.inf, None, []
+    for restart in range(restarts):
+        u0 = (sbd._spectral_basis(mats, rng) if restart == 0
+              else np.linalg.qr(rng.normal(size=(n, n)))[0])
+        conjugated = (u0 @ family @ u0.T).reshape(-1, n)
+        p = np.zeros((count, 1))
+        adam = AdamState(["p"], [(count, 1)], lr=lr)
+        for it in range(iters):
+            adam.lr = lr if it < int(0.6 * iters) else 0.3 * lr
+            tape = ad.Tape()
+            pv = tape.input(p)
+            s = tape._push((p.T @ scatter).reshape(n, n), (pv.index,),
+                           lambda g: (scatter @ g.reshape(-1, 1),))
+            rot = sbd.expm_skew(s)
+            loss = sbd._mean_blockness_batched(rot, tape.input(conjugated), n)
+            if loss.value[0, 0] < best_loss:
+                best_loss, best_u = float(loss.value[0, 0]), rot.value @ u0
+            history.append(best_loss)
+            tape.backward(loss)
+            adam_step(adam, {"p": p}, {"p": tape.grad(pv)})
+    blocks = sbd.detect_blocks([best_u @ m @ best_u.T for m in mats], threshold=threshold)
+    return best_u, history, blocks
+
+
+@pytest.mark.parametrize("family, seed", [("c04", 0), ("c04", 3), ("general", 0)])
+def test_fit_sbd_matches_free_parameter_reference_bitwise(family, seed):
+    # Adam on S with the gradient G - G^T moves S's upper triangle exactly as
+    # on the free parameters, whose gradient is G_rc - G_cr
+    if family == "c04":
+        mats, iters, restarts = c04_family(), 120, 4
+    else:
+        rng = np.random.default_rng(19)
+        mats, iters, restarts = [rng.normal(size=(6, 6)) for _ in range(8)], 150, 2
+    result = sbd.fit_sbd(mats, iters=iters, seed=seed, restarts=restarts)
+    u, history, blocks = reference_fit_sbd(mats, iters, 0.05, seed, restarts)
+    assert np.array_equal(result.u, u)
+    assert result.loss_history == history
+    assert result.blocks == blocks
+
+
 def test_restrict_to_blocks():
     v = np.arange(16.0).reshape(4, 4)
     blocks = sbd.BlockStructure(blocks=[(0, 1), (2, 3)], threshold=0.01)
@@ -491,7 +559,7 @@ def test_shape_errors():
     with pytest.raises(DimensionError):
         sbd.abs_adjacency(tape.input(np.ones((2, 3))))
     with pytest.raises(DimensionError):
-        sbd.skew_from_params(tape, tape.input(np.ones((2, 1))), 4)
+        sbd.expm_skew(tape.input(np.ones((2, 3))))
     with pytest.raises(ContractError):
         sbd.fit_sbd([])
 

@@ -100,7 +100,7 @@ def _desk_shapes():
     return {n: t.shape for n, t in params.named_tensors().items()}
 
 
-@pytest.mark.parametrize("shapes, beta1", [(_desk_shapes(), 0.9), ({"p": (28, 1)}, 0.9),
+@pytest.mark.parametrize("shapes, beta1", [(_desk_shapes(), 0.9), ({"s": (8, 8)}, 0.9),
                                            (_desk_shapes(), 0.0)],
                          ids=["desk", "sbd", "desk-beta1-0"])
 def test_flat_adam_matches_per_tensor_reference_bitwise(shapes, beta1):
@@ -317,6 +317,46 @@ def test_train_validates_dataset_length():
     cfg = small_config(T_c=3, T_p=2)
     with pytest.raises(ValidationError):
         tr.train(cfg, ds)
+
+
+def _no_step(*args):
+    raise AssertionError("training took a step")
+
+
+@pytest.mark.parametrize("T_c, T_p, field", [(2, 0, "T_p"), (3, 1, "T"), (2, 2, "T")])
+def test_rec_model_holdout_needs_a_prediction_window(monkeypatch, T_c, T_p, field):
+    # the held-out curve predicts T_p frames after T_c, so a rec_model run
+    # with a holdout needs T_c + T_p frames although its objective reads 3
+    monkeypatch.setattr(mm, "variant_loss", _no_step)
+    cfg = small_config(variant="rec_model", T_c=T_c, T_p=T_p, holdout=4)
+    with pytest.raises(ValidationError) as exc:
+        tr.train(cfg, small_dataset(n=16, T=3))
+    assert exc.value.field == field
+
+
+def test_rec_model_without_holdout_trains_on_three_frames():
+    cfg = small_config(variant="rec_model", T_p=2, iterations=2)
+    _, metrics = tr.train(cfg, small_dataset(n=16, T=3))
+    assert [m.loss_eval for m in metrics] == [None]
+
+
+@pytest.mark.parametrize("variant", ["rec_model", "fixed_blocks", "neural_mstar"])
+def test_order_2_is_msp_only(monkeypatch, tmp_path, variant):
+    # these objectives fit first-order operators: order 2 would only move
+    # T_c/T_p to 5/5 and the scoring to a second-order fit
+    monkeypatch.setattr(mm, "variant_loss", _no_step)
+    cfg = small_config(a=4, m=5, variant=variant, order=2, T_c=None, T_p=None)
+    with pytest.raises(ValidationError) as exc:
+        cfg.validate()
+    assert exc.value.field == "order"
+    with pytest.raises(ValidationError) as exc:
+        tr.train(cfg, small_dataset(n=16, T=10))
+    assert exc.value.field == "order"
+    first = small_config(a=4, m=5, variant=variant)
+    with pytest.raises(FormatError, match="config field order"):
+        tr.load_checkpoint(_tampered_manifest(tmp_path, first,
+                                              lambda d: d["config"].update({"order": 2})))
+    small_config(order=2, T_c=None, T_p=None).validate()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
