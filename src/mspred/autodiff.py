@@ -30,6 +30,14 @@ Design notes, fixed once and relied on by tests:
   gradient suite checks on its own;
 * ``sym_eig`` differentiates eigenvalues only (the eigenvector matrix is
   returned as a plain array, deliberately without a gradient path);
+* a leaf entered with ``grad=False`` is a constant (data, targets, a
+  fixed mask): ``backward`` never stores or accumulates a gradient for
+  it, ``Tape.grad`` of it raises ``ContractError``, and ``matmul``,
+  ``hadamard``, ``sub`` (its right operand) and ``dense`` (its input
+  rows) form no gradient for a constant operand.
+  Only leaves are constant, so the bookkeeping is one set entry per
+  constant leaf and no op scans its parents; a node computed from
+  constants alone still gets its gradient;
 * gradient accumulation order is the reverse of node creation order, so
   identical inputs give bit-identical gradients.
 """
@@ -76,6 +84,11 @@ class Var:
     def value(self) -> Array:
         return self.tape.values[self.index]
 
+    @property
+    def constant(self) -> bool:
+        """True for a leaf entered with ``grad=False``."""
+        return self.index in self.tape.constants
+
     def __repr__(self):
         return f"Var(index={self.index}, shape={self.shape})"
 
@@ -93,6 +106,7 @@ class Tape:
         self.parents: list[tuple[int, ...]] = []
         self.vjps: list = []
         self.grads: list | None = None
+        self.constants: set[int] = set()
 
     def _push(self, value: Array, parents=(), vjp=None) -> Var:
         value.setflags(write=False)
@@ -101,21 +115,27 @@ class Tape:
         self.vjps.append(vjp)
         return Var(self, len(self.values) - 1, value.shape)
 
-    def input(self, data) -> Var:
-        """Enter a leaf value (parameter or constant) onto the tape."""
-        return self._push(as_matrix(data))
+    def _leaf(self, value: Array, grad: bool) -> Var:
+        var = self._push(value)
+        if not grad:
+            self.constants.add(var.index)
+        return var
 
-    def input_view(self, array: Array) -> Var:
+    def input(self, data, grad: bool = True) -> Var:
+        """Enter a leaf value onto the tape; ``grad=False`` makes it a constant."""
+        return self._leaf(as_matrix(data), grad)
+
+    def input_view(self, array: Array, grad: bool = True) -> Var:
         """Enter a leaf as a read-only view of ``array``, without a copy or a scan.
 
         The leaf aliases ``array``: the caller vouches that it is finite
         and must not write to it while the tape's values or gradients are
-        still to be read.
+        still to be read. ``grad=False`` makes it a constant.
         """
         if array.dtype != np.float64 or array.ndim not in (2, 3):
             raise ContractError(f"input_view needs a 2-D or 3-D float64 array, "
                                 f"got {array.dtype} with ndim={array.ndim}")
-        return self._push(array.view())
+        return self._leaf(array.view(), grad)
 
     def backward(self, loss: Var) -> None:
         """Reverse sweep from ``loss``, filling gradient slots.
@@ -132,6 +152,7 @@ class Tape:
             raise ContractError(f"loss must be 1x1, got {loss.shape}")
         self.grads = [None] * len(self.values)
         self.grads[loss.index] = np.ones((1, 1))
+        constants = self.constants
         for i in range(loss.index, -1, -1):
             g = self.grads[i]
             vjp = self.vjps[i]
@@ -140,18 +161,23 @@ class Tape:
             for p, pg in zip(self.parents[i], vjp(g)):
                 if pg is None:
                     continue
-                if self.grads[p] is None:
-                    self.grads[p] = pg
-                else:
+                if self.grads[p] is not None:
                     self.grads[p] = self.grads[p] + pg
+                elif p not in constants:  # so a constant's slot stays empty
+                    self.grads[p] = pg
 
     def grad(self, var: Var) -> Array:
         """Gradient of the last backward()'s loss w.r.t. ``var``.
 
         Nodes the loss does not depend on get a zero gradient.
+
+        Raises:
+            ContractError: before ``backward``, or if ``var`` is a constant.
         """
         if self.grads is None:
             raise ContractError("call backward() before grad()")
+        if var.constant:
+            raise ContractError(f"{var} is a constant: it has no gradient")
         g = self.grads[var.index]
         if g is None:
             return np.zeros(var.shape)
@@ -199,10 +225,12 @@ def matmul(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
     out = _finite(av @ bv, "matmul")
+    need_a, need_b = not a.constant, not b.constant
 
     def vjp(g):
         # a 2-D product hands the transposed view to BLAS as it is
-        return g @ (_mT(bv) if bv.ndim == 2 else _mT_copy(bv)), _mT(av) @ g
+        return (g @ (_mT(bv) if bv.ndim == 2 else _mT_copy(bv)) if need_a else None,
+                _mT(av) @ g if need_b else None)
 
     return tape._push(out, (a.index, b.index), vjp)
 
@@ -220,6 +248,8 @@ def sub(a: Var, b: Var) -> Var:
         raise DimensionError(f"sub shapes differ: {a.shape} vs {b.shape}")
     tape = _same_tape(a, b)
     out = _finite(a.value - b.value, "sub")
+    if b.constant:  # a target: -g would go unread
+        return tape._push(out, (a.index, b.index), lambda g: (g, None))
     return tape._push(out, (a.index, b.index), lambda g: (g, -g))
 
 
@@ -229,7 +259,9 @@ def hadamard(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
     out = _finite(av * bv, "hadamard")
-    return tape._push(out, (a.index, b.index), lambda g: (g * bv, g * av))
+    need_a, need_b = not a.constant, not b.constant
+    return tape._push(out, (a.index, b.index),
+                      lambda g: (g * bv if need_a else None, g * av if need_b else None))
 
 
 def scale(a: Var, c: float) -> Var:
@@ -335,11 +367,12 @@ def dense(x: Var, w: Var, b: Var, act: bool) -> Var:
     _finite(out, "dense bias add")
     if act:
         np.tanh(out, out=out)
+    need_x = not x.constant  # constant input rows take no g W^T
 
     def vjp(g):
         if act:
             g = g * (1.0 - out * out)
-        return g @ _mT(wv), _mT(xv) @ g, g.sum(axis=0, keepdims=True)
+        return (g @ _mT(wv) if need_x else None), _mT(xv) @ g, g.sum(axis=0, keepdims=True)
 
     return tape._push(out, (x.index, w.index, b.index), vjp)
 
@@ -495,7 +528,7 @@ def sym_eig(s: Var) -> tuple[Var, Array]:
     Raises:
         NumericError: if the iterative eigensolver fails to converge.
     """
-    if s.shape[0] != s.shape[1]:
+    if len(s.shape) != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"sym_eig needs a square matrix, got {s.shape}")
     sym = (s.value + s.value.T) / 2.0
     try:

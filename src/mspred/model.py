@@ -407,7 +407,8 @@ def estimate_transition_blockwise(latents: Sequence[Var], block: int = 2) -> Tra
     # every column band holds all blocks stacked; the mask keeps the diagonal ones
     bands = ad.hcat([ad.reshape(est.m_star, *batch, a, block)] * n_blocks)
     mask = np.kron(np.eye(n_blocks), np.ones((block, block)))
-    m_star = ad.hadamard(bands, latents[0].tape.input(np.broadcast_to(mask, bands.shape)))
+    mask = latents[0].tape.input(np.broadcast_to(mask, bands.shape), grad=False)
+    m_star = ad.hadamard(bands, mask)
     return TransitionEstimate(order=1, m_star=m_star, m_last=None)
 
 
@@ -539,7 +540,7 @@ def _encode_frames(tape_model, obs: np.ndarray, T_c: int) -> tuple[Var, Var]:
     """Enter frames 1..T_c of every sequence as (N * T_c, n) rows,
     sequence-major, and encode them in one pass; returns (rows, encodings)."""
     n_seq, _, n_dim = obs.shape
-    rows = tape_model.tape.input(obs[:, :T_c].reshape(n_seq * T_c, n_dim))
+    rows = tape_model.tape.input(obs[:, :T_c].reshape(n_seq * T_c, n_dim), grad=False)
     return rows, tape_model.encode_rows(rows)
 
 
@@ -564,10 +565,10 @@ def _prediction_loss(tape_model, obs, T_c: int, T_p: int, order: int,
     lat = _frames(enc, n_seq, a, tape_model.m)
     head = None
     if transition == "neural":
-        cond = tape.input(obs[:, :T_c].reshape(n_seq, T_c * n_dim))
+        cond = tape.input(obs[:, :T_c].reshape(n_seq, T_c * n_dim), grad=False)
         head = ad.reshape(tape_model.transition_rows(cond), n_seq, a, a)
     est = estimate(lat, order=order, transition=transition, head=head)
-    targets = tape.input(obs[:, T_c : T_c + T_p].reshape(n_seq * T_p, n_dim))
+    targets = tape.input(obs[:, T_c : T_c + T_p].reshape(n_seq * T_p, n_dim), grad=False)
     loss = _mean_frame_error(tape_model, _rollout_rows(est, lat[-1], T_p), targets)
     return loss, rows, enc, est
 
@@ -593,7 +594,8 @@ def _reconstruction_loss(tape_model, obs, T_c: int) -> tuple[Var, TransitionEsti
         raise DimensionError(f"sequences of length {t_len} cannot supply T_c={T_c}")
     lat = _frames(_encode_frames(tape_model, obs, T_c)[1], n_seq, tape_model.a, tape_model.m)
     est = estimate_transition(lat)
-    targets = tape_model.tape.input(obs[:, 1:T_c].reshape(n_seq * (T_c - 1), n_dim))
+    targets = tape_model.tape.input(obs[:, 1:T_c].reshape(n_seq * (T_c - 1), n_dim),
+                                    grad=False)
     return _mean_frame_error(tape_model, _rollout_rows(est, lat[0], T_c - 1), targets), est
 
 

@@ -17,13 +17,14 @@ weight that couples it to other coordinates. With s = abs(V) this needs
 only row norms and degrees, A_ii = |s_i|^2 and d_i = s_i . sum_j s_j, so
 no Gram matrix or eigensolver is formed.
 
-The objective over a family M_0 .. M_{c-1} is one tape node. It lays the
-members side by side, so both conjugation products V_i = U M_i U^T are
-single GEMMs, and it forms the smoothed |V_i| and the mean trace in the
-same pass. Its VJP maps the gradient G_i in each V_i to
+The objective over a family M_0 .. M_{c-1} is one tape node. It reads
+the members laid side by side, so both conjugation products V_i = U M_i U^T
+are single GEMMs, and it forms the smoothed |V_i| and the mean trace in
+the same pass. Its VJP maps the gradient G_i in each V_i to
 dM_i = U^T G_i U and dU = sum_i G_i U M_i^T + G_i^T U M_i, where each sum
-over the family is one (n, c*n) x (c*n, n) GEMM. Nothing in it assumes
-U^T U = I, so the gradient holds for a general U.
+over the family is one (n, c*n) x (c*n, n) GEMM, and forms neither for a
+constant operand. Nothing in it assumes U^T U = I, so the gradient holds
+for a general U.
 
 ``fit_sbd`` starts from orthogonal bases U0, not from points in skew
 coordinates: a spectral guess, then seeded random bases. It optimizes
@@ -36,9 +37,10 @@ Adam acts on each entry alone with an update odd in its gradient, so an
 entry and its mirror take exactly opposite steps and the diagonal never
 moves. S stays exactly skew, and its upper triangle takes the same steps
 as a vector of the n(n-1)/2 free parameters would. The family is checked
-once per fit and conjugated by U0 once per start, and that array enters
-every iteration's tape as a view, so an iteration's tape holds four
-nodes: S, U, the family and the loss. Only U is reported: S alone no
+once per fit, then conjugated by U0 and laid side by side once per start,
+and that array enters every iteration's tape as a constant view, so an
+iteration's tape holds four nodes: S, U, the family and the loss, and
+the family's gradient is never formed. Only U is reported: S alone no
 longer determines it, so ``sbd_result.json`` carries no skew parameter.
 """
 
@@ -61,7 +63,7 @@ DEGREE_EPS = 1e-10   # guard added to every degree
 
 def abs_adjacency(v: Var) -> Var:
     """Adjacency A = abs(V) abs(V)^T with smoothed absolute value."""
-    if v.shape[0] != v.shape[1]:
+    if len(v.shape) != 2 or v.shape[0] != v.shape[1]:
         raise DimensionError(f"abs_adjacency needs a square matrix, got {v.shape}")
     sabs = ad.smooth_abs(v, ABS_EPS)
     return ad.matmul(sabs, ad.transpose(sabs))
@@ -69,15 +71,16 @@ def abs_adjacency(v: Var) -> Var:
 
 def normalized_laplacian(adj: Var) -> Var:
     """I - D^{-1/2} A D^{-1/2} with an epsilon guard on the degrees."""
-    if adj.shape[0] != adj.shape[1]:
+    if len(adj.shape) != 2 or adj.shape[0] != adj.shape[1]:
         raise DimensionError(f"normalized_laplacian needs a square matrix, got {adj.shape}")
     n = adj.shape[0]
     tape = adj.tape
-    ones = tape.input(np.ones((n, 1)))
-    degrees = ad.add(ad.matmul(adj, ones), tape.input(np.full((n, 1), DEGREE_EPS)))
+    ones = tape.input(np.ones((n, 1)), grad=False)
+    eps = tape.input(np.full((n, 1), DEGREE_EPS), grad=False)
+    degrees = ad.add(ad.matmul(adj, ones), eps)
     dinv_sqrt = ad.rsqrt(degrees)
     outer = ad.matmul(dinv_sqrt, ad.transpose(dinv_sqrt))
-    return ad.sub(tape.input(np.eye(n)), ad.hadamard(adj, outer))
+    return ad.sub(tape.input(np.eye(n), grad=False), ad.hadamard(adj, outer))
 
 
 def blockness_loss(v: Var) -> Var:
@@ -85,12 +88,13 @@ def blockness_loss(v: Var) -> Var:
 
     Low values mean little adjacency weight crosses between coordinates,
     i.e. many blocks. This is the batched loss on a one-member family
-    with U = I, so the two never disagree in rounding.
+    with U = I, so the two never disagree in rounding; that U is a
+    constant, so no dU is formed.
     """
-    if v.shape[0] != v.shape[1]:
+    if len(v.shape) != 2 or v.shape[0] != v.shape[1]:
         raise DimensionError(f"blockness_loss needs a square matrix, got {v.shape}")
     n = v.shape[0]
-    return _mean_blockness_batched(v.tape.input(np.eye(n)), v, n)
+    return _mean_blockness_batched(v.tape.input(np.eye(n), grad=False), v, n)
 
 
 def expm_skew(skew: Var) -> Var:
@@ -102,7 +106,7 @@ def expm_skew(skew: Var) -> Var:
     D_jk = e^{-i(w_j + w_k)/2} sin(h_jk) / h_jk, h_jk = (w_j - w_k)/2,
     which is e^{-iw_j} at w_j = w_k.
     """
-    if skew.shape[0] != skew.shape[1]:
+    if len(skew.shape) != 2 or skew.shape[0] != skew.shape[1]:
         raise DimensionError(f"expm_skew needs a square matrix, got {skew.shape}")
     try:
         w, q = np.linalg.eigh(1j * skew.value)
@@ -121,23 +125,34 @@ def expm_skew(skew: Var) -> Var:
     return skew.tape._push(u, (skew.index,), vjp)
 
 
-def _mean_blockness_batched(u: Var, stack: Var, n: int) -> Var:
-    """Mean blockness loss of V_i = U M_i U^T over a family stacked as (count*n, n).
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """Lay a (count, n, n) family out as the (n * count, n) array whose row
+    k * count + i is row k of member i: the layout ``_mean_blockness_batched``
+    reads. A one-member family is its member."""
+    count, n, _ = stack.shape
+    return stack.transpose(1, 0, 2).reshape(n * count, n)
 
-    One tape node. Every member is laid side by side, as the (n, count*n)
-    matrix [V_0 ... V_{count-1}], so the conjugation and the sums over
-    the family in the VJP are single GEMMs. With s = smoothed |V|, row
-    energies r_a = |s_a|^2, column sums c = sum_a s_a and degrees
-    q_a = s_a . c + eps, the loss is n - mean_i sum_a r_a / q_a, and
-    with w = r / q^2 and e = sum_a w_a s_a its gradient in V_i is
-    G_i = (-2 V / q + (V / s) o (w c^T + 1 e^T)) / count.
+
+def _mean_blockness_batched(u: Var, side: Var, n: int) -> Var:
+    """Mean blockness loss of V_i = U M_i U^T over a family laid side by side.
+
+    One tape node. ``side`` is the (n * count, n) layout of
+    ``_side_by_side``, read as the (n, count*n) matrix [M_0 ... M_{count-1}]
+    after a product with U^T, so the conjugation and the sums over the
+    family in the VJP are single GEMMs; its gradient comes back in the
+    same layout. With s = smoothed |V|, row energies r_a = |s_a|^2,
+    column sums c = sum_a s_a and degrees q_a = s_a . c + eps, the loss
+    is n - mean_i sum_a r_a / q_a, and with w = r / q^2 and
+    e = sum_a w_a s_a its gradient in V_i is
+    G_i = (-2 V / q + (V / s) o (w c^T + 1 e^T)) / count. A constant U
+    or family gets no gradient product.
     """
-    count = stack.shape[0] // n
+    count = side.shape[0] // n
     uv = u.value
     ut = uv.T.copy()  # a transposed operand makes these small GEMMs ~2x slower
-    # side by side: m_side[k, i, l] = M_i[k, l], w_side[k, i, b] = (M_i U^T)[k, b]
+    # m_side[k, i, l] = M_i[k, l], w_side[k, i, b] = (M_i U^T)[k, b]
     # and v[a, i, b] = V_i[a, b]
-    m_side = stack.value.reshape(count, n, n).transpose(1, 0, 2).reshape(n * count, n)
+    m_side = side.value
     w_side = m_side @ ut
     v = (uv @ w_side.reshape(n, count * n)).reshape(n, count, n)
     v_sq = v * v + ABS_EPS * ABS_EPS
@@ -147,6 +162,7 @@ def _mean_blockness_batched(u: Var, stack: Var, n: int) -> Var:
     c = s.sum(axis=0)
     q = (s * c) @ ones + DEGREE_EPS
     out = np.array([[n - (r / q).sum() / count]])
+    need_u, need_side = not u.constant, not side.constant
 
     def vjp(g):
         scale = g[0, 0] / count
@@ -157,11 +173,10 @@ def _mean_blockness_batched(u: Var, stack: Var, n: int) -> Var:
         # z_side[k, i, b] = (U^T G_i)[k, b]
         z_side = (ut @ g_side).reshape(n * count, n)
         # dU = sum_i G_i (M_i U^T)^T + (U^T G_i)^T M_i
-        du = g_side @ w_side.reshape(n, count * n).T + z_side.T @ m_side
-        dstack = (z_side @ uv).reshape(n, count, n).transpose(1, 0, 2)
-        return du, dstack.reshape(count * n, n)
+        du = g_side @ w_side.reshape(n, count * n).T + z_side.T @ m_side if need_u else None
+        return du, z_side @ uv if need_side else None
 
-    return u.tape._push(out, (u.index, stack.index), vjp)
+    return u.tape._push(out, (u.index, side.index), vjp)
 
 
 def _spectral_basis(mats: list[np.ndarray], rng) -> np.ndarray:
@@ -291,15 +306,17 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
         u0 = (_spectral_basis(mats, rng) if restart == 0
               else np.linalg.qr(rng.normal(size=(n, n)))[0])
         # U M U^T = exp(S) (U0 M U0^T) exp(S)^T: the family enters conjugated
-        conjugated = (u0 @ family @ u0.T).reshape(-1, n)
+        conjugated = _side_by_side(u0 @ family @ u0.T)
         skew = np.zeros((n, n))
         adam = AdamState(["s"], [(n, n)], lr=lr)
         for it in range(iters):
             adam.lr = lr if it < decay_from else 0.3 * lr
             tape = ad.Tape()
-            sv = tape.input(skew)
+            # S is finite by construction, and Adam writes it only after
+            # its gradient is read
+            sv = tape.input_view(skew)
             rot = expm_skew(sv)
-            loss = _mean_blockness_batched(rot, tape.input_view(conjugated), n)
+            loss = _mean_blockness_batched(rot, tape.input_view(conjugated, grad=False), n)
             loss_val = float(loss.value[0, 0])
             if not math.isfinite(loss_val):
                 raise NumericError(

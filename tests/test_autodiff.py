@@ -142,6 +142,53 @@ def test_input_view_aliases_without_copy_and_checks_dtype_and_rank():
             tape.input_view(bad)
 
 
+def test_constant_leaf_gets_no_gradient_slot_and_no_grad():
+    tape = ad.Tape()
+    x = tape.input(np.arange(6.0).reshape(2, 3))
+    c = tape.input(np.ones((2, 3)), grad=False)
+    v = tape.input_view(np.full((2, 3), 2.0), grad=False)
+    assert c.constant and v.constant and not x.constant
+    tape.backward(ad.frobenius_sq(ad.add(ad.hadamard(x, c), v)))
+    assert tape.grads[c.index] is None and tape.grads[v.index] is None
+    np.testing.assert_array_equal(tape.grad(x), 2.0 * (x.value + 2.0))
+    for leaf in (c, v):
+        with pytest.raises(ContractError, match="constant"):
+            tape.grad(leaf)
+
+
+# (op, operand shapes); every op is scored by a fixed weighting of its output
+CONSTANT_OPERAND_OPS = {
+    "dense": (lambda x, w, b: ad.dense(x, w, b, act=True), [(5, 3), (3, 4), (1, 4)]),
+    "matmul": (ad.matmul, [(2, 4, 3), (2, 3, 5)]),
+    "sub": (ad.sub, [(4, 3), (4, 3)]),
+    "hadamard": (ad.hadamard, [(2, 4, 3), (2, 4, 3)]),
+    "lstsq_right": (ad.lstsq_right, [(2, 3, 6), (2, 3, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTANT_OPERAND_OPS))
+def test_constant_operand_keeps_other_gradients_bitwise(name):
+    op, shapes = CONSTANT_OPERAND_OPS[name]
+    rng = make_rng(41)
+    data = [rng.normal(size=shape) for shape in shapes]
+
+    def grads(constant):
+        tape = ad.Tape()
+        leaves = [tape.input(d, grad=i != constant) for i, d in enumerate(data)]
+        out = op(*leaves)
+        weight = tape.input(make_rng(43).normal(size=out.shape))
+        tape.backward(ad.reduce_sum(ad.hadamard(out, weight)))
+        assert all(tape.grads[leaf.index] is None for leaf in leaves if leaf.constant)
+        return [None if leaf.constant else tape.grad(leaf) for leaf in leaves]
+
+    reference = grads(constant=None)
+    for constant in range(len(data)):
+        for i, g in enumerate(grads(constant)):
+            assert (g is None) == (i == constant)
+            if g is not None:
+                assert np.array_equal(g, reference[i]), (constant, i)
+
+
 def test_matmul_identity():
     tape = ad.Tape()
     x = tape.input(np.arange(9.0).reshape(3, 3))

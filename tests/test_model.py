@@ -841,6 +841,34 @@ def test_training_step_through_dense_equals_three_node_layers_bitwise(monkeypatc
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+@pytest.mark.parametrize("variant, count", [("msp", 2), ("neural_mstar", 3), ("fixed_blocks", 3)])
+def test_constant_rows_and_targets_keep_desk_gradients_bitwise(monkeypatch, variant, count):
+    # the objective enters its observation rows, condition rows, targets and
+    # mask as constants; a tape that enters them as variables forms their
+    # gradients too, and every parameter gradient must come out the same
+    params = perturbed_desk_model(variant, 6)
+    cfg = mm.TrainConfig(a=8, m=16, variant=variant).resolved()
+    obs = make_dataset(replace(velocity_spec(), num_sequences=32),
+                       master_seed=4).observations[:, : cfg.T_c + cfg.T_p]
+
+    def step():
+        tape = ad.Tape()
+        bound = mm.TapeModel(tape, params)
+        loss = mm.variant_loss(bound, obs, cfg)
+        tape.backward(loss)
+        return loss.value.copy(), bound.gradients(), len(tape.constants)
+
+    loss, grads, constants = step()
+    real_input = ad.Tape.input
+    monkeypatch.setattr(ad.Tape, "input", lambda self, data, grad=True: real_input(self, data))
+    ref_loss, ref_grads, ref_constants = step()
+    assert constants == count and ref_constants == 0
+    assert np.array_equal(loss, ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 @pytest.mark.parametrize("rows", [3, 2 * mm.ROW_BLOCK + 1])
 def test_forward_results_are_never_overwritten_by_a_later_call(rows):
     params = desk_model("neural_mstar")

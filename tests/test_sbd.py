@@ -170,12 +170,12 @@ def test_blockness_is_laplacian_trace_norm_on_random_matrices():
 
 def test_batched_blockness_is_laplacian_trace_norm_on_c04_family():
     mats = c04_family()
-    stacked = np.concatenate(mats, axis=0)
+    side = sbd._side_by_side(np.stack(mats))
     rng = np.random.default_rng(13)
     for _ in range(10):
         tape = ad.Tape()
         u = sbd.expm_skew(tape.input(skew(rng.normal(0.0, 0.6, size=28), 8)))
-        got = float(sbd._mean_blockness_batched(u, tape.input(stacked), 8).value[0, 0])
+        got = float(sbd._mean_blockness_batched(u, tape.input(side), 8).value[0, 0])
         refs = [smoothed_trace_norm(u.value @ m @ u.value.T) for m in mats]
         ref = float(np.mean([r for r, _ in refs]))
         assert abs(got - ref) <= 1e-9 * ref
@@ -212,7 +212,7 @@ def test_batched_blockness_gradient_matches_fd_at_c04_size(orthogonal):
         u0 = sbd.expm_skew(tape.input(skew(rng.normal(0.0, 0.6, size=28), 8))).value
     else:
         u0 = rng.normal(size=(8, 8))
-    stack0 = np.concatenate(c04_family(), axis=0)
+    stack0 = sbd._side_by_side(np.stack(c04_family()))
 
     def forward(u, stack):
         tape = ad.Tape()
@@ -243,6 +243,68 @@ def test_blockness_loss_is_the_one_member_batched_loss():
     batch_tape.backward(batched)
     assert loss.value[0, 0] == batched.value[0, 0]
     assert np.array_equal(tape.grad(single), batch_tape.grad(stack))
+
+
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["expm", "general"])
+def test_batched_blockness_du_is_the_same_with_a_constant_family(orthogonal):
+    rng = np.random.default_rng(18)
+    u0 = (sbd.expm_skew(ad.Tape().input(skew(rng.normal(0.0, 0.6, size=28), 8))).value
+          if orthogonal else rng.normal(size=(8, 8)))
+    side = sbd._side_by_side(np.stack(c04_family()[:16]))
+
+    def du(grad):
+        tape = ad.Tape()
+        uv, sv = tape.input(u0), tape.input_view(side, grad=grad)
+        loss = sbd._mean_blockness_batched(uv, sv, 8)
+        tape.backward(loss)
+        assert (tape.grads[sv.index] is None) == (not grad)
+        return loss.value, tape.grad(uv)
+
+    (loss_var, du_var), (loss_const, du_const) = du(True), du(False)
+    assert np.array_equal(loss_var, loss_const)
+    assert np.array_equal(du_var, du_const)
+
+
+def test_fit_sbd_equals_a_loop_with_a_variable_family():
+    mats = c04_family()[:12]
+    n, iters, lr, seed = 8, 40, 0.05, 2
+    result = sbd.fit_sbd(mats, iters=iters, lr=lr, seed=seed, restarts=1)
+    rng = np.random.default_rng(datagen.mix64(seed, 101))
+    u0 = sbd._spectral_basis(mats, rng)
+    conjugated = sbd._side_by_side(u0 @ np.stack(mats) @ u0.T)
+    skew_s = np.zeros((n, n))
+    adam = AdamState(["s"], [(n, n)], lr=lr)
+    best_loss, best_u, history = math.inf, None, []
+    for it in range(iters):
+        adam.lr = lr if it < int(0.6 * iters) else 0.3 * lr
+        tape = ad.Tape()
+        sv, fv = tape.input(skew_s), tape.input(conjugated)
+        rot = sbd.expm_skew(sv)
+        loss = sbd._mean_blockness_batched(rot, fv, n)
+        if loss.value[0, 0] < best_loss:
+            best_loss, best_u = float(loss.value[0, 0]), rot.value @ u0
+        history.append(best_loss)
+        tape.backward(loss)
+        assert tape.grads[fv.index] is not None  # the family's gradient was formed
+        g = tape.grad(sv)
+        adam_step(adam, {"s": skew_s}, {"s": g - g.T})
+    assert result.loss_history == history
+    assert np.array_equal(result.u, best_u)
+
+
+def test_fit_sbd_forms_no_family_gradient(monkeypatch):
+    tapes = []
+    real = ad.Tape.backward
+
+    def recording(self, loss):
+        tapes.append(self)
+        return real(self, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", recording)
+    sbd.fit_sbd(c04_family()[:8], iters=3, seed=0, restarts=2)
+    for tape in tapes:
+        (family,) = [i for i, v in enumerate(tape.values) if v.shape == (64, 8)]
+        assert tape.constants == {family} and tape.grads[family] is None
 
 
 def test_sbd_iteration_tape_is_small(monkeypatch):
@@ -479,7 +541,7 @@ def reference_fit_sbd(mats, iters, lr, seed, restarts, threshold=0.01):
     for restart in range(restarts):
         u0 = (sbd._spectral_basis(mats, rng) if restart == 0
               else np.linalg.qr(rng.normal(size=(n, n)))[0])
-        conjugated = (u0 @ family @ u0.T).reshape(-1, n)
+        conjugated = sbd._side_by_side(u0 @ family @ u0.T)
         p = np.zeros((count, 1))
         adam = AdamState(["p"], [(count, 1)], lr=lr)
         for it in range(iters):
@@ -562,6 +624,14 @@ def test_shape_errors():
         sbd.expm_skew(tape.input(np.ones((2, 3))))
     with pytest.raises(ContractError):
         sbd.fit_sbd([])
+
+
+@pytest.mark.parametrize("op", [ad.sym_eig, sbd.expm_skew, sbd.abs_adjacency,
+                                sbd.normalized_laplacian, sbd.blockness_loss],
+                         ids=lambda op: op.__name__)
+def test_two_dimensional_ops_reject_stacks(op):
+    with pytest.raises(DimensionError, match="square matrix"):
+        op(ad.Tape().input(np.ones((4, 4, 4))))
 
 
 @pytest.mark.parametrize("iters, restarts", [(0, 1), (5, 0), (-1, -1)])
