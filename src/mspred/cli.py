@@ -301,8 +301,13 @@ def cmd_report(args) -> int:
     if not rows:
         log.error("metrics file %s is empty", metrics_path)
         return EXIT_MISSING
-    with open(os.path.join(cfg.out_dir, EVAL_REPORT_FILE), encoding="utf-8") as fh:
-        report = json.load(fh)
+    report_path = os.path.join(cfg.out_dir, EVAL_REPORT_FILE)
+    try:
+        with open(report_path, encoding="utf-8") as fh:
+            hz = json.load(fh)["horizons"]
+        t_p, lp = hz["t_p"], hz["lp"]
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise FormatError(f"{report_path} holds no horizon curve: {exc!r}") from exc
 
     iters = [r["iter"] for r in rows]
     series = {"train loss": (iters, [r["loss"] for r in rows])}
@@ -314,12 +319,11 @@ def cmd_report(args) -> int:
                    title="training loss", x_label="iteration", y_label="loss",
                    y_log=positive)
 
-    hz = report["horizons"]
-    svg.line_chart({"prediction error": (hz["t_p"], hz["lp"])},
+    svg.line_chart({"prediction error": (t_p, lp)},
                    os.path.join(cfg.out_dir, "horizon_curve.svg"),
                    title="prediction error by horizon", x_label="prediction step",
                    y_label="mean squared error",
-                   y_log=all(v > 0 for v in hz["lp"]))
+                   y_log=all(v > 0 for v in lp))
     defects = [(r["iter"], r["ortho_defect"]) for r in rows
                if r["ortho_defect"] is not None]
     if defects:

@@ -501,7 +501,12 @@ def make_orbit_probe(spec: GeneratorSpec, master_seed: int, offsets: int) -> Seq
     start advanced l transition steps, so all probe sequences share the
     hidden per-step transition exactly. The probe is always in velocity
     mode, so an acceleration spec's ``accel_range`` is dropped.
+
+    Raises:
+        ValidationError: ``offsets`` is below 1, which leaves no shift to compare.
     """
+    if offsets < 1:
+        raise ValidationError(f"offsets must be >= 1, got {offsets}", field="offsets")
     spec = replace(spec, accel_range=(0.0, 0.0))
     spec.validate("velocity")
     one = replace(spec, num_sequences=1)

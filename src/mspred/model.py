@@ -130,8 +130,9 @@ class TrainConfig(DictForm):
             raise ValidationError("T_p must be >= 1", field="T_p")
         if cfg.variant == "fixed_blocks" and cfg.a % 2 != 0:
             raise ValidationError("fixed_blocks needs even a", field="a")
-        if cfg.lr <= 0 or cfg.lr_final <= 0:
-            raise ValidationError("learning rates must be positive", field="lr")
+        for key in ("lr", "lr_final"):
+            if not getattr(cfg, key) > 0.0:
+                raise ValidationError(f"{key} must be > 0", field=key)
 
     @property
     def transition(self) -> str:
@@ -245,6 +246,22 @@ class ModelParams:
                 raise ContractError(f"shape mismatch for {name}")
         for name, arr in tensors.items():
             mine[name][...] = arr
+
+    # forward-only protocol, shared with OracleModel (see ``fit_np``)
+
+    def encode_rows_np(self, rows: np.ndarray) -> np.ndarray:
+        """Encode observation rows (r, n) to latent rows (r, a*m), gradient-free."""
+        return _mlp_np(self.enc, np.asarray(rows, dtype=np.float64))
+
+    def decode_rows_np(self, rows: np.ndarray) -> np.ndarray:
+        """Decode latent rows (r, a*m) to observation rows (r, n), gradient-free."""
+        return _mlp_np(self.dec, np.asarray(rows, dtype=np.float64))
+
+    def transition_rows_np(self, rows: np.ndarray) -> np.ndarray:
+        """Neural transition head, gradient-free: rows (r, T_c*n) -> (r, a*a)."""
+        if self.mstar is None:
+            raise ContractError("model has no neural transition head")
+        return _mlp_np(self.mstar, np.asarray(rows, dtype=np.float64))
 
 
 class TapeModel:
@@ -384,16 +401,17 @@ def estimate_transition(latents: Sequence[Var]) -> TransitionEstimate:
     return TransitionEstimate(order=1, m_star=ad.lstsq_right(h0, h1), m_last=None)
 
 
-def estimate_transition_blockwise(latents: Sequence[Var], block: int = 2) -> TransitionEstimate:
-    """Independent transition solve on each ``block``-row slice.
+def estimate_transition_blockwise(latents: Sequence[Var]) -> TransitionEstimate:
+    """Independent transition solve on each 2-row slice.
 
-    The (N, a, m) latents are cut into (N * a/block, block, m) slices and
+    The (N, a, m) latents are cut into (N * a/2, 2, m) slices and
     solved by ``estimate_transition`` in one batch; slice s is sequence
-    s // (a/block), block s % (a/block). The result is exactly a direct
+    s // (a/2), block s % (a/2). The result is exactly a direct
     sum: off-block entries are zeros, not small numbers.
     """
     if len(latents) < 2:
         raise ContractError("estimate_transition_blockwise needs two frames")
+    block = 2
     *batch, a, m = latents[0].shape
     if a % block != 0:
         raise ContractError(f"a={a} is not divisible by block={block}")
@@ -688,26 +706,6 @@ def _mlp_np(layers, x):
     return out
 
 
-def encode_rows_np(model, rows: np.ndarray) -> np.ndarray:
-    """Forward-only encode; accepts ModelParams or an oracle model."""
-    if isinstance(model, ModelParams):
-        return _mlp_np(model.enc, np.asarray(rows, dtype=np.float64))
-    return model.encode_rows_np(rows)
-
-
-def decode_rows_np(model, rows: np.ndarray) -> np.ndarray:
-    """Forward-only decode; accepts ModelParams or an oracle model."""
-    if isinstance(model, ModelParams):
-        return _mlp_np(model.dec, np.asarray(rows, dtype=np.float64))
-    return model.decode_rows_np(rows)
-
-
-def transition_rows_np(params: ModelParams, rows: np.ndarray) -> np.ndarray:
-    if params.mstar is None:
-        raise ContractError("model has no neural transition head")
-    return _mlp_np(params.mstar, np.asarray(rows, dtype=np.float64))
-
-
 @dataclass
 class TransitionFit:
     """Per-sequence operators fitted on the conditioning frames of a batch.
@@ -740,7 +738,9 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
 
     ``transition`` and ``order`` select the estimator as in ``loss_pred``
     ("lstsq" of either order, "blockwise" or "neural"); None picks the
-    model's neural head if it has one, else "lstsq". The encodings enter
+    model's neural head if it has one, else "lstsq". ``model`` is a
+    ``ModelParams`` or an ``OracleModel``: anything with ``a``, ``m`` and
+    the forward methods. The encodings enter
     a scratch tape and run through ``estimate``, the estimator the
     training loss uses, so a fit on the same inputs reproduces
     ``loss_pred``'s operators bit for bit. A neural fit reads no latent
@@ -755,11 +755,11 @@ def fit_np(model, obs, T_c: int, *, order: int = 1,
     tape = ad.Tape()
     head = None
     if transition == "neural":
-        lat = [tape.input(encode_rows_np(model, cond[:, -1]).reshape(n_seq, a, m))]
-        rows = transition_rows_np(model, cond.reshape(n_seq, T_c * n_dim))
+        lat = [tape.input(model.encode_rows_np(cond[:, -1]).reshape(n_seq, a, m))]
+        rows = model.transition_rows_np(cond.reshape(n_seq, T_c * n_dim))
         head = tape.input(rows.reshape(n_seq, a, a))
     else:
-        lat = _frames(tape.input(encode_rows_np(model, cond.reshape(n_seq * T_c, n_dim))),
+        lat = _frames(tape.input(model.encode_rows_np(cond.reshape(n_seq * T_c, n_dim))),
                       n_seq, a, m)
     est = estimate(lat, order=order, transition=transition, head=head)
     return TransitionFit(last=lat[-1].value, op=est.m_star.value,
@@ -802,7 +802,7 @@ def _predicted_groups(model, fit: TransitionFit, steps: int):
                 step_op = ad._finite(fit.op @ step_op, "matmul")
                 cur = ad._finite(step_op @ cur, "matmul")
             rows[:, j] = cur.reshape(n_seq, a * m)
-        frames = decode_rows_np(model, rows.reshape(n_seq * (hi - lo), a * m))
+        frames = model.decode_rows_np(rows.reshape(n_seq * (hi - lo), a * m))
         yield lo, hi, frames.reshape(n_seq, hi - lo, -1)
 
 
@@ -865,9 +865,9 @@ class OracleModel:
     recovered 2k latent into a (2k) x m matrix whose columns are plane
     rotations of the latent; every column transforms identically under
     the hidden torus action, so the latent transition is exactly the
-    block rotation and every loss in this module vanishes on clean data.
-    Evaluation-only: its tape methods inject constants, so nothing
-    differentiates through it.
+    block rotation and every forward error vanishes on clean data.
+    Evaluation-only: it has the forward methods of ``ModelParams``
+    (``encode_rows_np``, ``decode_rows_np``) and no tape side.
     """
 
     def __init__(self, spec, m: int | None = None):
@@ -906,24 +906,3 @@ class OracleModel:
     def decode_rows_np(self, rows: np.ndarray) -> np.ndarray:
         h = np.asarray(rows, dtype=np.float64).reshape(-1, self.a, self.m)
         return self.mixing.apply(h[:, :, 0])
-
-    # tape protocol (constant injection; evaluation only)
-
-    def bind(self, tape: ad.Tape) -> "BoundOracle":
-        return BoundOracle(tape, self)
-
-
-class BoundOracle:
-    """Tape adapter for OracleModel; values enter as constants."""
-
-    def __init__(self, tape, oracle: OracleModel):
-        self.tape = tape
-        self.oracle = oracle
-        self.a = oracle.a
-        self.m = oracle.m
-
-    def encode_rows(self, x: Var) -> Var:
-        return self.tape.input(self.oracle.encode_rows_np(x.value))
-
-    def decode_rows(self, h: Var) -> Var:
-        return self.tape.input(self.oracle.decode_rows_np(h.value))

@@ -348,10 +348,16 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
 
 
 def read_metrics(path) -> list[dict]:
+    """The rows of a ``write_metrics`` file; FormatError names a line that
+    is not JSON or does not hold exactly the ``MetricsRecord`` fields."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    row = json.loads(line)
+                    MetricsRecord(**row)
+                except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+                    raise FormatError(f"{path} line {number}: {exc}") from exc
+                out.append(row)
     return out

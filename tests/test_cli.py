@@ -451,6 +451,36 @@ def test_report_empty_metrics_no_partial_files(tmp_path):
     assert not (tmp_path / "run" / "loss_curve.svg").exists()
 
 
+def _truncate_last_line(path):
+    # keep 7 characters of the last row, '{"iter"', as an interrupted write would
+    text = path.read_text()
+    path.write_text(text[: text.rstrip("\n").rindex("\n") + 8])
+
+
+def _drop_loss_of_last_row(path):
+    *head, last = path.read_text().splitlines()
+    row = json.loads(last)
+    del row["loss"]
+    path.write_text("\n".join([*head, json.dumps(row)]) + "\n")
+
+
+@pytest.mark.parametrize("name, corrupt, named", [
+    (cli.METRICS_FILE, _truncate_last_line, ("line 3: Expecting",)),
+    (cli.METRICS_FILE, _drop_loss_of_last_row, ("line 3: ", "argument: 'loss'")),
+    (cli.EVAL_REPORT_FILE, lambda p: p.write_text('{"horizons": '), ("JSONDecodeError",)),
+], ids=["truncated-metrics", "metrics-row-without-loss", "report-not-json"])
+def test_report_on_a_corrupt_input_exits_2_naming_it(tmp_path, capsys, name, corrupt, named):
+    path = write_config(tmp_path)
+    for command in ("generate", "train", "eval"):
+        assert cli.main([command, "--config", str(path)]) == 0
+    corrupt(tmp_path / "run" / name)
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert all(part in err for part in (name, *named))
+    assert "Traceback" not in err
+
+
 def test_variant_and_seed_overrides(tmp_path):
     path = write_config(tmp_path)
     cli.main(["generate", "--config", str(path)])

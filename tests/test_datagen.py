@@ -267,6 +267,15 @@ def test_make_paired_shares_transitions():
     np.testing.assert_array_equal(pair.first.acceleration, 0.0 * pair.first.acceleration)
 
 
+@pytest.mark.parametrize("offsets", [0, -1])
+def test_orbit_probe_rejects_fewer_than_one_offset(offsets):
+    # at 0 the probe held one sequence, on which homogeneity_check reduced
+    # an empty array; at -1 it was silently empty
+    with pytest.raises(ValidationError) as exc:
+        make_orbit_probe(small_spec(), master_seed=3, offsets=offsets)
+    assert exc.value.field == "offsets"
+
+
 def test_make_paired_first_batch_matches_make_dataset():
     spec = small_spec()
     pair = make_paired(spec, master_seed=13)

@@ -100,7 +100,7 @@ def test_blockwise_identity_and_zero_offblocks():
     rng = np.random.default_rng(3)
     h = rng.normal(size=(4, 6))
     tape = ad.Tape()
-    est = mm.estimate_transition_blockwise(tape_latents(tape, [h, h]), block=2)
+    est = mm.estimate_transition_blockwise(tape_latents(tape, [h, h]))
     assert np.abs(est.m_star.value - np.eye(4)).max() < 1e-10
     off = est.m_star.value.copy()
     off[0:2, 0:2] = 0
@@ -117,7 +117,7 @@ def test_blockwise_matches_full_estimate_on_block_diagonal_truth():
     lats = [z, r @ z, r @ r @ z]
     tape = ad.Tape()
     full = mm.estimate_transition(tape_latents(tape, lats))
-    blockwise = mm.estimate_transition_blockwise(tape_latents(tape, lats), block=2)
+    blockwise = mm.estimate_transition_blockwise(tape_latents(tape, lats))
     assert np.abs(full.m_star.value - blockwise.m_star.value).max() < 1e-10
 
 
@@ -125,7 +125,7 @@ def test_blockwise_requires_even_split():
     tape = ad.Tape()
     h = np.random.default_rng(5).normal(size=(3, 5))
     with pytest.raises(ContractError):
-        mm.estimate_transition_blockwise(tape_latents(tape, [h, h]), block=2)
+        mm.estimate_transition_blockwise(tape_latents(tape, [h, h]))
 
 
 def test_rollout_identity_rotation_and_recurrence():
@@ -553,24 +553,9 @@ def test_loss_pred_tape_size_is_independent_of_batch_size():
     assert sizes[0] == sizes[1]
 
 
-def test_loss_pred_oracle_model_is_exact():
-    spec = GeneratorSpec(k=2, obs_dim=6, T=4, num_sequences=6, mixing_seed=3)
-    batch = make_dataset(spec, master_seed=7)
-    oracle = mm.OracleModel(spec)
-    tape = ad.Tape()
-    loss = mm.loss_pred(oracle.bind(tape), batch.observations, 2, 2)
-    assert loss.value[0, 0] < 1e-12
-
-
-def test_loss_rec_oracle_model_is_exact_and_compositional():
+def test_loss_rec_equals_a_manual_rollout():
     spec = GeneratorSpec(k=1, obs_dim=4, T=3, num_sequences=4, mixing_seed=3)
     batch = make_dataset(spec, master_seed=8)
-    oracle = mm.OracleModel(spec)
-    tape = ad.Tape()
-    loss = mm.loss_rec(oracle.bind(tape), batch.observations, 3)
-    assert loss.value[0, 0] < 1e-12
-
-    params = tiny_model(a=2, m=3)
     obs = batch.observations[:1, :, :4]
     params2 = mm.ModelParams.initialize(tiny_config(), obs_dim=4)
     tape3 = ad.Tape()
@@ -586,20 +571,15 @@ def test_loss_rec_oracle_model_is_exact_and_compositional():
     assert np.array_equal(loss3.value, manual.value)
 
 
-def test_invertibility_loss_zero_for_oracle_and_manual_value():
+def test_invertibility_loss_equals_a_manual_value():
     spec = GeneratorSpec(k=1, obs_dim=4, T=3, num_sequences=3, mixing_seed=5)
     batch = make_dataset(spec, master_seed=9)
-    oracle = mm.OracleModel(spec)
-    tape = ad.Tape()
-    loss = mm.invertibility_loss(oracle.bind(tape), batch.observations, 2)
-    assert loss.value[0, 0] < 1e-20
-
     params = mm.ModelParams.initialize(tiny_config(), obs_dim=4)
     one = batch.observations[:1]
     tape2 = ad.Tape()
     loss2 = mm.invertibility_loss(mm.TapeModel(tape2, params), one, 1)
     frame = one[0, 0:1]
-    rec = mm.decode_rows_np(params, mm.encode_rows_np(params, frame))
+    rec = params.decode_rows_np(params.encode_rows_np(frame))
     manual = ((rec - frame) ** 2).sum()
     assert abs(loss2.value[0, 0] - manual) < 1e-12
 
@@ -662,8 +642,8 @@ def test_neural_fit_equals_the_all_frames_encoding():
     _, params, obs = neural_objective_case()
     n_seq, _, n_dim = obs.shape
     fit = mm.fit_np(params, obs, 2)
-    enc = mm.encode_rows_np(params, obs[:, :2].reshape(n_seq * 2, n_dim)).reshape(n_seq, 2, 2, 3)
-    head = mm.transition_rows_np(params, obs[:, :2].reshape(n_seq, 2 * n_dim))
+    enc = params.encode_rows_np(obs[:, :2].reshape(n_seq * 2, n_dim)).reshape(n_seq, 2, 2, 3)
+    head = params.transition_rows_np(obs[:, :2].reshape(n_seq, 2 * n_dim))
     assert fit.vel is None
     assert np.array_equal(fit.last, enc[:, -1])
     assert np.array_equal(fit.op, head.reshape(n_seq, 2, 2))
@@ -751,13 +731,13 @@ def test_row_blocked_forward_equals_one_pass_bitwise(rows):
     rng = np.random.default_rng(rows)
     frames = rng.normal(size=(rows, params.obs_dim))
     latents = rng.normal(size=(rows, params.a * params.m))
-    assert np.array_equal(mm.encode_rows_np(params, frames), unblocked_mlp(params.enc, frames))
-    assert np.array_equal(mm.decode_rows_np(params, latents), unblocked_mlp(params.dec, latents))
+    assert np.array_equal(params.encode_rows_np(frames), unblocked_mlp(params.enc, frames))
+    assert np.array_equal(params.decode_rows_np(latents), unblocked_mlp(params.dec, latents))
     # a strided view of rows, as a neural fit passes the last conditioning frames
     cond = rng.normal(size=(rows, 2 * params.obs_dim))
-    assert np.array_equal(mm.encode_rows_np(params, cond[:, params.obs_dim:]),
+    assert np.array_equal(params.encode_rows_np(cond[:, params.obs_dim:]),
                           unblocked_mlp(params.enc, cond[:, params.obs_dim:]))
-    assert np.array_equal(mm.transition_rows_np(params, cond),
+    assert np.array_equal(params.transition_rows_np(cond),
                           unblocked_mlp(params.mstar, cond))
 
 
@@ -873,12 +853,12 @@ def test_constant_rows_and_targets_keep_desk_gradients_bitwise(monkeypatch, vari
 def test_forward_results_are_never_overwritten_by_a_later_call(rows):
     params = desk_model("neural_mstar")
     rng = np.random.default_rng(rows)
-    for forward, width in ((mm.encode_rows_np, params.obs_dim),
-                           (mm.decode_rows_np, params.a * params.m),
-                           (mm.transition_rows_np, params.T_c * params.obs_dim)):
-        first = forward(params, rng.normal(size=(rows, width)))
+    for forward, width in ((params.encode_rows_np, params.obs_dim),
+                           (params.decode_rows_np, params.a * params.m),
+                           (params.transition_rows_np, params.T_c * params.obs_dim)):
+        first = forward(rng.normal(size=(rows, width)))
         kept = first.copy()
-        forward(params, rng.normal(size=(rows, width)))
+        forward(rng.normal(size=(rows, width)))
         assert np.array_equal(first, kept)
 
 
@@ -909,7 +889,7 @@ def test_horizon_curve_temporaries_stay_small():
     params = desk_model()
     rng = np.random.default_rng(5)
     latents = rng.normal(size=(512 * 18, params.a * params.m))
-    peak = traced_peak(mm.decode_rows_np, params, latents)
+    peak = traced_peak(params.decode_rows_np, latents)
     assert peak <= 6 * 2**20, f"the 9,216-row decode peaked at {peak / 2**20:.1f} MB"
     obs = rng.normal(size=(512, 20, params.obs_dim))
     # one group of horizons is rolled out, decoded and scored at a time
@@ -968,13 +948,13 @@ def test_streamed_curve_decodes_near_equal_groups_of_horizons(monkeypatch, n_seq
     params, obs = curve_case(n_seq, horizons, "lstsq", 1, 3)
     fit = mm.fit_np(params, obs, 3)
     seen = []
-    decode = mm.decode_rows_np
+    decode = mm.ModelParams.decode_rows_np
 
     def counting_decode(model, rows):
         seen.append(rows.shape[0])
         return decode(model, rows)
 
-    monkeypatch.setattr(mm, "decode_rows_np", counting_decode)
+    monkeypatch.setattr(mm.ModelParams, "decode_rows_np", counting_decode)
     mm.predict_np(params, fit, horizons)
     assert seen == decodes
 
@@ -1010,8 +990,8 @@ def test_rollout_overflow_in_a_later_group_is_a_numeric_error():
 def test_empty_batch_is_a_dimension_error():
     params = tiny_model(variant="neural_mstar")
     empty = np.empty((0, 4, 3))
-    assert mm.encode_rows_np(params, np.empty((0, 3))).shape == (0, 6)
-    assert mm.decode_rows_np(params, np.empty((0, 6))).shape == (0, 3)
+    assert params.encode_rows_np(np.empty((0, 3))).shape == (0, 6)
+    assert params.decode_rows_np(np.empty((0, 6))).shape == (0, 3)
     for call in (lambda: mm.fit_np(params, empty, 2),
                  lambda: mm.horizon_errors_np(params, empty, 2, 1),
                  lambda: mm.loss_pred(mm.TapeModel(ad.Tape(), params), empty, 2, 1),

@@ -291,7 +291,7 @@ def test_logged_ortho_defect_is_the_steps_own_fit(monkeypatch, case):
     ("log_interval", 0), ("beta1", 1.0), ("beta2", 1.0), ("beta1", 1.5), ("beta1", -0.1),
     ("enc_hidden", (0,)), ("dec_hidden", (-3,)), ("mstar_hidden", (0, 8)), ("a", 0),
     ("eps", 0.0), ("holdout", -3), ("decay_at", -1), ("invertibility_weight", -1.0),
-    ("batch_size", 100),
+    ("batch_size", 100), ("lr_final", 0.0), ("lr", float("nan")),
 ])
 def test_out_of_range_train_fields_are_rejected_by_name(tmp_path, field, value):
     # unchecked, each of these crashes mid-run (ZeroDivisionError, numpy's
