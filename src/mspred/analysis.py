@@ -33,6 +33,7 @@ from .datagen import PairedBatch, SequenceBatch, mix64
 from .errors import ContractError, DimensionError, NumericError
 
 RATIO_FLOOR = 1e-15
+_RIDGE = 1e-6  # Tikhonov weight of the linear probe's normal equations
 
 
 def _prediction_error(pred, obs, T_c):
@@ -202,8 +203,7 @@ def paired_spectrum_distances(model, paired: PairedBatch, T_c: int = 2) -> list[
 # linear probe
 
 
-def regress_transition_params(mats, targets, *, seed: int = 0,
-                              ridge: float = 1e-6) -> list[float | None]:
+def regress_transition_params(mats, targets, *, seed: int = 0) -> list[float | None]:
     """1 - R^2 of ridge regression from flattened transitions to targets.
 
     Fits on a seeded 80% split and scores each target column on the held
@@ -224,7 +224,7 @@ def regress_transition_params(mats, targets, *, seed: int = 0,
     cut = max(1, int(round(0.8 * n)))
     train, test = perm[:cut], perm[cut:]
     xt = x[train]
-    gram = xt.T @ xt + ridge * np.eye(x.shape[1])
+    gram = xt.T @ xt + _RIDGE * np.eye(x.shape[1])
     beta = np.linalg.solve(gram, xt.T @ targets[train])
     pred = x[test] @ beta
     out: list[float | None] = []

@@ -10,9 +10,9 @@ directory, so a pipeline is:
     mspred sbd      --config exp.json
     mspred report   --config exp.json
 
-Exit codes: 0 ok, 2 invalid config, 3 training abort, 4 shape mismatch,
-5 missing inputs. MSP_LOG={error,info,debug} controls stderr verbosity;
-machine-readable output goes to files only.
+Exit codes: 0 ok, 2 invalid config or malformed input file, 3 training
+abort, 4 shape mismatch, 5 missing inputs. MSP_LOG={error,info,debug}
+controls stderr verbosity; machine-readable output goes to files only.
 
 The eval report is a JSON object with keys: kind ("eval_report"),
 config_hash, version, horizons {t_p: [...], lp: [...]},
@@ -188,11 +188,9 @@ def cmd_eval(args) -> int:
     curve_fit = mm.fit_np(params, eval_obs, T_c, order=train_cfg.order, transition=kind)
     lp_curve = mm.horizon_errors_np(params, eval_obs, T_c, horizons, fit=curve_fit)
     target_var = float(eval_obs[:, T_c].var(axis=0).sum())
-    # the regression reads the model's default estimator, which is the
-    # curve's unless the curve is a blockwise or second-order lstsq fit
-    shares_fit = (kind == mm.default_transition(params)
-                  and (kind != "lstsq" or train_cfg.order == 1))
-    reg_fit = curve_fit if shares_fit else mm.fit_np(params, eval_obs, T_c)
+    # the regression reads the default estimator at first order; the curve's fit if that is it
+    reg_fit = (curve_fit if (train_cfg.order, kind) == (1, mm.default_transition(params))
+               else mm.fit_np(params, eval_obs, T_c))
     reg_scores = an.regress_transition_params(
         reg_fit.op, an.velocity_targets(eval_batch), seed=cfg.master_seed)
 
@@ -209,8 +207,7 @@ def cmd_eval(args) -> int:
     spec_dists = an.spectrum_distances(first_fit.op[:spectrum_pairs],
                                        second_fit.op[:spectrum_pairs]).tolist()
 
-    probe_spec = datagen.with_length(datagen.with_num_sequences(spec, 1), T_c + 1)
-    probe = datagen.make_orbit_probe(probe_spec,
+    probe = datagen.make_orbit_probe(datagen.with_length(spec, T_c + 1),
                                      datagen.mix64(cfg.master_seed, _PROBE_SEED_LANE),
                                      ev["probe_offsets"])
     homo = an.homogeneity_check(params, probe, T_c=T_c)
@@ -388,10 +385,13 @@ def main(argv=None) -> int:
         log.error("shape mismatch: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except (ValidationError, FormatError) as exc:
-        field = getattr(exc, "field", None)
-        log.error("invalid config%s: %s", f" (field {field})" if field else "", exc)
+    except ValidationError as exc:
+        log.error("invalid config%s: %s", f" (field {exc.field})" if exc.field else "", exc)
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FormatError as exc:
+        log.error("malformed input: %s", exc)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MspredError as exc:
         log.error("failed: %s", exc)

@@ -8,11 +8,14 @@ Unknown keys are rejected rather than ignored. The ``generator``
 section's keys and defaults are those of ``datagen.velocity_spec()``
 plus ``mode`` ("velocity"); the ``train`` section's are ``TrainConfig``'s
 fields. Both sections are parsed by their dataclass's ``from_dict``, the
-same parser the dataset and checkpoint readers use.
+same parser the dataset and checkpoint readers use. CLI overrides edit
+the document as given and parse it again, so ``TrainConfig.resolved``
+alone derives ``T_c``, ``T_p`` and ``decay_at`` from what both leave out.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -50,10 +53,8 @@ NUMERICS_VERSION = 4
 class ExperimentConfig:
     """Validated experiment description plus its canonical identity.
 
-    ``train`` is resolved; ``train_unresolved`` is the train section with
-    ``TrainConfig``'s defaults but its order- and budget-dependent fields
-    still None where the config left them out. It is not hashed: it tells
-    ``with_overrides`` which resolved values to derive again.
+    ``train`` is resolved; ``document``, a copy of the config as given, is
+    not hashed: ``with_overrides`` edits it and parses it again.
     """
 
     master_seed: int
@@ -61,11 +62,11 @@ class ExperimentConfig:
     generator: GeneratorSpec
     mode: str
     train: TrainConfig
-    train_unresolved: TrainConfig
     eval_spec: dict
     sbd_spec: dict
     canonical: dict
     config_hash: str
+    document: dict
 
 
 def _in_section(section: str, fn, *args):
@@ -77,6 +78,8 @@ def _in_section(section: str, fn, *args):
 
 
 def _merge_section(raw: dict, defaults: dict, section: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{section} must be a JSON object", field=section)
     extra = set(raw) - set(defaults)
     if extra:
         raise ValidationError(
@@ -111,8 +114,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
     _in_section("generator", spec.validate, mode)
 
     train_raw = _merge_section(raw.get("train", {}), TrainConfig().to_dict(), "train")
-    train_unresolved = _in_section("train", TrainConfig.from_dict, train_raw)
-    train_cfg = train_unresolved.resolved()
+    train_cfg = _in_section("train", TrainConfig.from_dict, train_raw).resolved()
     _in_section("train", train_cfg.validate)
 
     eval_spec = _merge_section(raw.get("eval", {}), _EVAL_DEFAULTS, "eval")
@@ -148,9 +150,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return ExperimentConfig(master_seed=master_seed, out_dir=out_dir, generator=spec,
-                            mode=mode, train=train_cfg, train_unresolved=train_unresolved,
-                            eval_spec=eval_spec, sbd_spec=sbd_spec, canonical=canonical,
-                            config_hash=digest)
+                            mode=mode, train=train_cfg, eval_spec=eval_spec,
+                            sbd_spec=sbd_spec, canonical=canonical, config_hash=digest,
+                            document=copy.deepcopy(raw))
 
 
 def load(path) -> ExperimentConfig:
@@ -167,30 +169,28 @@ def load(path) -> ExperimentConfig:
 
 def with_overrides(cfg: ExperimentConfig, *, seed=None, out_dir=None, variant=None,
                    order=None, horizons=None, iters=None) -> ExperimentConfig:
-    """Re-derive a config (and its hash) with CLI flag overrides applied.
+    """Parse the config's document again with CLI flag overrides written in.
 
-    With every override None this is ``cfg`` itself. A new ``order``
-    re-resolves ``T_c``/``T_p`` to that order's defaults; the order the
-    config already has keeps them. A new ``iters`` re-derives ``decay_at``
-    only if the config left it out; an explicit ``decay_at`` stays.
+    With every override None this is ``cfg`` itself. A field the document
+    leaves out is derived again, so ``iters`` moves a derived ``decay_at``
+    but not an explicit one. A changed ``order`` drops ``T_c``/``T_p``.
     """
     if all(v is None for v in (seed, out_dir, variant, order, horizons, iters)):
         return cfg
-    doc = json.loads(json.dumps(cfg.canonical))
-    # derived train fields stay derived, so they follow the overrides
-    doc["train"] = cfg.train_unresolved.to_dict()
+    doc = copy.deepcopy(cfg.document)
+    train = doc.setdefault("train", {})
     if seed is not None:
         doc["master_seed"] = int(seed)
     if out_dir is not None:
         doc["out_dir"] = str(out_dir)
     if variant is not None:
-        doc["train"]["variant"] = variant
-    if order is not None and int(order) != doc["train"]["order"]:
-        doc["train"]["order"] = int(order)
-        doc["train"]["T_c"] = None
-        doc["train"]["T_p"] = None
+        train["variant"] = variant
+    if order is not None and int(order) != cfg.train.order:
+        train["order"] = int(order)
+        train.pop("T_c", None)
+        train.pop("T_p", None)
     if horizons is not None:
-        doc["eval"]["horizons"] = int(horizons)
+        doc.setdefault("eval", {})["horizons"] = int(horizons)
     if iters is not None:
-        doc["train"]["iterations"] = int(iters)
+        train["iterations"] = int(iters)
     return from_dict(doc)

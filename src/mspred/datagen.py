@@ -14,8 +14,9 @@ Randomness is counter-based: sequence ``i`` draws from streams seeded by
 ``mix64(mix64(master_seed, i), lane)``, so generation order and
 parallelism cannot change the result.
 
-Generation runs in two passes, neither of which loops over sequences. The
-seeding pass computes every stream at once with two array kernels:
+Each ``make_*`` builder is a seeded draw of hidden state plus one public
+``render`` call, neither looping over sequences. The draw computes every
+stream at once with two array kernels:
 ``_stream_seeds`` runs splitmix64 twice on ``arange(count)`` in wrapping
 uint64 arithmetic, and ``_uniforms`` reproduces, for each stream seed
 ``s``, exactly the doubles of ``np.random.default_rng(int(s)).random``:
@@ -23,8 +24,8 @@ NumPy's ``SeedSequence`` pool hashing (NEP 19) on uint32 arrays, PCG64's
 ``srandom_r`` seeding and its XSL-RR output (O'Neill 2014) on 128-bit
 states carried as (hi, lo) uint64 limbs, and the ``(x >> 11) * 2**-53``
 double conversion. Its only Python loop is over the draws of one stream.
-A batched pass then computes angles, start points, rotations and
-observations over chunks of ``_CHUNK`` sequences, which bounds its
+``render`` then computes angles, rotations and observations over
+chunks of ``_CHUNK`` sequences, which bounds its
 temporaries. It rounds exactly as sequence-at-a-time generation does, so
 datasets are byte-identical to it: the rotation is a stacked
 matrix-vector product (writing it out as ``c*a - s*b`` rounds
@@ -60,7 +61,7 @@ _LANE_TRANSITION = 0
 _LANE_START = 1
 _LANE_PARTNER = 2
 
-# sequences per batched pass of the generators (see _observe)
+# sequences per batched pass of ``render``
 _CHUNK = 256
 
 _MASK32 = (1 << 32) - 1
@@ -424,7 +425,7 @@ def _uniforms(seeds: np.ndarray, width: int) -> np.ndarray:
 
 
 def _draws(master_seed: int, count: int, lane: int, width: int) -> np.ndarray:
-    """Seeding pass: row i holds the first ``width`` uniforms of sequence i's
+    """Seeded draw: row i holds the first ``width`` uniforms of sequence i's
     ``lane`` stream, for all ``count`` sequences at once."""
     return _uniforms(_stream_seeds(master_seed, count, lane), width)
 
@@ -452,17 +453,21 @@ def _starts(spec: GeneratorSpec, master_seed: int, lane: int):
     return theta0, z0
 
 
-def _observe(spec: GeneratorSpec, theta0, v, alpha, z0) -> np.ndarray:
-    """Batched pass: obs[i, t] = mix(rotation(theta_t[i]) @ z0[i]), chunked."""
+def render(spec: GeneratorSpec, theta0, velocity, acceleration, z0, *,
+           master_seed: int, mode: str) -> SequenceBatch:
+    """Hidden state in, ``SequenceBatch`` out, its spec set to N sequences:
+    frame t is ``mix(rotation(theta0 + v t + alpha t(t-1)/2) @ z0)``, with
+    theta0, velocity and acceleration (N, k) and z0 (N, 2k)."""
     mixing = mixing_map(spec)
     t = np.arange(spec.T, dtype=np.float64)[:, None]
     drift = t * (t - 1) / 2.0
     obs = np.empty((len(theta0), spec.T, spec.obs_dim))
     for lo in range(0, len(theta0), _CHUNK):
         c = slice(lo, lo + _CHUNK)
-        theta_t = theta0[c, None] + v[c, None] * t + alpha[c, None] * drift
+        theta_t = theta0[c, None] + velocity[c, None] * t + acceleration[c, None] * drift
         mixing.apply((latent_rotation(theta_t) @ z0[c, None, :, None])[..., 0], out=obs[c])
-    return obs
+    return SequenceBatch(obs, theta0, velocity, acceleration,
+                         replace(spec, num_sequences=len(theta0)), master_seed, mode)
 
 
 def make_dataset(spec: GeneratorSpec, master_seed: int, mode: str = "velocity") -> SequenceBatch:
@@ -475,8 +480,7 @@ def make_dataset(spec: GeneratorSpec, master_seed: int, mode: str = "velocity") 
     spec.validate(mode)
     v, alpha = _transitions(spec, master_seed, mode)
     theta0, z0 = _starts(spec, master_seed, _LANE_START)
-    obs = _observe(spec, theta0, v, alpha, z0)
-    return SequenceBatch(obs, theta0, v, alpha, spec, master_seed, mode)
+    return render(spec, theta0, v, alpha, z0, master_seed=master_seed, mode=mode)
 
 
 def make_paired(spec: GeneratorSpec, master_seed: int, mode: str = "velocity") -> PairedBatch:
@@ -488,9 +492,8 @@ def make_paired(spec: GeneratorSpec, master_seed: int, mode: str = "velocity") -
     """
     first = make_dataset(spec, master_seed, mode)
     theta0, z0 = _starts(spec, master_seed, _LANE_PARTNER)
-    obs = _observe(spec, theta0, first.velocity, first.acceleration, z0)
-    second = SequenceBatch(obs, theta0, first.velocity.copy(),
-                           first.acceleration.copy(), spec, master_seed, mode)
+    second = render(spec, theta0, first.velocity.copy(), first.acceleration.copy(), z0,
+                    master_seed=master_seed, mode=mode)
     return PairedBatch(first, second)
 
 
@@ -514,10 +517,8 @@ def make_orbit_probe(spec: GeneratorSpec, master_seed: int, offsets: int) -> Seq
     theta0, z0 = _starts(one, master_seed, _LANE_START)
     n_seq = offsets + 1
     starts = theta0 + np.arange(n_seq, dtype=np.float64)[:, None] * v
-    vs = np.tile(v, (n_seq, 1))
-    alphas = np.zeros((n_seq, spec.k))
-    obs = _observe(spec, starts, vs, alphas, np.tile(z0, (n_seq, 1)))
-    return SequenceBatch(obs, starts, vs, alphas, spec, master_seed, "velocity")
+    return render(spec, starts, np.tile(v, (n_seq, 1)), np.zeros((n_seq, spec.k)),
+                  np.tile(z0, (n_seq, 1)), master_seed=master_seed, mode="velocity")
 
 
 def make_single_factor(spec: GeneratorSpec, master_seed: int, factor: int) -> SequenceBatch:
@@ -531,13 +532,12 @@ def make_single_factor(spec: GeneratorSpec, master_seed: int, factor: int) -> Se
     spec = replace(spec, accel_range=(0.0, 0.0))
     spec.validate("velocity")
     if not 0 <= factor < spec.k:
-        raise ValidationError(f"factor {factor} out of range for k={spec.k}", field="k")
+        raise ValidationError(f"factor {factor} out of range for k={spec.k}", field="factor")
     v, alpha = _transitions(spec, master_seed, "velocity")
     masked = np.zeros_like(v)
     masked[:, factor] = v[:, factor]
     theta0, z0 = _starts(spec, master_seed, _LANE_START)
-    obs = _observe(spec, theta0, masked, alpha, z0)
-    return SequenceBatch(obs, theta0, masked, alpha, spec, master_seed, "velocity")
+    return render(spec, theta0, masked, alpha, z0, master_seed=master_seed, mode="velocity")
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +589,7 @@ def load_dataset(path) -> SequenceBatch:
     for name in ("theta0", "velocity", "acceleration"):
         if arrays[name].shape != (spec.num_sequences, spec.k):
             raise FormatError(f"{name} shape disagrees with spec")
-    return SequenceBatch(arrays["observations"], arrays["theta0"], arrays["velocity"],
-                         arrays["acceleration"], spec, master_seed, mode)
+    return SequenceBatch(**arrays, spec=spec, master_seed=master_seed, mode=mode)
 
 
 def with_num_sequences(spec: GeneratorSpec, num_sequences: int) -> GeneratorSpec:

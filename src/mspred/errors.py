@@ -121,6 +121,7 @@ _CHECKERS = {
     "int": require_int,
     "int | None": lambda value, field: None if value is None else require_int(value, field),
     "float": require_real,
+    "float | None": lambda value, field: None if value is None else require_real(value, field),
     "str": _require_str,
     "tuple[float, float]": _require_range,
     "tuple[int, ...]": _require_sizes,
@@ -132,7 +133,8 @@ class DictForm:
 
     The config file, the dataset header and the checkpoint manifest all
     read a ``GeneratorSpec`` or ``TrainConfig`` through ``from_dict``, so
-    all three apply the same type rules.
+    all three apply the same type rules; the metrics log checks its rows'
+    values with ``MetricsRecord``'s.
     """
 
     def to_dict(self) -> dict:

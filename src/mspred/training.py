@@ -22,14 +22,14 @@ from . import autodiff as ad
 from . import container
 from . import model as mm
 from .datagen import SequenceBatch, mix64
-from .errors import (ContractError, FormatError, NumericError, SingularityError,
+from .errors import (ContractError, DictForm, FormatError, NumericError, SingularityError,
                      TrainingAbort, ValidationError, require_int)
 
 CHECKPOINT_MAGIC = b"MSPCKP01"
 
 
 @dataclass
-class MetricsRecord:
+class MetricsRecord(DictForm):
     """One row of the training log.
 
     ``loss`` and ``ortho_defect`` describe the same forward pass: the
@@ -48,19 +48,16 @@ class MetricsRecord:
     wall_ms: float
 
     def to_json(self) -> str:
-        payload = {"iter": self.iter, "loss": self.loss, "loss_eval": self.loss_eval,
-                   "ortho_defect": self.ortho_defect, "wall_ms": self.wall_ms}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 class AdamState:
     """Adam moments for a named parameter set.
 
-    The first and second moments are flat float64 vectors laid out in
-    ``names`` order; ``m`` and ``v`` map each name to its view of them.
-    Two preallocated scratch vectors and a finiteness mask hold each
-    step's temporaries, so a step allocates no arrays of the parameters'
-    size.
+    The first and second moments ``m`` and ``v`` are flat float64 vectors
+    laid out in ``names`` order. Two preallocated scratch vectors and a
+    finiteness mask hold each step's temporaries, so a step allocates no
+    arrays of the parameters' size.
     """
 
     def __init__(self, names, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -71,11 +68,11 @@ class AdamState:
         self.step_count = 0
         self.shapes = {n: tuple(s) for n, s in zip(names, shapes)}
         total = sum(math.prod(s) for s in self.shapes.values())
-        self._m, self._v, self._grad, self._step = (np.zeros(total) for _ in range(4))
+        self.m, self.v, self._grad, self._step = (np.zeros(total) for _ in range(4))
         self._finite = np.empty(total, dtype=bool)
-        self.m, self.v, self._grads, self._steps = (
+        self._grads, self._steps = (
             dict(zip(self.shapes, mm.flat_views(x, self.shapes.values())))
-            for x in (self._m, self._v, self._grad, self._step))
+            for x in (self._grad, self._step))
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
@@ -115,7 +112,7 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     state.step_count = t
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    m, v = state._m, state._v
+    m, v = state.m, state.v
     m *= state.beta1
     m += np.multiply(g, 1.0 - state.beta1, out=s)
     v *= state.beta2
@@ -348,16 +345,17 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
 
 
 def read_metrics(path) -> list[dict]:
-    """The rows of a ``write_metrics`` file; FormatError names a line that
-    is not JSON or does not hold exactly the ``MetricsRecord`` fields."""
+    """The rows of a ``write_metrics`` file; FormatError names a line that is
+    not JSON or not exactly the ``MetricsRecord`` fields, each of its type."""
     out = []
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    row = json.loads(line)
-                    MetricsRecord(**row)
-                except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+                    row = json.loads(line)  # a JSONDecodeError is a ValueError
+                    MetricsRecord(**row)  # names a missing or unknown key
+                    MetricsRecord.from_dict(row)  # names a value not of its field's type
+                except (ValueError, TypeError, ValidationError) as exc:
                     raise FormatError(f"{path} line {number}: {exc}") from exc
                 out.append(row)
     return out

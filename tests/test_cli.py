@@ -152,6 +152,14 @@ def test_config_rejects_unknown_and_missing_fields(tmp_path):
     assert "generator" in str(exc2.value)
 
 
+@pytest.mark.parametrize("section", ["generator", "train", "eval", "sbd"])
+@pytest.mark.parametrize("value", [None, [], 3])
+def test_config_section_that_is_not_an_object_is_rejected(section, value):
+    with pytest.raises(ValidationError) as exc:
+        cfgmod.from_dict({"master_seed": 1, "out_dir": "x", section: value})
+    assert exc.value.field == section
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("sbd", "iters", "5"),
     ("sbd", "iters", 0),
@@ -464,11 +472,18 @@ def _drop_loss_of_last_row(path):
     path.write_text("\n".join([*head, json.dumps(row)]) + "\n")
 
 
+def _text_loss_in_last_row(path):
+    *head, last = path.read_text().splitlines()
+    path.write_text("\n".join([*head, json.dumps({**json.loads(last), "loss": "x"})]) + "\n")
+
+
 @pytest.mark.parametrize("name, corrupt, named", [
     (cli.METRICS_FILE, _truncate_last_line, ("line 3: Expecting",)),
     (cli.METRICS_FILE, _drop_loss_of_last_row, ("line 3: ", "argument: 'loss'")),
+    (cli.METRICS_FILE, _text_loss_in_last_row, ("line 3: loss must be a finite number",)),
     (cli.EVAL_REPORT_FILE, lambda p: p.write_text('{"horizons": '), ("JSONDecodeError",)),
-], ids=["truncated-metrics", "metrics-row-without-loss", "report-not-json"])
+], ids=["truncated-metrics", "metrics-row-without-loss", "metrics-row-with-text-loss",
+        "report-not-json"])
 def test_report_on_a_corrupt_input_exits_2_naming_it(tmp_path, capsys, name, corrupt, named):
     path = write_config(tmp_path)
     for command in ("generate", "train", "eval"):
@@ -479,6 +494,19 @@ def test_report_on_a_corrupt_input_exits_2_naming_it(tmp_path, capsys, name, cor
     err = capsys.readouterr().err
     assert all(part in err for part in (name, *named))
     assert "Traceback" not in err
+
+
+def test_eval_on_a_truncated_dataset_exits_2_as_malformed_input(tmp_path, capsys):
+    path = write_config(tmp_path)
+    for command in ("generate", "train"):
+        assert cli.main([command, "--config", str(path)]) == 0
+    data_file = tmp_path / "run" / cli.DATASET_FILE
+    data_file.write_bytes(data_file.read_bytes()[:5])
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: dataset truncated before header" in err
+    assert "config error" not in err and "Traceback" not in err
 
 
 def test_variant_and_seed_overrides(tmp_path):

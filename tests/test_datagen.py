@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,6 +328,45 @@ def test_dataset_file_roundtrip(tmp_path):
     path2 = tmp_path / "d2.mspdat"
     save_dataset(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec: make_dataset(spec, master_seed=4),
+    lambda spec: make_dataset(replace(spec, accel_range=(-0.1, 0.1)), master_seed=4,
+                              mode="acceleration"),
+    lambda spec: make_paired(spec, master_seed=4).first,
+    lambda spec: make_paired(spec, master_seed=4).second,
+    lambda spec: make_orbit_probe(spec, master_seed=4, offsets=5),
+    lambda spec: make_single_factor(spec, master_seed=4, factor=1),
+    lambda spec: make_dataset(spec, master_seed=4).head(3),
+], ids=["dataset", "acceleration", "paired-first", "paired-second", "orbit-probe",
+        "single-factor", "head"])
+def test_every_builder_spec_counts_its_sequences_and_round_trips(tmp_path, build):
+    batch = build(small_spec(T=5))
+    assert batch.spec.num_sequences == batch.observations.shape[0]
+    save_dataset(batch, tmp_path / "b.mspdat")
+    again = load_dataset(tmp_path / "b.mspdat")
+    assert again.spec == batch.spec
+    assert np.array_equal(again.observations, batch.observations)
+
+
+def test_render_of_a_builders_hidden_state_is_its_batch():
+    batch = make_dataset(small_spec(T=6, accel_range=(-0.1, 0.1)), master_seed=9,
+                         mode="acceleration")
+    # z0 = R(theta0)^T demix(x_0): the mixing map is exactly invertible
+    latent = datagen.mixing_map(batch.spec).demix(batch.observations[:, 0])
+    z0 = (np.swapaxes(latent_rotation(batch.theta0), -1, -2) @ latent[..., None])[..., 0]
+    again = datagen.render(batch.spec, batch.theta0, batch.velocity, batch.acceleration, z0,
+                           master_seed=batch.master_seed, mode=batch.mode)
+    np.testing.assert_allclose(again.observations, batch.observations, atol=1e-9)
+    assert (again.spec, again.master_seed, again.mode) == (batch.spec, 9, "acceleration")
+
+
+def test_single_factor_out_of_range_names_factor():
+    for factor in (-1, 2):
+        with pytest.raises(ValidationError) as exc:
+            make_single_factor(small_spec(), master_seed=0, factor=factor)
+        assert exc.value.field == "factor"
 
 
 def test_dataset_file_rejects_corruption(tmp_path):

@@ -66,16 +66,14 @@ def test_adam_rejected_step_changes_nothing(edit, error, match):
     state = tr.AdamState(names, shapes, lr=0.1)
     params = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
     tr.adam_step(state, params, {n: rng.normal(size=s) for n, s in zip(names, shapes)})
-    before = ({n: p.copy() for n, p in params.items()},
-              {n: m.copy() for n, m in state.m.items()},
-              {n: v.copy() for n, v in state.v.items()})
+    before = {n: p.copy() for n, p in params.items()}, state.m.copy(), state.v.copy()
     grads = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
     edit(grads)
     with pytest.raises(error, match=match):
         tr.adam_step(state, params, grads)
-    for now, then in zip((params, state.m, state.v), before):
-        for n in names:
-            assert np.array_equal(now[n], then[n])
+    for n in names:
+        assert np.array_equal(params[n], before[0][n])
+    assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
     assert state.step_count == 1
 
 
@@ -124,8 +122,9 @@ def test_flat_adam_matches_per_tensor_reference_bitwise(shapes, beta1):
     assert state.step_count == ref.step_count == steps
     for n in shapes:
         assert np.array_equal(got[n], want[n])
-        assert np.array_equal(state.m[n], ref.m[n])
-        assert np.array_equal(state.v[n], ref.v[n])
+    # the flat moments hold the tensors back to back in name order
+    assert np.array_equal(state.m, np.concatenate([ref.m[n].ravel() for n in shapes]))
+    assert np.array_equal(state.v, np.concatenate([ref.v[n].ravel() for n in shapes]))
 
 
 def test_adam_step_allocates_no_parameter_sized_arrays():
