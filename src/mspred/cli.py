@@ -180,10 +180,14 @@ def cmd_eval(args) -> int:
     spec = dataset.spec
     T_c = train_cfg.T_c
 
-    eval_spec = datagen.with_length(
-        datagen.with_num_sequences(spec, ev["eval_sequences"]), T_c + horizons)
-    eval_batch = datagen.make_dataset(eval_spec, datagen.mix64(cfg.master_seed, _EVAL_SEED_LANE),
-                                      cfg.mode)
+    def batch_spec(count: int, frames: int) -> datagen.GeneratorSpec:
+        """``count`` sequences of at least ``frames`` frames and the mode's
+        floor; every reader uses only the first ``frames``."""
+        return datagen.with_length(datagen.with_num_sequences(spec, count),
+                                   max(frames, datagen.MIN_FRAMES[cfg.mode]))
+
+    eval_batch = datagen.make_dataset(batch_spec(ev["eval_sequences"], T_c + horizons),
+                                      datagen.mix64(cfg.master_seed, _EVAL_SEED_LANE), cfg.mode)
     eval_obs = eval_batch.observations
     curve_fit = mm.fit_np(params, eval_obs, T_c, order=train_cfg.order, transition=kind)
     lp_curve = mm.horizon_errors_np(params, eval_obs, T_c, horizons, fit=curve_fit)
@@ -197,10 +201,8 @@ def cmd_eval(args) -> int:
     # one paired batch: equivariance reads its first pair_count pairs, the
     # spectrum distances the first spectrum_pairs
     pair_count, spectrum_pairs = ev["pair_count"], ev["spectrum_pairs"]
-    pair_spec = datagen.with_length(
-        datagen.with_num_sequences(spec, max(pair_count, spectrum_pairs)), T_c + train_cfg.T_p)
-    paired = datagen.make_paired(pair_spec, datagen.mix64(cfg.master_seed, _PAIR_SEED_LANE),
-                                 cfg.mode)
+    paired = datagen.make_paired(batch_spec(max(pair_count, spectrum_pairs), T_c + train_cfg.T_p),
+                                 datagen.mix64(cfg.master_seed, _PAIR_SEED_LANE), cfg.mode)
     first_fit, second_fit = an.paired_fits(params, paired, T_c)
     equi = an.equivariance_error(params, paired.head(pair_count), T_c, train_cfg.T_p,
                                  fits=(first_fit.head(pair_count), second_fit.head(pair_count)))

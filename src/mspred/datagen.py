@@ -56,6 +56,9 @@ TWO_PI = 2.0 * math.pi
 
 DATASET_MAGIC = b"MSPDAT01"
 
+# the fewest frames a sequence may have in each mode
+MIN_FRAMES = {"velocity": 3, "acceleration": 4}
+
 # lane indices for the per-sequence substreams (see mix64 below)
 _LANE_TRANSITION = 0
 _LANE_START = 1
@@ -130,7 +133,7 @@ class GeneratorSpec(DictForm):
         if self.k < 1:
             raise ValidationError("k must be >= 1", field="k")
         self.check_obs_dim()
-        min_t = 3 if mode == "velocity" else 4
+        min_t = MIN_FRAMES[mode]
         if self.T < min_t:
             raise ValidationError(f"T must be >= {min_t} in {mode} mode", field="T")
         if self.num_sequences < 1:

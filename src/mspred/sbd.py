@@ -17,31 +17,37 @@ weight that couples it to other coordinates. With s = abs(V) this needs
 only row norms and degrees, A_ii = |s_i|^2 and d_i = s_i . sum_j s_j, so
 no Gram matrix or eigensolver is formed.
 
-The objective over a family M_0 .. M_{c-1} is one tape node. It reads
+The objective over a family M_0 .. M_{c-1} is a plain forward and
+gradient pair, ``mean_blockness_np`` and ``mean_blockness_grad``. It reads
 the members laid side by side, so both conjugation products V_i = U M_i U^T
 are single GEMMs, and it forms the smoothed |V_i| and the mean trace in
-the same pass. Its VJP maps the gradient G_i in each V_i to
+the same pass. The gradient maps the gradient G_i in each V_i to
 dM_i = U^T G_i U and dU = sum_i G_i U M_i^T + G_i^T U M_i, where each sum
-over the family is one (n, c*n) x (c*n, n) GEMM, and forms neither for a
-constant operand. Nothing in it assumes U^T U = I, so the gradient holds
-for a general U.
+over the family is one (n, c*n) x (c*n, n) GEMM, and forms dM_i only when
+asked. Nothing in it assumes U^T U = I, so the gradient holds for a
+general U. ``_mean_blockness_batched`` and ``blockness_loss`` wrap the
+pair as one tape node.
 
 ``fit_sbd`` starts from orthogonal bases U0, not from points in skew
 coordinates: a spectral guess, then seeded random bases. It optimizes
 U = exp(S) U0 with S skew-symmetric and zero at the start, so ``U`` stays
 orthogonal to rounding error and the optimization is unconstrained; the
-exponential is one tape op built on the eigendecomposition of the
-Hermitian iS. Adam optimizes the n x n matrix S itself, fed the gradient
-projected onto the skew matrices, G - G^T: that projection is skew, and
-Adam acts on each entry alone with an update odd in its gradient, so an
-entry and its mirror take exactly opposite steps and the diagonal never
-moves. S stays exactly skew, and its upper triangle takes the same steps
-as a vector of the n(n-1)/2 free parameters would. The family is checked
-once per fit, then conjugated by U0 and laid side by side once per start,
-and that array enters every iteration's tape as a constant view, so an
-iteration's tape holds four nodes: S, U, the family and the loss, and
-the family's gradient is never formed. Only U is reported: S alone no
-longer determines it, so ``sbd_result.json`` carries no skew parameter.
+exponential is ``expm_skew_np``, built on the eigendecomposition of the
+Hermitian iS, with the Daleckii-Krein ``expm_skew_grad`` as its gradient
+(``expm_skew`` is the pair as a tape op). Adam optimizes the n x n matrix
+S itself, fed the gradient projected onto the skew matrices, G - G^T:
+that projection is skew, and Adam acts on each entry alone with an update
+odd in its gradient, so an entry and its mirror take exactly opposite
+steps and the diagonal never moves. S stays exactly skew, and its upper
+triangle takes the same steps as a vector of the n(n-1)/2 free parameters
+would. The graph of an iteration never changes, so the fit records no
+tape: it calls the two forwards and the two gradients in turn, and writes
+the family-sized temporaries into buffers allocated once per fit, with the
+same operands in the same order as the tape ops, so both give the same
+bits. The family is checked once per fit, then conjugated by U0 and laid
+side by side once per start, and its gradient is never formed. Only U is
+reported: S alone no longer determines it, so ``sbd_result.json`` carries
+no skew parameter.
 """
 
 from __future__ import annotations
@@ -97,84 +103,148 @@ def blockness_loss(v: Var) -> Var:
     return _mean_blockness_batched(v.tape.input(np.eye(n), grad=False), v, n)
 
 
-def expm_skew(skew: Var) -> Var:
-    """Matrix exponential U = exp(S) of a skew-symmetric S, as one tape op.
+def expm_skew_np(skew: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Matrix exponential U = exp(S) of a skew-symmetric S, and the
+    eigendecomposition ``expm_skew_grad`` reads.
 
     With the Hermitian iS = Q diag(w) Q^H, U = Re(Q diag(e^{-iw}) Q^H) is
-    orthogonal to rounding error. The backward pass is Daleckii-Krein:
-    G -> Re(Q (conj(D) o (Q^H G Q)) Q^H) with the divided differences
-    D_jk = e^{-i(w_j + w_k)/2} sin(h_jk) / h_jk, h_jk = (w_j - w_k)/2,
-    which is e^{-iw_j} at w_j = w_k.
+    orthogonal to rounding error.
+
+    Raises:
+        NumericError: if the eigensolver does not converge.
     """
-    if len(skew.shape) != 2 or skew.shape[0] != skew.shape[1]:
-        raise DimensionError(f"expm_skew needs a square matrix, got {skew.shape}")
     try:
-        w, q = np.linalg.eigh(1j * skew.value)
+        w, q = np.linalg.eigh(1j * skew)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"expm_skew eigensolver did not converge: {exc}") from exc
     qh = q.conj().T
-    u = np.ascontiguousarray(((q * np.exp(-1j * w)) @ qh).real)
+    return np.ascontiguousarray(((q * np.exp(-1j * w)) @ qh).real), (w, q, qh)
 
-    def vjp(g):
-        half = 0.5 * (w[:, None] - w[None, :])
-        sinc = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
-        phase = np.exp(0.5j * w)
-        div_diff_conj = (phase[:, None] * phase[None, :]) * sinc
-        return ((q @ (div_diff_conj * (qh @ g @ q)) @ qh).real,)
 
-    return skew.tape._push(u, (skew.index,), vjp)
+def expm_skew_grad(eig: tuple, g: np.ndarray) -> np.ndarray:
+    """Gradient in S of a loss whose gradient in U = exp(S) is G, by
+    Daleckii-Krein: G -> Re(Q (conj(D) o (Q^H G Q)) Q^H) with the divided
+    differences D_jk = e^{-i(w_j + w_k)/2} sin(h_jk) / h_jk,
+    h_jk = (w_j - w_k)/2, which is e^{-iw_j} at w_j = w_k. ``eig`` is the
+    second value of ``expm_skew_np``."""
+    w, q, qh = eig
+    half = 0.5 * (w[:, None] - w[None, :])
+    sinc = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
+    phase = np.exp(0.5j * w)
+    div_diff_conj = (phase[:, None] * phase[None, :]) * sinc
+    return (q @ (div_diff_conj * (qh @ g @ q)) @ qh).real
+
+
+def expm_skew(skew: Var) -> Var:
+    """``expm_skew_np`` as one tape op, with ``expm_skew_grad`` as its VJP."""
+    if len(skew.shape) != 2 or skew.shape[0] != skew.shape[1]:
+        raise DimensionError(f"expm_skew needs a square matrix, got {skew.shape}")
+    u, eig = expm_skew_np(skew.value)
+    return skew.tape._push(u, (skew.index,), lambda g: (expm_skew_grad(eig, g),))
 
 
 def _side_by_side(stack: np.ndarray) -> np.ndarray:
     """Lay a (count, n, n) family out as the (n * count, n) array whose row
-    k * count + i is row k of member i: the layout ``_mean_blockness_batched``
+    k * count + i is row k of member i: the layout ``mean_blockness_np``
     reads. A one-member family is its member."""
     count, n, _ = stack.shape
     return stack.transpose(1, 0, 2).reshape(n * count, n)
 
 
-def _mean_blockness_batched(u: Var, side: Var, n: int) -> Var:
+class BlocknessBuffers:
+    """The arrays one evaluation of the mean blockness loss of ``count``
+    n x n members writes, and its gradient reads: ``mean_blockness_np``
+    fills them with ``out=``, so a fit allocates them once."""
+
+    def __init__(self, n: int, count: int):
+        self.n, self.count = n, count
+        self.ones = np.ones(n)
+        self.ut = np.empty((n, n))
+        # w_side[k, i, b] = (M_i U^T)[k, b] and v[a, i, b] = V_i[a, b]; each
+        # (n, count, n) array also has its (n, count*n) view, named *_wide
+        self.w_side = np.empty((n * count, n))
+        self.v, self.v_sq, self.s, self.work = (np.empty((n, count, n)) for _ in range(4))
+        self.w_wide, self.v_wide, self.work_wide = (
+            x.reshape(n, count * n) for x in (self.w_side, self.v, self.work))
+        self.r, self.q = np.empty((n, count)), np.empty((n, count))
+        self.c, self.e = np.empty((count, n)), np.empty((count, n))
+        # the per-row factors w and 2 scale / q of the gradient
+        self.factors = np.empty((2, n, count))
+        # z[k, i, b] = (U^T G_i)[k, b], and its (n * count, n) view
+        self.z = np.empty((n, count * n))
+        self.z_side = self.z.reshape(n * count, n)
+
+
+def mean_blockness_np(u: np.ndarray, side: np.ndarray, buf: BlocknessBuffers) -> float:
     """Mean blockness loss of V_i = U M_i U^T over a family laid side by side.
 
-    One tape node. ``side`` is the (n * count, n) layout of
-    ``_side_by_side``, read as the (n, count*n) matrix [M_0 ... M_{count-1}]
-    after a product with U^T, so the conjugation and the sums over the
-    family in the VJP are single GEMMs; its gradient comes back in the
-    same layout. With s = smoothed |V|, row energies r_a = |s_a|^2,
-    column sums c = sum_a s_a and degrees q_a = s_a . c + eps, the loss
-    is n - mean_i sum_a r_a / q_a, and with w = r / q^2 and
-    e = sum_a w_a s_a its gradient in V_i is
-    G_i = (-2 V / q + (V / s) o (w c^T + 1 e^T)) / count. A constant U
-    or family gets no gradient product.
+    ``side`` is the (n * count, n) layout of ``_side_by_side``, read as the
+    (n, count*n) matrix [M_0 ... M_{count-1}] after a product with U^T, so
+    the conjugation is two GEMMs. With s = smoothed |V|, row energies
+    r_a = |s_a|^2, column sums c = sum_a s_a and degrees q_a = s_a . c + eps,
+    the loss is n - mean_i sum_a r_a / q_a. ``buf`` keeps what
+    ``mean_blockness_grad`` reads.
     """
+    np.copyto(buf.ut, u.T)  # a transposed operand makes these small GEMMs ~2x slower
+    np.matmul(side, buf.ut, out=buf.w_side)
+    np.matmul(u, buf.w_wide, out=buf.v_wide)
+    v = buf.v
+    v_sq = np.multiply(v, v, out=buf.v_sq)
+    v_sq += ABS_EPS * ABS_EPS
+    s = np.sqrt(v_sq, out=buf.s)
+    np.matmul(v_sq, buf.ones, out=buf.r)
+    np.sum(s, axis=0, out=buf.c)
+    np.matmul(np.multiply(s, buf.c, out=buf.work), buf.ones, out=buf.q)
+    buf.q += DEGREE_EPS
+    return float(buf.n - (buf.r / buf.q).sum() / buf.count)
+
+
+def mean_blockness_grad(u: np.ndarray, side: np.ndarray, buf: BlocknessBuffers,
+                        scale: float, *, need_u: bool = True, need_side: bool = False):
+    """Gradients (dU, d side) of g times the loss that ``mean_blockness_np``
+    last wrote into ``buf``, for the same U and side, with ``scale`` = g / count.
+
+    With w = scale r / q^2 and e = sum_a w_a s_a the gradient in V_i is
+    G_i = V o ((w c^T + 1 e^T) / s - 2 scale / q); then
+    dM_i = U^T G_i U comes back in ``side``'s layout and
+    dU = sum_i G_i (M_i U^T)^T + (U^T G_i)^T M_i, each sum over the family
+    one (n, count*n) x (count*n, n) GEMM. A gradient not asked for is None
+    and is not formed.
+    """
+    n, count = buf.n, buf.count
+    v, s, c = buf.v, buf.s, buf.c
+    w, d = buf.factors
+    np.multiply(scale, buf.r, out=w)
+    w /= np.multiply(buf.q, buf.q, out=d)  # scale r / q^2
+    np.divide(2.0 * scale, buf.q, out=d)
+    # each factor repeated along the trailing axis: a product broadcasting
+    # a length-1 axis there runs n elements at a time, ~2x slower
+    w, d = np.repeat(buf.factors, n).reshape(2, n, count, n)
+    e = np.sum(np.multiply(w, s, out=buf.work), axis=0, out=buf.e)
+    gv = np.multiply(w, c, out=buf.work)
+    gv += e
+    gv /= s
+    gv -= d
+    np.multiply(v, gv, out=gv)
+    g_wide, z_side = buf.work_wide, buf.z_side
+    np.matmul(buf.ut, g_wide, out=buf.z)
+    du = g_wide @ buf.w_wide.T + z_side.T @ side if need_u else None
+    return du, z_side @ u if need_side else None
+
+
+def _mean_blockness_batched(u: Var, side: Var, n: int) -> Var:
+    """``mean_blockness_np`` as one tape node, with ``mean_blockness_grad``
+    as its VJP; a constant U or family gets no gradient product. Nothing
+    in it assumes U^T U = I, so the gradient holds for a general U."""
     count = side.shape[0] // n
-    uv = u.value
-    ut = uv.T.copy()  # a transposed operand makes these small GEMMs ~2x slower
-    # m_side[k, i, l] = M_i[k, l], w_side[k, i, b] = (M_i U^T)[k, b]
-    # and v[a, i, b] = V_i[a, b]
-    m_side = side.value
-    w_side = m_side @ ut
-    v = (uv @ w_side.reshape(n, count * n)).reshape(n, count, n)
-    v_sq = v * v + ABS_EPS * ABS_EPS
-    s = np.sqrt(v_sq)
-    ones = np.ones(n)
-    r = v_sq @ ones
-    c = s.sum(axis=0)
-    q = (s * c) @ ones + DEGREE_EPS
-    out = np.array([[n - (r / q).sum() / count]])
+    buf = BlocknessBuffers(n, count)
+    uv, m_side = u.value, side.value
+    out = np.array([[mean_blockness_np(uv, m_side, buf)]])
     need_u, need_side = not u.constant, not side.constant
 
     def vjp(g):
-        scale = g[0, 0] / count
-        w = (scale * r) / (q * q)
-        e = (w[:, :, None] * s).sum(axis=0)
-        gv = v * ((w[:, :, None] * c + e) / s - (2.0 * scale) / q[:, :, None])
-        g_side = gv.reshape(n, count * n)
-        # z_side[k, i, b] = (U^T G_i)[k, b]
-        z_side = (ut @ g_side).reshape(n * count, n)
-        # dU = sum_i G_i (M_i U^T)^T + (U^T G_i)^T M_i
-        du = g_side @ w_side.reshape(n, count * n).T + z_side.T @ m_side if need_u else None
-        return du, z_side @ uv if need_side else None
+        return mean_blockness_grad(uv, m_side, buf, g[0, 0] / count,
+                                   need_u=need_u, need_side=need_side)
 
     return u.tape._push(out, (u.index, side.index), vjp)
 
@@ -299,6 +369,9 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
         raise NumericError(f"transition {bad} has a non-finite entry") from exc
     rng = np.random.default_rng(mix64(seed, 101))
     decay_from = int(0.6 * iters)
+    buf = BlocknessBuffers(n, len(mats))
+    scale = 1.0 / len(mats)  # the loss's own gradient, 1, over the count
+    grad = np.empty((n, n))
     best_loss = math.inf
     best_u = None
     history: list[float] = []
@@ -309,28 +382,25 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
         conjugated = _side_by_side(u0 @ family @ u0.T)
         skew = np.zeros((n, n))
         adam = AdamState(["s"], [(n, n)], lr=lr)
+        params, grads = {"s": skew}, {"s": grad}
         for it in range(iters):
             adam.lr = lr if it < decay_from else 0.3 * lr
-            tape = ad.Tape()
-            # S is finite by construction, and Adam writes it only after
-            # its gradient is read
-            sv = tape.input_view(skew)
-            rot = expm_skew(sv)
-            loss = _mean_blockness_batched(rot, tape.input_view(conjugated, grad=False), n)
-            loss_val = float(loss.value[0, 0])
-            if not math.isfinite(loss_val):
+            rot, eig = expm_skew_np(skew)
+            loss = mean_blockness_np(rot, conjugated, buf)
+            if not math.isfinite(loss):
                 raise NumericError(
                     f"blockness loss became non-finite at iterate {it} "
                     f"of restart {restart}"
                 )
-            if loss_val < best_loss:
-                best_loss = loss_val
-                best_u = rot.value @ u0
+            if loss < best_loss:
+                best_loss = loss
+                best_u = rot @ u0
             history.append(best_loss)
-            tape.backward(loss)
-            g = tape.grad(sv)
+            du, _ = mean_blockness_grad(rot, conjugated, buf, scale)
+            g = expm_skew_grad(eig, du)
             # the projection onto skew matrices keeps S exactly skew
-            adam_step(adam, {"s": skew}, {"s": g - g.T})
+            np.subtract(g, g.T, out=grad)
+            adam_step(adam, params, grads)
     v_best = [best_u @ m @ best_u.T for m in mats]
     blocks = detect_blocks(v_best, threshold=threshold)
     return SbdResult(u=best_u, loss_history=history, blocks=blocks)

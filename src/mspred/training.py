@@ -116,7 +116,7 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     m *= state.beta1
     m += np.multiply(g, 1.0 - state.beta1, out=s)
     v *= state.beta2
-    np.multiply(g, g, out=s)
+    np.square(g, out=s)
     v += np.multiply(s, 1.0 - state.beta2, out=s)
     if bc1 == 1.0:  # from t = 356 at beta1 = 0.9 (t = 1 at 0): m / 1.0 is m
         np.multiply(m, state.lr, out=s)

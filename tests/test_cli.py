@@ -433,6 +433,34 @@ def test_eval_and_report_run_on_an_order_2_acceleration_model(tmp_path):
     assert report["horizons"]["lp"] == [float(x) for x in direct]
 
 
+@pytest.mark.parametrize("horizons", [1, 2])
+def test_eval_runs_an_order_1_model_on_acceleration_data(tmp_path, horizons):
+    # T_c + T_p = 3 and T_c + horizons frames are below acceleration's floor
+    # of 4: the batches are generated at the floor and read for their first frames
+    path = write_config(tmp_path, generator={"T": 10, "mode": "acceleration",
+                                             "accel_range": [-0.08, 0.08]},
+                        eval={"horizons": horizons})
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    assert cli.main(["train", "--config", str(path), "--order", "1"]) == 0
+    assert cli.main(["eval", "--config", str(path), "--order", "1"]) == 0
+    report = json.loads((tmp_path / "run" / cli.EVAL_REPORT_FILE).read_text())
+    jsonschema.validate(report, EVAL_REPORT_SCHEMA)
+    cfg = cfgmod.load(path)
+    params, _ = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
+    ev = cfg.eval_spec
+    floor = datagen.MIN_FRAMES["acceleration"]
+    eval_batch = datagen.make_dataset(datagen.with_length(
+        datagen.with_num_sequences(cfg.generator, ev["eval_sequences"]), floor),
+        datagen.mix64(cfg.master_seed, 1001), cfg.mode)
+    direct = mm.horizon_errors_np(params, eval_batch.observations, 2, horizons)
+    assert report["horizons"]["lp"] == [float(x) for x in direct]
+    paired = datagen.make_paired(datagen.with_length(
+        datagen.with_num_sequences(cfg.generator, ev["pair_count"]), floor),
+        datagen.mix64(cfg.master_seed, cli._PAIR_SEED_LANE), cfg.mode)
+    equi = an.equivariance_error(params, paired.head(ev["pair_count"]), 2, 1)
+    assert report["equivariance"] == json.loads(json.dumps(equi.to_dict()))
+
+
 def test_report_charts_and_missing_inputs(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["report", "--config", str(path)]) == 5

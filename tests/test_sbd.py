@@ -292,51 +292,91 @@ def test_fit_sbd_equals_a_loop_with_a_variable_family():
     assert np.array_equal(result.u, best_u)
 
 
-def test_fit_sbd_forms_no_family_gradient(monkeypatch):
+def test_fit_sbd_constructs_no_tape(monkeypatch):
     tapes = []
-    real = ad.Tape.backward
+    real = ad.Tape.__init__
 
-    def recording(self, loss):
+    def recording(self):
         tapes.append(self)
-        return real(self, loss)
+        real(self)
 
-    monkeypatch.setattr(ad.Tape, "backward", recording)
+    monkeypatch.setattr(ad.Tape, "__init__", recording)
+    sbd.fit_sbd(c04_family()[:8], iters=5, seed=0, restarts=2)
+    assert tapes == []
+
+
+def test_fit_sbd_forms_no_family_gradient(monkeypatch):
+    calls = []
+    real = sbd.mean_blockness_grad
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(sbd, "mean_blockness_grad", recording)
     sbd.fit_sbd(c04_family()[:8], iters=3, seed=0, restarts=2)
-    for tape in tapes:
-        (family,) = [i for i, v in enumerate(tape.values) if v.shape == (64, 8)]
-        assert tape.constants == {family} and tape.grads[family] is None
+    assert len(calls) == 6
+    for du, d_side in calls:
+        assert du.shape == (8, 8) and d_side is None
 
 
-def test_sbd_iteration_tape_is_small(monkeypatch):
-    sizes = []
-    real = ad.Tape.backward
+def test_fit_sbd_lays_out_one_validated_family_per_start(monkeypatch):
+    sides = []
+    real_np, real_grad = sbd.mean_blockness_np, sbd.mean_blockness_grad
 
-    def counting(self, loss):
-        sizes.append(len(self.values))
-        return real(self, loss)
+    def forward(u, side, buf):
+        sides.append(side)
+        return real_np(u, side, buf)
 
-    monkeypatch.setattr(ad.Tape, "backward", counting)
-    sbd.fit_sbd(c04_family()[:8], iters=5, seed=0, restarts=1)
-    # the skew generator, U, the family and the fused loss
-    assert sizes == [4] * 5
+    def gradient(u, side, buf, scale, **kwargs):
+        sides.append(side)
+        return real_grad(u, side, buf, scale, **kwargs)
 
-
-def test_fit_sbd_enters_one_validated_family(monkeypatch):
-    leaves = []
-    real = ad.Tape.backward
-
-    def recording(self, loss):
-        leaves.extend(v for v in self.values if v.shape == (64, 8))
-        return real(self, loss)
-
-    monkeypatch.setattr(ad.Tape, "backward", recording)
+    monkeypatch.setattr(sbd, "mean_blockness_np", forward)
+    monkeypatch.setattr(sbd, "mean_blockness_grad", gradient)
     sbd.fit_sbd(c04_family()[:8], iters=4, seed=0, restarts=2)
-    # each start enters the family conjugated by its own basis, once
-    assert len(leaves) == 8
-    first, second = leaves[:4], leaves[4:]
-    assert all(np.shares_memory(leaf, first[0]) for leaf in first)
-    assert all(np.shares_memory(leaf, second[0]) for leaf in second)
+    # each start conjugates the family by its own basis and lays it out once
+    assert len(sides) == 16 and all(s.shape == (64, 8) for s in sides)
+    first, second = sides[:8], sides[8:]
+    assert all(np.shares_memory(s, first[0]) for s in first)
+    assert all(np.shares_memory(s, second[0]) for s in second)
     assert not np.shares_memory(first[0], second[0])
+
+
+def test_fit_sbd_calls_adam_step_once_per_iteration(monkeypatch):
+    calls = []
+    real = sbd.adam_step
+
+    def counting(state, params, grads):
+        calls.append(state.step_count)
+        return real(state, params, grads)
+
+    monkeypatch.setattr(sbd, "adam_step", counting)
+    sbd.fit_sbd(c04_family()[:8], iters=7, seed=0, restarts=3)
+    # a fresh Adam state per start, stepped once per iteration
+    assert calls == list(range(7)) * 3
+
+
+def test_fit_sbd_names_the_iterate_whose_loss_is_non_finite():
+    # finite entries whose squares overflow: the degrees and energies are inf
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="at iterate 0 of restart 0"):
+        sbd.fit_sbd([np.full((4, 4), 1e200)], iters=3, seed=0, restarts=1)
+
+
+def test_blockness_buffers_carry_nothing_between_calls():
+    # one set of buffers reused for several U gives the bits of fresh ones
+    rng = np.random.default_rng(21)
+    side = sbd._side_by_side(np.stack(c04_family()[:10]))
+    buf = sbd.BlocknessBuffers(8, 10)
+    for _ in range(3):
+        u = sbd.expm_skew_np(skew(rng.normal(0.0, 0.6, size=28), 8))[0]
+        fresh = sbd.BlocknessBuffers(8, 10)
+        assert sbd.mean_blockness_np(u, side, buf) == sbd.mean_blockness_np(u, side, fresh)
+        got = sbd.mean_blockness_grad(u, side, buf, 0.1, need_side=True)
+        want = sbd.mean_blockness_grad(u, side, fresh, 0.1, need_side=True)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("where, bad", [((2, 5), np.nan), (..., np.inf)],
