@@ -23,7 +23,8 @@ for rec in metrics:
     print(f"  iter {rec.iter:5d}  loss {rec.loss:.5f}  held-out {rec.loss_eval:.5f}  "
           f"ortho defect {rec.ortho_defect:.3f}")
 
-errs = mm.horizon_errors_np(params, eval_batch.observations, 2, 12)
+errs = mm.horizon_errors_np(params, eval_batch.observations, 2, 12, order=cfg.order,
+                            transition=cfg.transition)
 var = eval_batch.observations[:, 2].var(axis=0).sum()
 print("\nper-frame target variance:", round(var, 3))
 print("prediction error by horizon (trained only for step 1):")

@@ -21,17 +21,19 @@ print("training ...")
 params, _ = tr.train(cfg, train_pair.first)
 
 eval_pair = make_paired(with_num_sequences(spec, 200), master_seed=22)
-report = an.equivariance_error(params, eval_pair, 2, 1)
+# every fit names its estimator: the one the model trained with
+estimator = {"order": cfg.order, "transition": cfg.transition}
+report = an.equivariance_error(params, eval_pair, 2, 1, **estimator)
 print(f"\ntrained model: self error {report.lp:.5f}   "
       f"cross error {report.lp_equiv:.5f}   ratio {report.ratio:.2f}")
 
 fresh = mm.ModelParams.initialize(cfg, obs_dim=12)
-fresh_report = an.equivariance_error(fresh, eval_pair, 2, 1)
+fresh_report = an.equivariance_error(fresh, eval_pair, 2, 1, **estimator)
 print(f"random model:  self error {fresh_report.lp:.5f}   "
       f"cross error {fresh_report.lp_equiv:.5f}   ratio {fresh_report.ratio:.2f}")
 
-mats = an.fitted_transitions(params, eval_pair.first.observations[:50], 2)
-mats_b = an.fitted_transitions(params, eval_pair.second.observations[:50], 2)
+mats = an.fitted_transitions(params, eval_pair.first.observations[:50], 2, **estimator)
+mats_b = an.fitted_transitions(params, eval_pair.second.observations[:50], 2, **estimator)
 dists = [an.spectrum_distance(a, b) for a, b in zip(mats, mats_b)]
 print(f"\nspectrum distance across orbits (same motion): "
       f"mean {np.mean(dists):.4f}, max {np.max(dists):.4f}")

@@ -6,19 +6,21 @@ hidden motion), intra-orbit homogeneity, spectra of the transition
 family, orthogonality, and a linear probe regressing the hidden
 transition parameters from the fitted operators.
 
-The prediction routines call ``model.fit_np``, which runs the training
-loss's own estimator on a scratch tape, then ``model.predict_np``, which
-forms the training rollout's own products forward-only, so their numbers
-coincide with the tape loss on identical inputs. Each batch is fitted
-once; cross-sequence predictions pair one batch's operators with another
-batch's latents.
+Every function that fits takes the estimator as ``order`` and
+``transition`` (a run's ``TrainConfig.order`` and ``.transition``) and
+calls ``model.fit_np``, which runs the training loss's own estimator on a
+scratch tape, then ``model.predict_np``, which forms the training
+rollout's own products forward-only, so their numbers coincide with the
+tape loss on identical inputs. Each batch is fitted once; cross-sequence
+predictions pair one batch's operators with another batch's latents.
+Homogeneity and the spectra read ``TransitionFit.transitions`` (the
+transition of a first-order fit, the last velocity operator of a
+second-order one), as does the linear probe in ``mspred eval``.
 
-Every section reads a model through its default estimator
-(``model.default_transition``: the neural head if it has one, else the
-first-order least-squares fit). A caller that already fitted a paired
-batch passes ``paired_fits`` to ``equivariance_error`` and the operators
-to ``spectrum_distances`` instead of fitting again; ``mspred eval`` does
-so with one paired batch whose first ``pair_count`` pairs score
+A caller that already fitted a paired batch passes its ``paired_fits``
+to ``equivariance_error`` and their transitions to
+``spectrum_distances`` instead of fitting again; ``mspred eval`` does so
+with one paired batch whose first ``pair_count`` pairs score
 equivariance and whose first ``spectrum_pairs`` give the spectra.
 """
 
@@ -46,13 +48,9 @@ def _prediction_error(pred, obs, T_c):
     return float((diff ** 2).sum() * (1.0 / (n_seq * T_p)))
 
 
-def fitted_transitions(model, obs, T_c):
-    """Per-sequence transitions from batched encodings.
-
-    A model with a neural transition head is read through the head; any
-    other model through the first-order least-squares fit.
-    """
-    return mm.fit_np(model, obs, T_c).op
+def fitted_transitions(model, obs, T_c: int, *, order: int, transition: str) -> np.ndarray:
+    """Per-sequence transitions of a batch, as ``model.batch_transitions_np``."""
+    return mm.batch_transitions_np(model, obs, T_c, order=order, transition=transition)
 
 
 @dataclass
@@ -69,34 +67,37 @@ class EquivarianceReport:
                 "ratio": self.ratio, "sample_count": self.sample_count}
 
 
-def paired_fits(model, paired: PairedBatch, T_c: int) -> tuple[mm.TransitionFit,
-                                                                 mm.TransitionFit]:
-    """``fit_np`` of both sides of a paired batch, with the model's default
-    estimator (``model.default_transition``): one fit per side."""
-    return (mm.fit_np(model, paired.first.observations, T_c),
-            mm.fit_np(model, paired.second.observations, T_c))
+def paired_fits(model, paired: PairedBatch, T_c: int, *, order: int,
+                transition: str) -> tuple[mm.TransitionFit, mm.TransitionFit]:
+    """``fit_np`` of both sides of a paired batch with the named estimator:
+    one fit per side."""
+    return (mm.fit_np(model, paired.first.observations, T_c, order=order, transition=transition),
+            mm.fit_np(model, paired.second.observations, T_c, order=order, transition=transition))
 
 
-def equivariance_error(model, paired: PairedBatch, T_c: int, T_p: int, *,
+def equivariance_error(model, paired: PairedBatch, T_c: int, T_p: int, *, order: int,
+                       transition: str,
                        fits: tuple[mm.TransitionFit, mm.TransitionFit] | None = None,
                        ) -> EquivarianceReport:
     """Score transitions fitted on one batch against its paired partner.
 
-    ``lp`` predicts each partner sequence with its own fitted transition;
-    ``lp_equiv`` predicts it with the transition fitted on the sequence
-    that shares its hidden motion. Transitions come from the model's
-    neural head if it has one, else from the least-squares fit: the
-    ``paired_fits`` of the batch, or ``fits`` when the caller already
-    made them. The ratio is None when the baseline is below the
+    ``lp`` predicts each partner sequence with its own fitted operators;
+    ``lp_equiv`` predicts it from its own last latent with the operators
+    (``op`` and, at second order, ``vel``) fitted on the sequence that
+    shares its hidden motion. The fits are the batch's ``paired_fits``
+    with the named estimator, or ``fits`` when the caller already made
+    them with it. The ratio is None when the baseline is below the
     floating-point floor.
     """
     count = paired.second.num_sequences
     if paired.first.num_sequences != count:
         raise ContractError("paired batches differ in length")
-    first, own = fits if fits is not None else paired_fits(model, paired, T_c)
+    if fits is None:
+        fits = paired_fits(model, paired, T_c, order=order, transition=transition)
+    first, own = fits
     if first.last.shape[0] != count or own.last.shape[0] != count:
         raise ContractError("fits and paired batch differ in length")
-    cross = replace(own, op=first.op)
+    cross = replace(own, op=first.op, vel=first.vel)
     targets = paired.second.observations
     lp = _prediction_error(mm.predict_np(model, own, T_p), targets, T_c)
     lp_equiv = _prediction_error(mm.predict_np(model, cross, T_p), targets, T_c)
@@ -137,14 +138,16 @@ class HomogeneityReport:
                 "relative_mean": self.relative_mean}
 
 
-def homogeneity_check(model, probe: SequenceBatch, T_c: int = 2) -> HomogeneityReport:
+def homogeneity_check(model, probe: SequenceBatch, T_c: int, *, order: int,
+                      transition: str) -> HomogeneityReport:
     """Compare transitions fitted at different offsets along one orbit.
 
     The probe must come from ``make_orbit_probe``: sequence l starts l
     steps further along the same orbit with the same hidden velocity. A
     transition map constant on orbits gives all distances zero.
     """
-    mats = mm.fit_np(model, probe.observations, T_c).op
+    mats = mm.fit_np(model, probe.observations, T_c, order=order,
+                     transition=transition).transitions
     base = mats[0]
     distances = [float(np.linalg.norm(base - mats[ell])) for ell in range(1, len(mats))]
     return HomogeneityReport(distances=distances,
@@ -193,10 +196,11 @@ def spectrum_distance(m1, m2) -> float:
     return float(spectrum_distances(m1, m2))
 
 
-def paired_spectrum_distances(model, paired: PairedBatch, T_c: int = 2) -> list[float]:
+def paired_spectrum_distances(model, paired: PairedBatch, T_c: int, *, order: int,
+                              transition: str) -> list[float]:
     """Spectrum distance between same-motion, different-orbit transitions."""
-    first, second = paired_fits(model, paired, T_c)
-    return spectrum_distances(first.op, second.op).tolist()
+    first, second = paired_fits(model, paired, T_c, order=order, transition=transition)
+    return spectrum_distances(first.transitions, second.transitions).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -115,27 +115,24 @@ class Tape:
         self.vjps.append(vjp)
         return Var(self, len(self.values) - 1, value.shape)
 
-    def _leaf(self, value: Array, grad: bool) -> Var:
-        var = self._push(value)
+    def input(self, data, grad: bool = True) -> Var:
+        """Enter a leaf value onto the tape; ``grad=False`` makes it a constant."""
+        var = self._push(as_matrix(data))
         if not grad:
             self.constants.add(var.index)
         return var
 
-    def input(self, data, grad: bool = True) -> Var:
-        """Enter a leaf value onto the tape; ``grad=False`` makes it a constant."""
-        return self._leaf(as_matrix(data), grad)
-
-    def input_view(self, array: Array, grad: bool = True) -> Var:
+    def input_view(self, array: Array) -> Var:
         """Enter a leaf as a read-only view of ``array``, without a copy or a scan.
 
         The leaf aliases ``array``: the caller vouches that it is finite
         and must not write to it while the tape's values or gradients are
-        still to be read. ``grad=False`` makes it a constant.
+        still to be read.
         """
         if array.dtype != np.float64 or array.ndim not in (2, 3):
             raise ContractError(f"input_view needs a 2-D or 3-D float64 array, "
                                 f"got {array.dtype} with ndim={array.ndim}")
-        return self._leaf(array.view(), grad)
+        return self._push(array.view())
 
     def backward(self, loss: Var) -> None:
         """Reverse sweep from ``loss``, filling gradient slots.

@@ -19,22 +19,20 @@ config_hash, version, horizons {t_p: [...], lp: [...]},
 equivariance / homogeneity / spectrum / regression sub-reports (each with
 its own "kind"), and artifacts (paths of files this run wrote).
 
-Eval generates each of its batches once and fits each once per estimator;
+Eval and sbd read the model through one estimator, the run's own
+``TrainConfig.order`` and ``.transition`` (with --oracle, "lstsq" at the
+run's order). Eval generates each of its batches once and fits each once;
 every section reads those fits:
 
 - the eval batch (eval_sequences sequences of T_c + horizons frames): the
-  horizon curve reads its fit with the model's own estimator
-  (``TrainConfig.transition`` and ``order``), the regression probe its fit
-  with the default one (``model.default_transition``, first order). That
-  is one fit whenever the two agree, which holds for every order-1 model
-  but ``fixed_blocks``;
+  horizon curve and the regression probe;
 - the paired batch (max(pair_count, spectrum_pairs) pairs of T_c + T_p
-  frames), each side fitted once with the default estimator: equivariance
-  reads the first pair_count pairs, the spectrum distances the
-  transitions of the first spectrum_pairs, so the spectrum pairs are the
-  first spectrum_pairs of the equivariance pairs;
-- the orbit probe (probe_offsets + 1 sequences of T_c + 1 frames), fitted
-  once with the default estimator for homogeneity.
+  frames), each side fitted once: equivariance reads the first
+  pair_count pairs, the spectrum distances the transitions of the first
+  spectrum_pairs, so the spectrum pairs are the first spectrum_pairs of
+  the equivariance pairs;
+- the orbit probe (probe_offsets + 1 sequences of T_c + 1 frames), for
+  homogeneity.
 """
 
 from __future__ import annotations
@@ -138,10 +136,13 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_inputs(cfg, args):
-    """Dataset, model and resolved train config that eval and sbd analyse.
+    """Dataset, model, resolved train config and estimator that eval and sbd analyse.
 
     The model is the checkpoint, or the generator's oracle with --oracle.
     A checkpoint without a stored config is read with the run config's.
+    The estimator is the ``order`` and ``transition`` keywords of every
+    fit: the run's own, or for the oracle, which has no neural head,
+    "lstsq" at the run's order.
 
     Raises:
         FileNotFoundError: the dataset or checkpoint is missing.
@@ -151,32 +152,25 @@ def _load_eval_inputs(cfg, args):
     dataset = datagen.load_dataset(os.path.join(cfg.out_dir, DATASET_FILE))
     if args.oracle:
         log.info("using the oracle model (debug flag)")
-        return dataset, mm.OracleModel(dataset.spec), cfg.train.resolved()
-    params, train_cfg = tr.load_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE))
-    if params.obs_dim != dataset.spec.obs_dim:
-        raise DimensionError(f"checkpoint expects obs_dim={params.obs_dim} "
-                             f"but dataset has {dataset.spec.obs_dim}")
-    train_cfg = (train_cfg if train_cfg is not None else cfg.train).resolved()
-    if params.mstar and params.mstar[0][0].shape[0] != train_cfg.T_c * params.obs_dim:
-        raise DimensionError(f"the checkpoint's transition head reads T_c={params.T_c} "
-                             f"frames, the config has T_c={train_cfg.T_c}")
-    return dataset, params, train_cfg
-
-
-def _transition_kind(args, train_cfg) -> str:
-    """The transition estimator of the horizon curve and SBD: the model's own.
-
-    The oracle has no neural head; it is scored with the closed-form solve.
-    """
-    return "lstsq" if args.oracle else train_cfg.transition
+        params, train_cfg = mm.OracleModel(dataset.spec), cfg.train.resolved()
+    else:
+        params, train_cfg = tr.load_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE))
+        if params.obs_dim != dataset.spec.obs_dim:
+            raise DimensionError(f"checkpoint expects obs_dim={params.obs_dim} "
+                                 f"but dataset has {dataset.spec.obs_dim}")
+        train_cfg = (train_cfg if train_cfg is not None else cfg.train).resolved()
+        if params.mstar and params.mstar[0][0].shape[0] != train_cfg.T_c * params.obs_dim:
+            raise DimensionError(f"the checkpoint's transition head reads T_c={params.T_c} "
+                                 f"frames, the config has T_c={train_cfg.T_c}")
+    transition = "lstsq" if args.oracle else train_cfg.transition
+    return dataset, params, train_cfg, {"order": train_cfg.order, "transition": transition}
 
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    dataset, params, train_cfg = _load_eval_inputs(cfg, args)
+    dataset, params, train_cfg, estimator = _load_eval_inputs(cfg, args)
     ev = cfg.eval_spec
     horizons = ev["horizons"]
-    kind = _transition_kind(args, train_cfg)
     spec = dataset.spec
     T_c = train_cfg.T_c
 
@@ -189,30 +183,28 @@ def cmd_eval(args) -> int:
     eval_batch = datagen.make_dataset(batch_spec(ev["eval_sequences"], T_c + horizons),
                                       datagen.mix64(cfg.master_seed, _EVAL_SEED_LANE), cfg.mode)
     eval_obs = eval_batch.observations
-    curve_fit = mm.fit_np(params, eval_obs, T_c, order=train_cfg.order, transition=kind)
-    lp_curve = mm.horizon_errors_np(params, eval_obs, T_c, horizons, fit=curve_fit)
+    eval_fit = mm.fit_np(params, eval_obs, T_c, **estimator)
+    lp_curve = mm.horizon_errors_np(params, eval_obs, T_c, horizons, fit=eval_fit, **estimator)
     target_var = float(eval_obs[:, T_c].var(axis=0).sum())
-    # the regression reads the default estimator at first order; the curve's fit if that is it
-    reg_fit = (curve_fit if (train_cfg.order, kind) == (1, mm.default_transition(params))
-               else mm.fit_np(params, eval_obs, T_c))
     reg_scores = an.regress_transition_params(
-        reg_fit.op, an.velocity_targets(eval_batch), seed=cfg.master_seed)
+        eval_fit.transitions, an.velocity_targets(eval_batch), seed=cfg.master_seed)
 
     # one paired batch: equivariance reads its first pair_count pairs, the
     # spectrum distances the first spectrum_pairs
     pair_count, spectrum_pairs = ev["pair_count"], ev["spectrum_pairs"]
     paired = datagen.make_paired(batch_spec(max(pair_count, spectrum_pairs), T_c + train_cfg.T_p),
                                  datagen.mix64(cfg.master_seed, _PAIR_SEED_LANE), cfg.mode)
-    first_fit, second_fit = an.paired_fits(params, paired, T_c)
+    first_fit, second_fit = an.paired_fits(params, paired, T_c, **estimator)
     equi = an.equivariance_error(params, paired.head(pair_count), T_c, train_cfg.T_p,
-                                 fits=(first_fit.head(pair_count), second_fit.head(pair_count)))
-    spec_dists = an.spectrum_distances(first_fit.op[:spectrum_pairs],
-                                       second_fit.op[:spectrum_pairs]).tolist()
+                                 fits=(first_fit.head(pair_count), second_fit.head(pair_count)),
+                                 **estimator)
+    spec_dists = an.spectrum_distances(first_fit.transitions[:spectrum_pairs],
+                                       second_fit.transitions[:spectrum_pairs]).tolist()
 
     probe = datagen.make_orbit_probe(datagen.with_length(spec, T_c + 1),
                                      datagen.mix64(cfg.master_seed, _PROBE_SEED_LANE),
                                      ev["probe_offsets"])
-    homo = an.homogeneity_check(params, probe, T_c=T_c)
+    homo = an.homogeneity_check(params, probe, T_c, **estimator)
     factor_names = ([f"cos_v{j}" for j in range(spec.k)]
                     + [f"sin_v{j}" for j in range(spec.k)])
 
@@ -244,11 +236,10 @@ def cmd_eval(args) -> int:
 
 def cmd_sbd(args) -> int:
     cfg = _load_config(args)
-    dataset, params, train_cfg = _load_eval_inputs(cfg, args)
+    dataset, params, train_cfg, estimator = _load_eval_inputs(cfg, args)
     sp = cfg.sbd_spec
     spec = dataset.spec
     count = min(sp["num_transitions"], dataset.num_sequences)
-    estimator = {"transition": _transition_kind(args, train_cfg), "order": train_cfg.order}
     mats = mm.batch_transitions_np(params, dataset.observations[:count], train_cfg.T_c,
                                    **estimator)
     result = sbdmod.fit_sbd(list(mats), iters=sp["iters"], lr=sp["lr"],

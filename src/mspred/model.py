@@ -725,29 +725,26 @@ class TransitionFit:
         return TransitionFit(last=self.last[:count], op=self.op[:count],
                              vel=None if self.vel is None else self.vel[:count])
 
+    @property
+    def transitions(self) -> np.ndarray:
+        """The (N, a, a) per-sequence transitions: ``op`` for a first-order
+        fit, the last velocity operators ``vel`` for a second-order one."""
+        return self.op if self.vel is None else self.vel
 
-def default_transition(model) -> str:
-    """The estimator that reads a model when none is named: its neural
-    head if it has one, else the first-order "lstsq" fit."""
-    return "neural" if getattr(model, "mstar", None) is not None else "lstsq"
 
-
-def fit_np(model, obs, T_c: int, *, order: int = 1,
-           transition: str | None = None) -> TransitionFit:
+def fit_np(model, obs, T_c: int, *, order: int, transition: str) -> TransitionFit:
     """Encode a batch once and fit every sequence's operators, gradient-free.
 
-    ``transition`` and ``order`` select the estimator as in ``loss_pred``
-    ("lstsq" of either order, "blockwise" or "neural"); None picks the
-    model's neural head if it has one, else "lstsq". ``model`` is a
-    ``ModelParams`` or an ``OracleModel``: anything with ``a``, ``m`` and
-    the forward methods. The encodings enter
+    ``transition`` and ``order`` name the estimator as in ``loss_pred``
+    ("lstsq" of either order, "blockwise" or "neural"); a run's pair is
+    its ``TrainConfig.order`` and ``TrainConfig.transition``. ``model`` is
+    a ``ModelParams`` or an ``OracleModel``: anything with ``a``, ``m``
+    and the forward methods. The encodings enter
     a scratch tape and run through ``estimate``, the estimator the
     training loss uses, so a fit on the same inputs reproduces
     ``loss_pred``'s operators bit for bit. A neural fit reads no latent
     but the last one, where a rollout starts, so it encodes only frame T_c.
     """
-    if transition is None:
-        transition = default_transition(model)
     obs = _as_batch(obs)
     n_seq, _, n_dim = obs.shape
     a, m = model.a, model.m
@@ -818,24 +815,18 @@ def predict_np(model, fit: TransitionFit, steps: int) -> np.ndarray:
                           axis=1)
 
 
-def batch_transitions_np(model, obs, T_c: int, *, order: int = 1,
-                         transition: str | None = None) -> np.ndarray:
-    """Per-sequence transitions of a batch, (N, a, a).
-
-    For a second-order fit these are the last velocity operators.
-    """
-    fit = fit_np(model, obs, T_c, order=order, transition=transition)
-    return fit.op if fit.vel is None else fit.vel
+def batch_transitions_np(model, obs, T_c: int, *, order: int, transition: str) -> np.ndarray:
+    """Per-sequence transitions of a batch, (N, a, a): ``TransitionFit.transitions``."""
+    return fit_np(model, obs, T_c, order=order, transition=transition).transitions
 
 
-def horizon_errors_np(model, obs, T_c: int, horizons: int, *, order: int = 1,
-                      transition: str | None = None,
+def horizon_errors_np(model, obs, T_c: int, horizons: int, *, order: int, transition: str,
                       fit: TransitionFit | None = None) -> np.ndarray:
     """Mean squared frame error at each prediction horizon 1..horizons.
 
-    Fits the per-sequence transition on the first T_c frames, or takes
-    ``fit``, this batch's ``fit_np`` already made by the caller (then
-    ``order`` and ``transition`` are unused). It then rolls the latent
+    Fits the per-sequence transition on the first T_c frames with the
+    named estimator, or takes ``fit``, this batch's ``fit_np`` with that
+    estimator already made by the caller. It then rolls the latent
     forward, decodes and scores one group of horizons at a time (see
     ``_predicted_groups``), so memory stays at one group's decode however
     many horizons are asked for. Returns ||error||_2^2 averaged over

@@ -183,9 +183,11 @@ def test_c04_sbd_recovery():
 def test_c05_desk_scale_extrapolation(desk_data, desk_eval):
     var = float(desk_eval.observations[:, DESK["T_c"]].var(axis=0).sum())
     msp = msp_model(0, desk_data)
-    msp_curve = mm.horizon_errors_np(msp, desk_eval.observations, DESK["T_c"], 18)
+    msp_curve = mm.horizon_errors_np(msp, desk_eval.observations, DESK["T_c"], 18, order=1,
+                                     transition="lstsq")
     rec = train_cached(desk_config("rec_model", seed=0, T_c=3), desk_data, "desk-vel")
-    rec_curve = mm.horizon_errors_np(rec, desk_eval.observations, DESK["T_c"], 18)
+    rec_curve = mm.horizon_errors_np(rec, desk_eval.observations, DESK["T_c"], 18, order=1,
+                                     transition="lstsq")
     lp1, lp18 = float(msp_curve[0]), float(msp_curve[17])
     rec1, rec18 = float(rec_curve[0]), float(rec_curve[17])
     bound = 10.0 * lp1
@@ -196,21 +198,22 @@ def test_c05_desk_scale_extrapolation(desk_data, desk_eval):
         f"rec1 {rec1:.2f}, rec18 {rec18:.1f} vs bound {bound:.2f}")
 
 
-def _equivariance_ratio(params, seed):
+def _equivariance_ratio(params, transition):
     spec = datagen.with_length(
         datagen.with_num_sequences(datagen.velocity_spec(), 256),
         DESK["T_c"] + DESK["T_p"])
     paired = datagen.make_paired(spec, master_seed=DESK["eval_seed"] + 7)
-    return an.equivariance_error(params, paired, DESK["T_c"], DESK["T_p"]).ratio
+    return an.equivariance_error(params, paired, DESK["T_c"], DESK["T_p"], order=1,
+                                 transition=transition).ratio
 
 
 def test_c06_equivariance_separation(desk_data):
     msp_ratios = []
     neu_ratios = []
     for seed in range(3):
-        msp_ratios.append(_equivariance_ratio(msp_model(seed, desk_data), seed))
+        msp_ratios.append(_equivariance_ratio(msp_model(seed, desk_data), "lstsq"))
         neu = train_cached(desk_config("neural_mstar", seed=seed), desk_data, "desk-vel")
-        neu_ratios.append(_equivariance_ratio(neu, seed))
+        neu_ratios.append(_equivariance_ratio(neu, "neural"))
     msp_med = float(np.median(msp_ratios))
     neu_med = float(np.median(neu_ratios))
     ok = msp_med < 2.0 and neu_med >= 3.0 * msp_med
@@ -222,10 +225,11 @@ def test_c07_intra_orbit_homogeneity(desk_data):
     probe = datagen.make_orbit_probe(
         datagen.with_num_sequences(datagen.velocity_spec(), 1),
         master_seed=DESK["eval_seed"] + 13, offsets=5)
-    trained = an.homogeneity_check(msp_model(0, desk_data), probe, T_c=DESK["T_c"])
+    trained = an.homogeneity_check(msp_model(0, desk_data), probe, DESK["T_c"], order=1,
+                                   transition="lstsq")
     control = an.homogeneity_check(
         mm.ModelParams.initialize(desk_config("msp", seed=0), obs_dim=DESK["obs_dim"]),
-        probe, T_c=DESK["T_c"])
+        probe, DESK["T_c"], order=1, transition="lstsq")
     ok = trained.relative_mean < 0.1 and control.relative_mean > 0.1
     assert criterion(7, "transitions are homogeneous along orbits after training",
                      ok, f"trained {trained.relative_mean:.4f}, "
@@ -236,8 +240,8 @@ def test_c08_spectrum_similarity(desk_data):
     spec = datagen.with_length(
         datagen.with_num_sequences(datagen.velocity_spec(), 50), DESK["T_c"] + 1)
     paired = datagen.make_paired(spec, master_seed=DESK["eval_seed"] + 21)
-    dists = an.paired_spectrum_distances(msp_model(0, desk_data), paired,
-                                         T_c=DESK["T_c"])
+    dists = an.paired_spectrum_distances(msp_model(0, desk_data), paired, DESK["T_c"],
+                                         order=1, transition="lstsq")
     rng = np.random.default_rng(11008)
     exact_worst = 0.0
     for _ in range(20):
@@ -271,8 +275,10 @@ def test_c09_second_order(desk_eval):
                                      iterations=6000), accel_train, "desk-acc")
     second = train_cached(desk_config("msp", seed=0, order=2, T_c=5, T_p=5,
                                       iterations=6000), accel_train, "desk-acc")
-    err1 = mm.horizon_errors_np(first, accel_eval.observations, 5, 5, order=1)[4]
-    err2 = mm.horizon_errors_np(second, accel_eval.observations, 5, 5, order=2)[4]
+    err1 = mm.horizon_errors_np(first, accel_eval.observations, 5, 5, order=1,
+                                transition="lstsq")[4]
+    err2 = mm.horizon_errors_np(second, accel_eval.observations, 5, 5, order=2,
+                                transition="lstsq")[4]
     ok = exact < 1e-8 and err2 * 2.0 <= err1
     assert criterion(9, "second-order model tracks constant acceleration",
                      ok, f"exact recovery {exact:.2e}, order1 {err1:.3f} vs "
@@ -288,7 +294,8 @@ def test_c10_orthogonality_trend(desk_data):
         init_params = mm.ModelParams.initialize(cfg, obs_dim=DESK["obs_dim"])
         trained = msp_model(seed, desk_data)
         for params, sink in ((init_params, inits), (trained, finals)):
-            mats = an.fitted_transitions(params, probe_obs, DESK["T_c"])
+            mats = an.fitted_transitions(params, probe_obs, DESK["T_c"], order=1,
+                                         transition="lstsq")
             defects = [an.orthogonality_defect(mat) for mat in mats]
             sink.append(float(np.mean(defects)))
     ok = float(np.median(finals)) < float(np.median(inits))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def test_equivariance_self_pair_equals_loss_pred_exactly():
     params = tiny_params()
     batch = make_dataset(small_spec(), master_seed=3)
     paired = PairedBatch(first=batch, second=batch)
-    report = an.equivariance_error(params, paired, 2, 1)
+    report = an.equivariance_error(params, paired, 2, 1, order=1, transition="lstsq")
     assert report.lp == report.lp_equiv
     tape = ad.Tape()
     loss = mm.loss_pred(mm.TapeModel(tape, params), batch.observations, 2, 1)
@@ -45,21 +46,22 @@ def test_equivariance_scores_a_neural_model_with_its_head():
                          seed=4, T_c=2, T_p=1, iterations=1, variant="neural_mstar")
     params = mm.ModelParams.initialize(cfg, 4)
     paired = make_paired(small_spec(), master_seed=5)
-    report = an.equivariance_error(params, paired, 2, 1)
+    report = an.equivariance_error(params, paired, 2, 1, order=1, transition="neural")
     tape = ad.Tape()
     ref = mm.loss_pred(mm.TapeModel(tape, params), paired.second.observations, 2, 1,
                        transition="neural").value[0, 0]
     assert abs(report.lp - ref) <= 1e-12 * ref
     np.testing.assert_array_equal(
-        an.fitted_transitions(params, paired.first.observations, 2),
-        mm.batch_transitions_np(params, paired.first.observations, 2, transition="neural"))
+        an.fitted_transitions(params, paired.first.observations, 2, order=1,
+                              transition="neural"),
+        mm.fit_np(params, paired.first.observations, 2, order=1, transition="neural").op)
 
 
 def test_equivariance_oracle_reports_null_ratio():
     spec = small_spec(k=2, obs_dim=6)
     paired = make_paired(spec, master_seed=8)
     oracle = mm.OracleModel(spec)
-    report = an.equivariance_error(oracle, paired, 2, 2)
+    report = an.equivariance_error(oracle, paired, 2, 2, order=1, transition="lstsq")
     assert report.lp < 1e-12 and report.lp_equiv < 1e-12
     assert report.ratio is None  # baseline below the floating-point floor
     d = report.to_dict()
@@ -69,9 +71,26 @@ def test_equivariance_oracle_reports_null_ratio():
 def test_equivariance_random_model_shows_cross_error():
     params = tiny_params()
     paired = make_paired(small_spec(), master_seed=9)
-    report = an.equivariance_error(params, paired, 2, 1)
+    report = an.equivariance_error(params, paired, 2, 1, order=1, transition="lstsq")
     assert report.lp > 0 and report.lp_equiv > 0
     assert report.ratio == report.lp_equiv / report.lp
+
+
+def test_equivariance_at_order_2_predicts_with_the_partners_velocity_too():
+    cfg = mm.TrainConfig(a=2, m=3, enc_hidden=(8,), dec_hidden=(8,), seed=6, order=2,
+                         T_c=4, T_p=2, iterations=1)
+    params = mm.ModelParams.initialize(cfg, 4)
+    spec = small_spec(T=6, accel_range=(-0.08, 0.08))
+    paired = make_paired(spec, master_seed=10, mode="acceleration")
+    report = an.equivariance_error(params, paired, 4, 2, order=2, transition="lstsq")
+    first, own = an.paired_fits(params, paired, 4, order=2, transition="lstsq")
+    assert not np.array_equal(first.vel, own.vel)
+    targets = paired.second.observations
+    cross = replace(own, op=first.op, vel=first.vel)
+    assert report.lp_equiv == an._prediction_error(mm.predict_np(params, cross, 2), targets, 4)
+    # swapping the acceleration operator alone is another prediction
+    op_only = replace(own, op=first.op)
+    assert report.lp_equiv != an._prediction_error(mm.predict_np(params, op_only, 2), targets, 4)
 
 
 def test_orthogonality_defect_examples():
@@ -99,12 +118,12 @@ def test_homogeneity_oracle_is_exact_and_random_is_not():
     spec = small_spec(k=2, obs_dim=6, T=3)
     probe = make_orbit_probe(spec, master_seed=12, offsets=5)
     oracle = mm.OracleModel(spec)
-    report = an.homogeneity_check(oracle, probe, T_c=2)
+    report = an.homogeneity_check(oracle, probe, 2, order=1, transition="lstsq")
     assert report.max < 1e-9
     assert len(report.distances) == 5
 
     params = tiny_params(obs_dim=6, seed=7)
-    noisy = an.homogeneity_check(params, probe, T_c=2)
+    noisy = an.homogeneity_check(params, probe, 2, order=1, transition="lstsq")
     assert noisy.relative_mean > 100 * max(report.relative_mean, 1e-18)
     d = noisy.to_dict()
     assert d["kind"] == "homogeneity" and len(d["distances"]) == 5
@@ -144,14 +163,14 @@ def test_spectrum_rejects_bad_shapes_and_non_finite_entries():
 
 def test_fitted_transitions_rejects_an_empty_batch():
     with pytest.raises(DimensionError, match="empty batch"):
-        an.fitted_transitions(tiny_params(), np.empty((0, 3, 4)), 2)
+        an.fitted_transitions(tiny_params(), np.empty((0, 3, 4)), 2, order=1, transition="lstsq")
 
 
 def test_paired_spectrum_distances_oracle():
     spec = small_spec(k=2, obs_dim=6, num_sequences=20)
     paired = make_paired(spec, master_seed=14)
     oracle = mm.OracleModel(spec)
-    dists = an.paired_spectrum_distances(oracle, paired, T_c=2)
+    dists = an.paired_spectrum_distances(oracle, paired, 2, order=1, transition="lstsq")
     assert len(dists) == 20
     assert max(dists) < 1e-8
 
@@ -194,6 +213,6 @@ def test_velocity_targets_shape():
 def test_reports_are_pure_functions():
     params = tiny_params()
     paired = make_paired(small_spec(), master_seed=19)
-    r1 = an.equivariance_error(params, paired, 2, 1)
-    r2 = an.equivariance_error(params, paired, 2, 1)
+    r1 = an.equivariance_error(params, paired, 2, 1, order=1, transition="lstsq")
+    r2 = an.equivariance_error(params, paired, 2, 1, order=1, transition="lstsq")
     assert r1 == r2

@@ -146,7 +146,7 @@ def test_constant_leaf_gets_no_gradient_slot_and_no_grad():
     tape = ad.Tape()
     x = tape.input(np.arange(6.0).reshape(2, 3))
     c = tape.input(np.ones((2, 3)), grad=False)
-    v = tape.input_view(np.full((2, 3), 2.0), grad=False)
+    v = tape.input(np.full((2, 3), 2.0), grad=False)
     assert c.constant and v.constant and not x.constant
     tape.backward(ad.frobenius_sq(ad.add(ad.hadamard(x, c), v)))
     assert tape.grads[c.index] is None and tape.grads[v.index] is None

@@ -330,7 +330,8 @@ def test_eval_report_schema_and_api_equality(tmp_path):
     eval_batch = datagen.make_dataset(
         eval_spec, datagen.mix64(cfg.master_seed, 1001), cfg.mode)
     direct = mm.horizon_errors_np(params, eval_batch.observations,
-                                  train_cfg.T_c, cfg.eval_spec["horizons"])
+                                  train_cfg.T_c, cfg.eval_spec["horizons"],
+                                  order=train_cfg.order, transition=train_cfg.transition)
     assert report["horizons"]["lp"] == [float(x) for x in direct]
 
 
@@ -404,7 +405,7 @@ def test_sbd_fits_an_order_2_model_with_its_own_estimator(tmp_path):
     # the family is the last velocity operators of the second-order fit
     params, train_cfg = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
     obs = datagen.load_dataset(tmp_path / "run" / cli.DATASET_FILE).observations
-    vel = mm.batch_transitions_np(params, obs[:6], train_cfg.T_c, order=2)
+    vel = mm.batch_transitions_np(params, obs[:6], train_cfg.T_c, order=2, transition="lstsq")
     u = np.array(result["u"])
     energy = np.abs(u @ vel @ u.T - np.eye(2)).mean(axis=0)
     np.testing.assert_allclose(result["mean_abs_v_minus_i"], energy, rtol=1e-12)
@@ -429,7 +430,7 @@ def test_eval_and_report_run_on_an_order_2_acceleration_model(tmp_path):
         train_cfg.T_c + cfg.eval_spec["horizons"])
     eval_batch = datagen.make_dataset(eval_spec, datagen.mix64(cfg.master_seed, 1001), cfg.mode)
     direct = mm.horizon_errors_np(params, eval_batch.observations, train_cfg.T_c,
-                                  cfg.eval_spec["horizons"], order=2)
+                                  cfg.eval_spec["horizons"], order=2, transition="lstsq")
     assert report["horizons"]["lp"] == [float(x) for x in direct]
 
 
@@ -452,12 +453,14 @@ def test_eval_runs_an_order_1_model_on_acceleration_data(tmp_path, horizons):
     eval_batch = datagen.make_dataset(datagen.with_length(
         datagen.with_num_sequences(cfg.generator, ev["eval_sequences"]), floor),
         datagen.mix64(cfg.master_seed, 1001), cfg.mode)
-    direct = mm.horizon_errors_np(params, eval_batch.observations, 2, horizons)
+    direct = mm.horizon_errors_np(params, eval_batch.observations, 2, horizons, order=1,
+                                  transition="lstsq")
     assert report["horizons"]["lp"] == [float(x) for x in direct]
     paired = datagen.make_paired(datagen.with_length(
         datagen.with_num_sequences(cfg.generator, ev["pair_count"]), floor),
         datagen.mix64(cfg.master_seed, cli._PAIR_SEED_LANE), cfg.mode)
-    equi = an.equivariance_error(params, paired.head(ev["pair_count"]), 2, 1)
+    equi = an.equivariance_error(params, paired.head(ev["pair_count"]), 2, 1, order=1,
+                                 transition="lstsq")
     assert report["equivariance"] == json.loads(json.dumps(equi.to_dict()))
 
 
@@ -549,12 +552,14 @@ def test_variant_and_seed_overrides(tmp_path):
 
 def separate_sections_report(path):
     """The eval sections of a trained run, each generated and fitted on its
-    own: the curve, the regression's separate fit, a pair batch for
-    equivariance and another for the spectra, each side fitted again."""
+    own with the run's estimator: the curve, the regression's separate fit,
+    a pair batch for equivariance and another for the spectra, each side
+    fitted again."""
     cfg = cfgmod.load(path)
     params, train_cfg = tr.load_checkpoint(cfg.out_dir + "/" + cli.CHECKPOINT_FILE)
     train_cfg = train_cfg.resolved()
     ev, spec, t_c, t_p = cfg.eval_spec, cfg.generator, train_cfg.T_c, train_cfg.T_p
+    estimator = {"order": train_cfg.order, "transition": train_cfg.transition}
 
     def batch(count, length):
         return datagen.with_length(datagen.with_num_sequences(spec, count), length)
@@ -562,9 +567,9 @@ def separate_sections_report(path):
     eval_batch = datagen.make_dataset(batch(ev["eval_sequences"], t_c + ev["horizons"]),
                                       datagen.mix64(cfg.master_seed, 1001), cfg.mode)
     lp = mm.horizon_errors_np(params, eval_batch.observations, t_c, ev["horizons"],
-                              order=train_cfg.order, transition=train_cfg.transition)
+                              **estimator)
     regression = an.regress_transition_params(
-        an.fitted_transitions(params, eval_batch.observations, t_c),
+        an.fitted_transitions(params, eval_batch.observations, t_c, **estimator),
         an.velocity_targets(eval_batch), seed=cfg.master_seed)
     paired = datagen.make_paired(batch(ev["pair_count"], t_c + t_p),
                                  datagen.mix64(cfg.master_seed, 1002), cfg.mode)
@@ -575,9 +580,9 @@ def separate_sections_report(path):
     return {
         "target_variance": float(eval_batch.observations[:, t_c].var(axis=0).sum()),
         "lp": [float(x) for x in lp],
-        "equivariance": an.equivariance_error(params, paired, t_c, t_p).to_dict(),
-        "homogeneity": an.homogeneity_check(params, probe, T_c=t_c).to_dict(),
-        "spectrum": an.paired_spectrum_distances(params, spec_paired, T_c=t_c),
+        "equivariance": an.equivariance_error(params, paired, t_c, t_p, **estimator).to_dict(),
+        "homogeneity": an.homogeneity_check(params, probe, t_c, **estimator).to_dict(),
+        "spectrum": an.paired_spectrum_distances(params, spec_paired, t_c, **estimator),
         "regression": regression,
     }
 
@@ -604,13 +609,15 @@ def eval_run(tmp_path, train_flags=(), **overrides):
 
 ACCELERATION = {"generator": {"T": 10, "mode": "acceleration", "accel_range": [-0.08, 0.08]},
                 "train": {"order": 2, "T_c": 5, "T_p": 5}}
+# at a = 2 the blockwise fit is the lstsq fit; a = 4 tells them apart
+BLOCKWISE = {"train": {"variant": "fixed_blocks", "a": 4, "m": 5}}
 
 
 @pytest.mark.parametrize("overrides", [
     {},
     {"eval": {"pair_count": 5, "spectrum_pairs": 9}},
     {"train": {"variant": "neural_mstar", "mstar_hidden": [8]}},
-    {"train": {"variant": "fixed_blocks"}},
+    BLOCKWISE,
     {"generator": {"T": 4}, "train": {"T_p": 2}},
     ACCELERATION,
 ], ids=["velocity-msp", "more-spectrum-pairs", "neural", "blockwise", "T_p-2",
@@ -621,20 +628,28 @@ def test_eval_report_equals_each_section_made_on_its_own(tmp_path, overrides):
     assert_report_equals_separate_sections(path, report)
 
 
-def test_eval_generates_and_fits_each_batch_once(tmp_path, monkeypatch):
-    # desk dimensions and eval sizes; the checkpoint is the initialization
-    path = write_config(tmp_path, generator={"k": 3, "obs_dim": 24, "num_sequences": 64},
-                        train={"a": 8, "m": 16, "enc_hidden": [128, 128],
-                               "dec_hidden": [128, 128]},
-                        eval={"horizons": 18, "eval_sequences": 512, "pair_count": 256,
-                              "probe_offsets": 5, "spectrum_pairs": 50})
+@pytest.mark.parametrize("overrides", [
+    # desk dimensions and eval sizes
+    {"generator": {"k": 3, "obs_dim": 24, "num_sequences": 64},
+     "train": {"a": 8, "m": 16, "enc_hidden": [128, 128], "dec_hidden": [128, 128]},
+     "eval": {"horizons": 18, "eval_sequences": 512, "pair_count": 256,
+              "probe_offsets": 5, "spectrum_pairs": 50}},
+    BLOCKWISE,
+    ACCELERATION,
+], ids=["desk-msp", "blockwise", "acceleration-order-2"])
+def test_eval_generates_and_fits_each_batch_once(tmp_path, monkeypatch, overrides):
+    # the checkpoint is the initialization
+    path = write_config(tmp_path, **overrides)
     assert cli.main(["generate", "--config", str(path)]) == 0
     assert cli.main(["train", "--config", str(path), "--iters", "0"]) == 0
+    train_cfg = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)[1].resolved()
+    cfg = cfgmod.load(path)
+    ev = cfg.eval_spec
     fits, pairs, maps = [], [], []
     fit_np, make_paired, mixing_init = mm.fit_np, datagen.make_paired, datagen.MixingMap.__init__
 
     def counting_fit(model, obs, *args, **kwargs):
-        fits.append(obs)
+        fits.append((obs, kwargs))
         return fit_np(model, obs, *args, **kwargs)
 
     def counting_paired(*args, **kwargs):
@@ -651,11 +666,15 @@ def test_eval_generates_and_fits_each_batch_once(tmp_path, monkeypatch):
     datagen._shared_mixing_map.cache_clear()
     assert cli.main(["eval", "--config", str(path)]) == 0
     assert len(pairs) == 1 and len(maps) == 1
-    eval_fits = [obs for obs in fits if obs.shape == (512, 20, 24)]
+    # the eval batch, the two sides of the paired batch and the homogeneity probe
+    assert len(fits) == 4
+    estimator = {"order": train_cfg.order, "transition": train_cfg.transition}
+    assert all(kwargs == estimator for _, kwargs in fits)
+    eval_fits = [obs for obs, _ in fits if obs.shape[0] == ev["eval_sequences"]]
     assert len(eval_fits) == 1
-    sides = [obs for obs in fits if obs.shape[0] == 256]
+    frames = max(train_cfg.T_c + ev["horizons"], datagen.MIN_FRAMES[cfg.mode])
+    assert eval_fits[0].shape == (ev["eval_sequences"], frames, cfg.generator.obs_dim)
+    sides = [obs for obs, _ in fits if obs.shape[0] == max(ev["pair_count"], ev["spectrum_pairs"])]
     assert len(sides) == 2
     assert sides[0] is pairs[0].first.observations
     assert sides[1] is pairs[0].second.observations
-    # the remaining fit is the homogeneity probe's
-    assert len(fits) == 4

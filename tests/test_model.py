@@ -641,7 +641,7 @@ def test_variant_loss_neural_gradient_matches_fd_tiny_shapes():
 def test_neural_fit_equals_the_all_frames_encoding():
     _, params, obs = neural_objective_case()
     n_seq, _, n_dim = obs.shape
-    fit = mm.fit_np(params, obs, 2)
+    fit = mm.fit_np(params, obs, 2, order=1, transition="neural")
     enc = params.encode_rows_np(obs[:, :2].reshape(n_seq * 2, n_dim)).reshape(n_seq, 2, 2, 3)
     head = params.transition_rows_np(obs[:, :2].reshape(n_seq, 2 * n_dim))
     assert fit.vel is None
@@ -697,7 +697,7 @@ def test_numpy_mirror_agrees_with_tape_path():
     params = tiny_model()
     spec = GeneratorSpec(k=1, obs_dim=3, T=5, num_sequences=4, mixing_seed=2)
     obs = make_dataset(spec, master_seed=12).observations
-    errs = mm.horizon_errors_np(params, obs, 2, 3)
+    errs = mm.horizon_errors_np(params, obs, 2, 3, order=1, transition="lstsq")
     # horizon h error equals tape loss_pred with T_p = h restricted to step h
     for h in (1, 2, 3):
         per_frame = []
@@ -864,7 +864,7 @@ def test_forward_results_are_never_overwritten_by_a_later_call(rows):
 
 def test_streamed_curve_groups_are_never_overwritten_by_later_groups():
     params, obs = curve_case(512, 18, "lstsq", 1, 3)
-    fit = mm.fit_np(params, obs, 3)
+    fit = mm.fit_np(params, obs, 3, order=1, transition="lstsq")
     groups = mm._predicted_groups(params, fit, 18)
     _, _, first = next(groups)
     kept = first.copy()
@@ -893,7 +893,7 @@ def test_horizon_curve_temporaries_stay_small():
     assert peak <= 6 * 2**20, f"the 9,216-row decode peaked at {peak / 2**20:.1f} MB"
     obs = rng.normal(size=(512, 20, params.obs_dim))
     # one group of horizons is rolled out, decoded and scored at a time
-    peak = traced_peak(mm.horizon_errors_np, params, obs, 2, 18)
+    peak = traced_peak(mm.horizon_errors_np, params, obs, 2, 18, order=1, transition="lstsq")
     assert peak <= 6 * 2**20, f"horizon_errors_np peaked at {peak / 2**20:.1f} MB"
 
 
@@ -946,7 +946,7 @@ def test_streamed_curve_decodes_near_equal_groups_of_horizons(monkeypatch, n_seq
     # at most max(N, ROW_BLOCK) rows per decode, and no single-row decode
     # that one pass would not have made
     params, obs = curve_case(n_seq, horizons, "lstsq", 1, 3)
-    fit = mm.fit_np(params, obs, 3)
+    fit = mm.fit_np(params, obs, 3, order=1, transition="lstsq")
     seen = []
     decode = mm.ModelParams.decode_rows_np
 
@@ -962,7 +962,7 @@ def test_streamed_curve_decodes_near_equal_groups_of_horizons(monkeypatch, n_seq
 @pytest.mark.parametrize("field", ["op", "vel", "last"])
 def test_non_finite_rollout_is_a_numeric_error(field):
     params, obs = curve_case(40, 13, "lstsq", 2, 5)
-    fit = mm.fit_np(params, obs, 5, order=2)
+    fit = mm.fit_np(params, obs, 5, order=2, transition="lstsq")
     bad = getattr(fit, field).copy()
     bad[7, 0, 0] = np.nan
     with pytest.raises(NumericError, match="non-finite"):
@@ -972,14 +972,14 @@ def test_non_finite_rollout_is_a_numeric_error(field):
 @pytest.mark.parametrize("field", ["op", "vel", "last"])
 def test_rollout_with_mismatched_batch_is_a_dimension_error(field):
     params, obs = curve_case(40, 13, "lstsq", 2, 5)
-    fit = mm.fit_np(params, obs, 5, order=2)
+    fit = mm.fit_np(params, obs, 5, order=2, transition="lstsq")
     with pytest.raises(DimensionError, match="does not fit latent"):
         mm.predict_np(params, replace(fit, **{field: getattr(fit, field)[:1]}), 13)
 
 
 def test_rollout_overflow_in_a_later_group_is_a_numeric_error():
     params, obs = curve_case(40, 13, "lstsq", 1, 3)
-    fit = mm.fit_np(params, obs, 3)
+    fit = mm.fit_np(params, obs, 3, order=1, transition="lstsq")
     # horizons 1..6 form the first group; the product overflows at horizon 7
     exploding = mm.TransitionFit(last=fit.last / np.abs(fit.last).max(),
                                  op=np.broadcast_to(1e50 * np.eye(8), fit.op.shape))
@@ -992,8 +992,9 @@ def test_empty_batch_is_a_dimension_error():
     empty = np.empty((0, 4, 3))
     assert params.encode_rows_np(np.empty((0, 3))).shape == (0, 6)
     assert params.decode_rows_np(np.empty((0, 6))).shape == (0, 3)
-    for call in (lambda: mm.fit_np(params, empty, 2),
-                 lambda: mm.horizon_errors_np(params, empty, 2, 1),
+    for call in (lambda: mm.fit_np(params, empty, 2, order=1, transition="neural"),
+                 lambda: mm.horizon_errors_np(params, empty, 2, 1, order=1,
+                                              transition="neural"),
                  lambda: mm.loss_pred(mm.TapeModel(ad.Tape(), params), empty, 2, 1),
                  lambda: mm.loss_rec(mm.TapeModel(ad.Tape(), params), empty, 2),
                  lambda: mm.invertibility_loss(mm.TapeModel(ad.Tape(), params), empty, 2),

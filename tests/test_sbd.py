@@ -254,7 +254,7 @@ def test_batched_blockness_du_is_the_same_with_a_constant_family(orthogonal):
 
     def du(grad):
         tape = ad.Tape()
-        uv, sv = tape.input(u0), tape.input_view(side, grad=grad)
+        uv, sv = tape.input(u0), tape.input(side, grad=grad)
         loss = sbd._mean_blockness_batched(uv, sv, 8)
         tape.backward(loss)
         assert (tape.grads[sv.index] is None) == (not grad)

@@ -282,8 +282,7 @@ def test_logged_ortho_defect_is_the_steps_own_fit(monkeypatch, case):
     init = mm.ModelParams.initialize(cfg, obs_dim=4)
     order = 1 if cfg.variant == "rec_model" else cfg.order
     fit = mm.fit_np(init, batches[0], frames, order=order, transition=cfg.transition)
-    ops = fit.op if fit.vel is None else fit.vel
-    assert metrics[0].ortho_defect == float(an.orthogonality_defect(ops).mean())
+    assert metrics[0].ortho_defect == float(an.orthogonality_defect(fit.transitions).mean())
 
 
 @pytest.mark.parametrize("field, value", [
@@ -398,7 +397,7 @@ def test_smoke_run_beats_variance_fraction():
                          iterations=600, seed=1, log_interval=600, T_c=2, T_p=1)
     params, metrics = tr.train(cfg, ds)
     var = ds.observations[:, 2].var(axis=0).sum()
-    errs = mm.horizon_errors_np(params, ds.observations, 2, 1)
+    errs = mm.horizon_errors_np(params, ds.observations, 2, 1, order=1, transition="lstsq")
     assert errs[0] < 0.10 * var
 
 
