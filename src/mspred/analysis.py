@@ -15,7 +15,9 @@ tape loss on identical inputs. Each batch is fitted once; cross-sequence
 predictions pair one batch's operators with another batch's latents.
 Homogeneity and the spectra read ``TransitionFit.transitions`` (the
 transition of a first-order fit, the last velocity operator of a
-second-order one), as does the linear probe in ``mspred eval``.
+second-order one), as does the linear probe in ``mspred eval``, whose
+targets (``velocity_targets``) are the hidden angle steps of those
+transitions.
 
 A caller that already fitted a paired batch passes its ``paired_fits``
 to ``equivariance_error`` and their transitions to
@@ -243,6 +245,14 @@ def regress_transition_params(mats, targets, *, seed: int = 0) -> list[float | N
     return out
 
 
-def velocity_targets(batch: SequenceBatch) -> np.ndarray:
-    """(cos v_j, sin v_j) per factor, the regression probe's targets."""
-    return np.concatenate([np.cos(batch.velocity), np.sin(batch.velocity)], axis=1)
+def velocity_targets(batch: SequenceBatch, step: int) -> np.ndarray:
+    """(cos d_j, sin d_j) per factor, the regression probe's targets.
+
+    d = ``batch.step_angles(step)`` is the hidden angle step from frame
+    ``step`` to the next, the step of the transitions that are regressed:
+    0 for a first-order fit (its transition is the velocity), T_c - 2 for
+    a second-order one, whose ``TransitionFit.transitions`` are the last
+    velocity operators.
+    """
+    d = batch.step_angles(step)
+    return np.concatenate([np.cos(d), np.sin(d)], axis=1)

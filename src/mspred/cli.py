@@ -25,7 +25,8 @@ run's order). Eval generates each of its batches once and fits each once;
 every section reads those fits:
 
 - the eval batch (eval_sequences sequences of T_c + horizons frames): the
-  horizon curve and the regression probe;
+  horizon curve and the regression probe, whose targets are the hidden
+  angle steps of the fit's transitions (at order 2, the last step);
 - the paired batch (max(pair_count, spectrum_pairs) pairs of T_c + T_p
   frames), each side fitted once: equivariance reads the first
   pair_count pairs, the spectrum distances the transitions of the first
@@ -186,8 +187,10 @@ def cmd_eval(args) -> int:
     eval_fit = mm.fit_np(params, eval_obs, T_c, **estimator)
     lp_curve = mm.horizon_errors_np(params, eval_obs, T_c, horizons, fit=eval_fit, **estimator)
     target_var = float(eval_obs[:, T_c].var(axis=0).sum())
+    # an order-2 fit's transitions are its last velocity operators, step T_c - 2
+    step = T_c - 2 if train_cfg.order == 2 else 0
     reg_scores = an.regress_transition_params(
-        eval_fit.transitions, an.velocity_targets(eval_batch), seed=cfg.master_seed)
+        eval_fit.transitions, an.velocity_targets(eval_batch, step), seed=cfg.master_seed)
 
     # one paired batch: equivariance reads its first pair_count pairs, the
     # spectrum distances the first spectrum_pairs

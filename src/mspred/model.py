@@ -347,6 +347,12 @@ class TransitionEstimate:
     m_star: Var
     m_last: Var | None
 
+    @property
+    def transitions(self) -> Var:
+        """The per-sequence transitions: ``m_star`` at first order, the last
+        velocity operators ``m_last`` at second order."""
+        return self.m_star if self.m_last is None else self.m_last
+
 
 class Frames(Sequence):
     """T consecutive latents held as one stacked (N, T*a, m) or (T*a, m) tape value.
@@ -407,7 +413,9 @@ def estimate_transition_blockwise(latents: Sequence[Var]) -> TransitionEstimate:
     The (N, a, m) latents are cut into (N * a/2, 2, m) slices and
     solved by ``estimate_transition`` in one batch; slice s is sequence
     s // (a/2), block s % (a/2). The result is exactly a direct
-    sum: off-block entries are zeros, not small numbers.
+    sum: off-block entries are zeros, not small numbers. A rank-deficient
+    slice raises the ``SingularityError`` of ``estimate_transition``,
+    naming its block and, for a batch, its sequence as ``matrix``.
     """
     if len(latents) < 2:
         raise ContractError("estimate_transition_blockwise needs two frames")
@@ -421,7 +429,11 @@ def estimate_transition_blockwise(latents: Sequence[Var]) -> TransitionEstimate:
     try:
         est = estimate_transition(slices)
     except SingularityError as exc:
-        raise SingularityError(f"{block}-row block slices: {exc}", pivot=exc.pivot) from exc
+        seq, blk = divmod(exc.matrix, n_blocks)
+        where = f"matrix {seq}: " if batch else ""
+        reason = str(exc).removeprefix(f"matrix {exc.matrix}: ")
+        raise SingularityError(f"{where}{block}-row block {blk}: {reason}", pivot=exc.pivot,
+                               matrix=seq if batch else None) from exc
     # every column band holds all blocks stacked; the mask keeps the diagonal ones
     bands = ad.hcat([ad.reshape(est.m_star, *batch, a, block)] * n_blocks)
     mask = np.kron(np.eye(n_blocks), np.ones((block, block)))
@@ -732,6 +744,31 @@ class TransitionFit:
         return self.op if self.vel is None else self.vel
 
 
+def _fit_chunk(model, cond: np.ndarray, order: int,
+               transition: str) -> tuple[np.ndarray, TransitionEstimate]:
+    """The last latents and the ``estimate`` of one chunk's (n, T_c, n_dim)
+    conditioning frames.
+
+    Each forward result enters a scratch tape as a read-only view once it
+    is checked finite, so no encoding is copied onto the tape.
+    """
+    n_seq, T_c, n_dim = cond.shape
+    a, m = model.a, model.m
+    tape = ad.Tape()
+
+    def enter(values, *shape):
+        return tape.input_view(ad._finite(values, "forward pass").reshape(shape))
+
+    head = None
+    if transition == "neural":
+        lat = [enter(model.encode_rows_np(cond[:, -1]), n_seq, a, m)]
+        head = enter(model.transition_rows_np(cond.reshape(n_seq, T_c * n_dim)), n_seq, a, a)
+    else:
+        enc = enter(model.encode_rows_np(cond.reshape(n_seq * T_c, n_dim)), n_seq * T_c, a * m)
+        lat = _frames(enc, n_seq, a, m)
+    return lat[-1].value, estimate(lat, order=order, transition=transition, head=head)
+
+
 def fit_np(model, obs, T_c: int, *, order: int, transition: str) -> TransitionFit:
     """Encode a batch once and fit every sequence's operators, gradient-free.
 
@@ -744,23 +781,39 @@ def fit_np(model, obs, T_c: int, *, order: int, transition: str) -> TransitionFi
     training loss uses, so a fit on the same inputs reproduces
     ``loss_pred``'s operators bit for bit. A neural fit reads no latent
     but the last one, where a rollout starts, so it encodes only frame T_c.
+
+    The batch is fitted in near-equal chunks of at most
+    max(1, ROW_BLOCK // T_c) sequences, each on its own tape, into arrays
+    allocated once for the batch: a chunk's encode is one ``_mlp_np``
+    block, so no temporary grows with N. Every sequence's solve is its
+    own, so the fits equal one pass over the whole batch bit for bit. A
+    ``SingularityError`` names the failing sequence by its index in the
+    batch, in the message and as ``matrix``; if several fail, the first
+    failing chunk reports.
     """
     obs = _as_batch(obs)
-    n_seq, _, n_dim = obs.shape
-    a, m = model.a, model.m
-    cond = obs[:, :T_c]
-    tape = ad.Tape()
-    head = None
-    if transition == "neural":
-        lat = [tape.input(model.encode_rows_np(cond[:, -1]).reshape(n_seq, a, m))]
-        rows = model.transition_rows_np(cond.reshape(n_seq, T_c * n_dim))
-        head = tape.input(rows.reshape(n_seq, a, a))
-    else:
-        lat = _frames(tape.input(model.encode_rows_np(cond.reshape(n_seq * T_c, n_dim))),
-                      n_seq, a, m)
-    est = estimate(lat, order=order, transition=transition, head=head)
-    return TransitionFit(last=lat[-1].value, op=est.m_star.value,
-                         vel=None if est.m_last is None else est.m_last.value)
+    n_seq = obs.shape[0]
+    count = -(-n_seq // max(1, ROW_BLOCK // T_c))
+    bounds = [n_seq * i // count for i in range(count + 1)]
+    fit = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        try:
+            last, est = _fit_chunk(model, obs[lo:hi, :T_c], order, transition)
+        except SingularityError as exc:
+            seq = exc.matrix + lo
+            message = str(exc).replace(f"matrix {exc.matrix}: ", f"matrix {seq}: ", 1)
+            # chained to the cause, not to the same error under its chunk index
+            raise SingularityError(message, pivot=exc.pivot, matrix=seq) from exc.__cause__
+        if fit is None:
+            a, m = model.a, model.m
+            fit = TransitionFit(last=np.empty((n_seq, a, m)), op=np.empty((n_seq, a, a)),
+                                vel=None if est.m_last is None else np.empty((n_seq, a, a)))
+        fit.last[lo:hi] = last
+        fit.op[lo:hi] = est.m_star.value
+        if fit.vel is not None:
+            fit.vel[lo:hi] = est.m_last.value
+        del last, est  # this chunk's tape goes before the next one is built
+    return fit
 
 
 def _predicted_groups(model, fit: TransitionFit, steps: int):

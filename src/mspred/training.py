@@ -142,13 +142,12 @@ def _ortho_defect_of_batch(est: mm.TransitionEstimate) -> float:
 
     M is the transition the step's objective fitted (``est``, recorded by
     ``variant_loss``); for second-order runs it is the final velocity
-    operator. Averaging the defects, not the operators, is what trends
-    toward zero as transitions become rotations; the mean operator of
-    distinct rotations is contractive and its defect has a
-    velocity-distribution-dependent floor.
+    operator (``TransitionEstimate.transitions``). Averaging the defects,
+    not the operators, is what trends toward zero as transitions become
+    rotations; the mean operator of distinct rotations is contractive and
+    its defect has a velocity-distribution-dependent floor.
     """
-    mats = est.m_star if est.m_last is None else est.m_last
-    return float(analysis.orthogonality_defect(mats.value).mean())
+    return float(analysis.orthogonality_defect(est.transitions.value).mean())
 
 
 def _holdout_lp(params, obs, cfg):

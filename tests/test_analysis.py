@@ -7,7 +7,8 @@ import pytest
 from mspred import analysis as an
 from mspred import autodiff as ad
 from mspred import model as mm
-from mspred.datagen import GeneratorSpec, PairedBatch, make_dataset, make_orbit_probe, make_paired
+from mspred.datagen import (GeneratorSpec, PairedBatch, acceleration_spec, make_dataset,
+                            make_orbit_probe, make_paired)
 from mspred.errors import ContractError, DimensionError, NumericError
 
 
@@ -205,9 +206,32 @@ def test_regression_probe_degenerate_target_is_null():
 
 def test_velocity_targets_shape():
     batch = make_dataset(small_spec(k=2, obs_dim=6), master_seed=18)
-    t = an.velocity_targets(batch)
+    t = an.velocity_targets(batch, 0)
     assert t.shape == (12, 4)
     np.testing.assert_allclose(t[:, :2], np.cos(batch.velocity))
+
+
+def test_velocity_targets_read_the_step_angles_of_their_step():
+    batch = make_dataset(acceleration_spec(k=2, obs_dim=6, T=6, num_sequences=12), 18,
+                         "acceleration")
+    # step 0 is the initial velocity bit for bit, so velocity data keeps its targets
+    assert np.array_equal(an.velocity_targets(batch, 0),
+                          np.concatenate([np.cos(batch.velocity), np.sin(batch.velocity)], 1))
+    d = batch.velocity + 3 * batch.acceleration
+    assert np.array_equal(an.velocity_targets(batch, 3), np.concatenate([np.cos(d), np.sin(d)], 1))
+    assert not np.allclose(an.velocity_targets(batch, 3), an.velocity_targets(batch, 0))
+
+
+@pytest.mark.parametrize("order, t_c", [(1, 2), (2, 5)])
+def test_oracle_transitions_regress_their_step_angles_exactly(order, t_c):
+    # desk acceleration data: an order-2 fit's transitions are its last
+    # velocity operators, which step T_c - 2 frames past the initial velocity
+    batch = make_dataset(acceleration_spec(T=5, num_sequences=512), 7, "acceleration")
+    fit = mm.fit_np(mm.OracleModel(batch.spec), batch.observations, t_c, order=order,
+                    transition="lstsq")
+    step = t_c - 2 if order == 2 else 0
+    scores = an.regress_transition_params(fit.transitions, an.velocity_targets(batch, step))
+    assert max(scores) < 1e-6, scores
 
 
 def test_reports_are_pure_functions():

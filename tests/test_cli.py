@@ -568,9 +568,10 @@ def separate_sections_report(path):
                                       datagen.mix64(cfg.master_seed, 1001), cfg.mode)
     lp = mm.horizon_errors_np(params, eval_batch.observations, t_c, ev["horizons"],
                               **estimator)
+    step = t_c - 2 if train_cfg.order == 2 else 0
     regression = an.regress_transition_params(
         an.fitted_transitions(params, eval_batch.observations, t_c, **estimator),
-        an.velocity_targets(eval_batch), seed=cfg.master_seed)
+        an.velocity_targets(eval_batch, step), seed=cfg.master_seed)
     paired = datagen.make_paired(batch(ev["pair_count"], t_c + t_p),
                                  datagen.mix64(cfg.master_seed, 1002), cfg.mode)
     spec_paired = datagen.make_paired(batch(ev["spectrum_pairs"], t_c + 1),

@@ -318,8 +318,9 @@ def test_shifted_window_gives_same_transition():
 # model + losses
 
 
-def desk_model(variant="msp"):
-    return mm.ModelParams.initialize(mm.TrainConfig(a=8, m=16, variant=variant), obs_dim=24)
+def desk_model(variant="msp", **kw):
+    return mm.ModelParams.initialize(mm.TrainConfig(a=8, m=16, variant=variant, **kw),
+                                     obs_dim=24)
 
 
 def test_params_live_in_one_flat_buffer_in_checkpoint_order():
@@ -904,7 +905,7 @@ CURVE_SHAPES = [(1, 1), (1, 18), (2, 18), (3, 7), (40, 13), (128, 1), (512, 18),
 
 
 def curve_case(n_seq, horizons, transition, order, t_c):
-    params = desk_model("neural_mstar" if transition == "neural" else "msp")
+    params = desk_model("neural_mstar" if transition == "neural" else "msp", T_c=t_c)
     spec = (velocity_spec if order == 1 else acceleration_spec)(T=t_c + horizons,
                                                                 num_sequences=n_seq)
     obs = make_dataset(spec, n_seq, "velocity" if order == 1 else "acceleration").observations
@@ -985,6 +986,85 @@ def test_rollout_overflow_in_a_later_group_is_a_numeric_error():
                                  op=np.broadcast_to(1e50 * np.eye(8), fit.op.shape))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
         mm.predict_np(params, exploding, 13)
+
+
+# (transition, order) of every estimator; order 2 needs T_c >= 3 frames
+FIT_ESTIMATORS = [("lstsq", 1), ("lstsq", 2), ("blockwise", 1), ("neural", 1)]
+
+
+def chunk_size(t_c):
+    """Sequences per ``fit_np`` chunk: one chunk's encode is one MLP block."""
+    return mm.ROW_BLOCK // t_c
+
+
+def one_shot_fit(model, obs, t_c, order, transition):
+    """(last, op, vel) of one scratch tape and one ``estimate`` over the whole batch."""
+    n_seq, _, n_dim = obs.shape
+    a, m = model.a, model.m
+    tape = ad.Tape()
+    cond = obs[:, :t_c]
+    head = None
+    if transition == "neural":
+        lat = [tape.input(model.encode_rows_np(cond[:, -1]).reshape(n_seq, a, m))]
+        rows = model.transition_rows_np(cond.reshape(n_seq, t_c * n_dim))
+        head = tape.input(rows.reshape(n_seq, a, a))
+    else:
+        enc = model.encode_rows_np(cond.reshape(n_seq * t_c, n_dim))
+        lat = mm._frames(tape.input(enc), n_seq, a, m)
+    est = mm.estimate(lat, order=order, transition=transition, head=head)
+    return lat[-1].value, est.m_star.value, None if est.m_last is None else est.m_last.value
+
+
+@pytest.mark.parametrize("t_c, transition, order", [
+    (t_c, transition, order) for t_c in (2, 3, 5) for transition, order in FIT_ESTIMATORS
+    if order == 1 or t_c >= 3])
+@pytest.mark.parametrize("n_chunks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (3, 1)],
+                         ids=["1", "2", "c-1", "c", "c+1", "3c+1"])
+def test_chunked_fit_equals_one_pass_bitwise(n_chunks, extra, t_c, transition, order):
+    n_seq = n_chunks * chunk_size(t_c) + extra
+    params, obs = curve_case(n_seq, 1, transition, order, t_c)
+    fit = mm.fit_np(params, obs, t_c, order=order, transition=transition)
+    last, op, vel = one_shot_fit(params, obs, t_c, order, transition)
+    assert np.array_equal(fit.last, last)
+    assert np.array_equal(fit.op, op)
+    assert (fit.vel is None) == (vel is None)
+    assert vel is None or np.array_equal(fit.vel, vel)
+
+
+@pytest.mark.parametrize("transition, order, prefix", [
+    ("lstsq", 1, ""), ("lstsq", 2, "frame 0: "), ("blockwise", 1, "")],
+    ids=["lstsq-1", "lstsq-2", "blockwise"])
+def test_singular_sequence_in_a_later_chunk_is_named_by_its_batch_index(transition, order,
+                                                                         prefix):
+    # four near-equal chunks of about 3c/4: the zero sequence is not the
+    # first of its chunk, nor in the first chunk
+    c = chunk_size(5)
+    batch = make_dataset(acceleration_spec(T=5, num_sequences=3 * c + 1), 4, "acceleration")
+    obs = batch.observations.copy()
+    obs[c + 3] = 0.0
+    with pytest.raises(SingularityError, match=rf"^{prefix}matrix {c + 3}: ") as exc:
+        mm.fit_np(mm.OracleModel(batch.spec), obs, 5, order=order, transition=transition)
+    assert exc.value.matrix == c + 3
+
+
+def fit_transient(params, obs, t_c, order):
+    """tracemalloc peak of ``fit_np`` less the bytes of the arrays it returns."""
+    tracemalloc.start()
+    try:
+        fit = mm.fit_np(params, obs, t_c, order=order, transition="lstsq")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(x.nbytes for x in (fit.last, fit.op, fit.vel) if x is not None)
+
+
+@pytest.mark.parametrize("t_c, order", [(2, 1), (5, 1), (5, 2)])
+def test_fit_temporaries_do_not_grow_with_the_batch(t_c, order):
+    c = chunk_size(t_c)
+    params, obs = curve_case(8 * c, 1, "lstsq", order, t_c)
+    small = fit_transient(params, obs[:c], t_c, order)
+    large = fit_transient(params, obs, t_c, order)
+    assert large < 2 * small, f"{large / 2**20:.2f} MB at N = 8c, {small / 2**20:.2f} MB at N = c"
 
 
 def test_empty_batch_is_a_dimension_error():
