@@ -26,7 +26,9 @@ every section reads those fits:
 
 - the eval batch (eval_sequences sequences of T_c + horizons frames): the
   horizon curve and the regression probe, whose targets are the hidden
-  angle steps of the fit's transitions (at order 2, the last step);
+  angle steps of the fit's transitions, named cos_v{j} / sin_v{j} for
+  factor j's velocity v at order 1 and cos_d{j} / sin_d{j} for the last
+  step d = v + alpha (T_c - 2) at order 2;
 - the paired batch (max(pair_count, spectrum_pairs) pairs of T_c + T_p
   frames), each side fitted once: equivariance reads the first
   pair_count pairs, the spectrum distances the transitions of the first
@@ -208,8 +210,10 @@ def cmd_eval(args) -> int:
                                      datagen.mix64(cfg.master_seed, _PROBE_SEED_LANE),
                                      ev["probe_offsets"])
     homo = an.homogeneity_check(params, probe, T_c, **estimator)
-    factor_names = ([f"cos_v{j}" for j in range(spec.k)]
-                    + [f"sin_v{j}" for j in range(spec.k)])
+    # the targets' names say which step they read: v, or at order 2 the last step d
+    tag = "d" if train_cfg.order == 2 else "v"
+    factor_names = ([f"cos_{tag}{j}" for j in range(spec.k)]
+                    + [f"sin_{tag}{j}" for j in range(spec.k)])
 
     report_path = os.path.join(cfg.out_dir, EVAL_REPORT_FILE)
     report = {

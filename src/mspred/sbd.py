@@ -28,26 +28,26 @@ asked. Nothing in it assumes U^T U = I, so the gradient holds for a
 general U. ``_mean_blockness_batched`` and ``blockness_loss`` wrap the
 pair as one tape node.
 
-``fit_sbd`` starts from orthogonal bases U0, not from points in skew
-coordinates: a spectral guess, then seeded random bases. It optimizes
-U = exp(S) U0 with S skew-symmetric and zero at the start, so ``U`` stays
-orthogonal to rounding error and the optimization is unconstrained; the
-exponential is ``expm_skew_np``, built on the eigendecomposition of the
-Hermitian iS, with the Daleckii-Krein ``expm_skew_grad`` as its gradient
-(``expm_skew`` is the pair as a tape op). Adam optimizes the n x n matrix
-S itself, fed the gradient projected onto the skew matrices, G - G^T:
-that projection is skew, and Adam acts on each entry alone with an update
-odd in its gradient, so an entry and its mirror take exactly opposite
-steps and the diagonal never moves. S stays exactly skew, and its upper
-triangle takes the same steps as a vector of the n(n-1)/2 free parameters
-would. The graph of an iteration never changes, so the fit records no
-tape: it calls the two forwards and the two gradients in turn, and writes
-the family-sized temporaries into buffers allocated once per fit, with the
-same operands in the same order as the tape ops, so both give the same
-bits. The family is checked once per fit, then conjugated by U0 and laid
-side by side once per start, and its gradient is never formed. Only U is
-reported: S alone no longer determines it, so ``sbd_result.json`` carries
-no skew parameter.
+``fit_sbd`` starts from orthogonal bases U0: a spectral guess, then
+seeded random bases. Each start optimizes U = R U0 over orthogonal R,
+from R = I, by a Cayley retraction on the current iterate (Wen & Yin,
+Math. Prog. 2013). At R the gradient in X of the loss at (I + X) R is
+Omega = dR R^T; its projection onto the skew matrices, Omega - Omega^T, is
+fed to Adam, whose step D from zero is exactly skew: Adam acts on each
+entry alone with an update odd in its gradient, so an entry and its mirror
+take exactly opposite steps and the diagonal never moves. Then
+R <- (I - D/2)^{-1} (I + D/2) R, one n x n solve; the Cayley factor of a
+skew D is orthogonal, so R stays orthogonal to rounding error and no
+eigensolver, complex array or matrix exponential is formed after the
+spectral start. ``expm_skew_np`` and its Daleckii-Krein gradient
+``expm_skew_grad`` (``expm_skew`` as a tape op) remain for the tape and
+its tests; the fit does not call them. The graph of an iteration never
+changes, so the fit records no tape: it calls the loss's forward and
+gradient in turn, and writes the family-sized temporaries into buffers
+allocated once per fit, with the same operands in the same order as the
+tape ops, so both give the same bits. The family is checked once per
+fit, then conjugated by U0 and laid side by side once per start, and its
+gradient is never formed. Only U is reported.
 """
 
 from __future__ import annotations
@@ -336,14 +336,14 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
     Each of the ``restarts`` starts is an orthogonal basis U0: the first
     is the spectral guess of ``_spectral_basis``, the others are seeded
     random bases (the landscape has merged-block local minima). A start
-    conjugates the family by U0 once, then runs Adam on the skew
-    generator S of U = exp(S) U0, from S = 0 and with the gradient
-    projected onto skew matrices, against the mean blockness loss of
-    U M_i U^T; the learning rate drops 3x for the last 40% of
-    each start to settle the endgame. The recorded history is the
+    conjugates the family by U0 once, then runs Adam against the mean
+    blockness loss of U M_i U^T with U = R U0, from R = I: each iteration
+    takes one Adam step D from zero on the skew projection of the
+    gradient dR R^T and moves R by the Cayley factor
+    (I - D/2)^{-1} (I + D/2). The learning rate drops 3x for the last 40%
+    of each start to settle the endgame. The recorded history is the
     running best across everything tried, so it is non-increasing, and
-    the returned U is the best-loss iterate exp(S) U0; S itself is not
-    returned, as it determines U only together with its start.
+    the returned U is the best-loss iterate R U0.
 
     Raises:
         ContractError: if there is no transition, or ``iters`` or
@@ -371,21 +371,21 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
     decay_from = int(0.6 * iters)
     buf = BlocknessBuffers(n, len(mats))
     scale = 1.0 / len(mats)  # the loss's own gradient, 1, over the count
-    grad = np.empty((n, n))
+    eye = np.eye(n)
+    grad, delta = np.empty((n, n)), np.empty((n, n))
     best_loss = math.inf
     best_u = None
     history: list[float] = []
     for restart in range(restarts):
         u0 = (_spectral_basis(mats, rng) if restart == 0
               else np.linalg.qr(rng.normal(size=(n, n)))[0])
-        # U M U^T = exp(S) (U0 M U0^T) exp(S)^T: the family enters conjugated
+        # (R U0) M (R U0)^T = R (U0 M U0^T) R^T: the family enters conjugated
         conjugated = _side_by_side(u0 @ family @ u0.T)
-        skew = np.zeros((n, n))
-        adam = AdamState(["s"], [(n, n)], lr=lr)
-        params, grads = {"s": skew}, {"s": grad}
+        rot = eye
+        adam = AdamState(["delta"], [(n, n)], lr=lr)
+        params, grads = {"delta": delta}, {"delta": grad}
         for it in range(iters):
             adam.lr = lr if it < decay_from else 0.3 * lr
-            rot, eig = expm_skew_np(skew)
             loss = mean_blockness_np(rot, conjugated, buf)
             if not math.isfinite(loss):
                 raise NumericError(
@@ -397,10 +397,15 @@ def fit_sbd(transitions, iters: int = 1000, lr: float = 0.05, seed: int = 0, *,
                 best_u = rot @ u0
             history.append(best_loss)
             du, _ = mean_blockness_grad(rot, conjugated, buf, scale)
-            g = expm_skew_grad(eig, du)
-            # the projection onto skew matrices keeps S exactly skew
-            np.subtract(g, g.T, out=grad)
+            # the gradient in X of the loss at (I + X) R, projected onto
+            # skew matrices: Adam's step from zero is then exactly skew
+            omega = du @ rot.T
+            np.subtract(omega, omega.T, out=grad)
+            delta.fill(0.0)
             adam_step(adam, params, grads)
+            # the Cayley factor (I - D/2)^{-1} (I + D/2) of a skew D is orthogonal
+            delta *= 0.5
+            rot = np.linalg.solve(eye - delta, (eye + delta) @ rot)
     v_best = [best_u @ m @ best_u.T for m in mats]
     blocks = detect_blocks(v_best, threshold=threshold)
     return SbdResult(u=best_u, loss_history=history, blocks=blocks)

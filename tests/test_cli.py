@@ -434,6 +434,23 @@ def test_eval_and_report_run_on_an_order_2_acceleration_model(tmp_path):
     assert report["horizons"]["lp"] == [float(x) for x in direct]
 
 
+@pytest.mark.parametrize("order, names", [(1, ["cos_v0", "cos_v1", "sin_v0", "sin_v1"]),
+                                          (2, ["cos_d0", "cos_d1", "sin_d0", "sin_d1"])])
+def test_eval_names_the_regression_targets_by_their_step(tmp_path, order, names):
+    # at order 2 the probe regresses the last step v + alpha (T_c - 2), not v
+    path = write_config(tmp_path, generator={"k": 2, "obs_dim": 6, "T": 10, "mode": "acceleration",
+                                             "accel_range": [-0.08, 0.08]},
+                        train={"a": 4, "m": 5})
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    assert cli.main(["train", "--config", str(path), "--order", str(order),
+                     "--iters", "2"]) == 0
+    assert cli.main(["eval", "--config", str(path), "--order", str(order)]) == 0
+    report = json.loads((tmp_path / "run" / cli.EVAL_REPORT_FILE).read_text())
+    jsonschema.validate(report, EVAL_REPORT_SCHEMA)
+    assert report["regression"]["targets"] == names
+    assert len(report["regression"]["one_minus_r2"]) == len(names)
+
+
 @pytest.mark.parametrize("horizons", [1, 2])
 def test_eval_runs_an_order_1_model_on_acceleration_data(tmp_path, horizons):
     # T_c + T_p = 3 and T_c + horizons frames are below acceleration's floor

@@ -265,33 +265,6 @@ def test_batched_blockness_du_is_the_same_with_a_constant_family(orthogonal):
     assert np.array_equal(du_var, du_const)
 
 
-def test_fit_sbd_equals_a_loop_with_a_variable_family():
-    mats = c04_family()[:12]
-    n, iters, lr, seed = 8, 40, 0.05, 2
-    result = sbd.fit_sbd(mats, iters=iters, lr=lr, seed=seed, restarts=1)
-    rng = np.random.default_rng(datagen.mix64(seed, 101))
-    u0 = sbd._spectral_basis(mats, rng)
-    conjugated = sbd._side_by_side(u0 @ np.stack(mats) @ u0.T)
-    skew_s = np.zeros((n, n))
-    adam = AdamState(["s"], [(n, n)], lr=lr)
-    best_loss, best_u, history = math.inf, None, []
-    for it in range(iters):
-        adam.lr = lr if it < int(0.6 * iters) else 0.3 * lr
-        tape = ad.Tape()
-        sv, fv = tape.input(skew_s), tape.input(conjugated)
-        rot = sbd.expm_skew(sv)
-        loss = sbd._mean_blockness_batched(rot, fv, n)
-        if loss.value[0, 0] < best_loss:
-            best_loss, best_u = float(loss.value[0, 0]), rot.value @ u0
-        history.append(best_loss)
-        tape.backward(loss)
-        assert tape.grads[fv.index] is not None  # the family's gradient was formed
-        g = tape.grad(sv)
-        adam_step(adam, {"s": skew_s}, {"s": g - g.T})
-    assert result.loss_history == history
-    assert np.array_equal(result.u, best_u)
-
-
 def test_fit_sbd_constructs_no_tape(monkeypatch):
     tapes = []
     real = ad.Tape.__init__
@@ -567,54 +540,138 @@ def test_fit_sbd_deterministic():
 
 
 def reference_fit_sbd(mats, iters, lr, seed, restarts, threshold=0.01):
-    """SBD over the n(n-1)/2 free parameters of S, scattered into S by a
-    (count, n^2) matrix of +-1 entries, with the transposed scatter as VJP."""
+    """The retraction loop on a tape, with Adam on the n(n-1)/2 free
+    parameters of each skew step D, taken from zero and scattered into D by
+    a (count, n^2) matrix of +-1 entries. The gradient is the tape's, in X
+    of the loss at U = (I + X) R with X = 0 and the family a variable; then
+    R <- (I - D/2)^{-1} (I + D/2) R. Also returns the loss of every start."""
     n = mats[0].shape[0]
     rows, cols = np.triu_indices(n, k=1)
     count = rows.size
     scatter = np.zeros((count, n * n))
     scatter[np.arange(count), rows * n + cols] = 1.0
     scatter[np.arange(count), cols * n + rows] = -1.0
-    family = np.stack(mats)
+    family, eye = np.stack(mats), np.eye(n)
     rng = np.random.default_rng(datagen.mix64(seed, 101))
-    best_loss, best_u, history = math.inf, None, []
+    best_loss, best_u, history, start_losses = math.inf, None, [], []
     for restart in range(restarts):
         u0 = (sbd._spectral_basis(mats, rng) if restart == 0
               else np.linalg.qr(rng.normal(size=(n, n)))[0])
         conjugated = sbd._side_by_side(u0 @ family @ u0.T)
-        p = np.zeros((count, 1))
+        rot = eye
         adam = AdamState(["p"], [(count, 1)], lr=lr)
         for it in range(iters):
             adam.lr = lr if it < int(0.6 * iters) else 0.3 * lr
             tape = ad.Tape()
-            pv = tape.input(p)
-            s = tape._push((p.T @ scatter).reshape(n, n), (pv.index,),
-                           lambda g: (scatter @ g.reshape(-1, 1),))
-            rot = sbd.expm_skew(s)
-            loss = sbd._mean_blockness_batched(rot, tape.input(conjugated), n)
-            if loss.value[0, 0] < best_loss:
-                best_loss, best_u = float(loss.value[0, 0]), rot.value @ u0
+            xv, fv = tape.input(np.zeros((n, n))), tape.input(conjugated)
+            u = ad.matmul(ad.add(xv, tape.input(eye, grad=False)),
+                          tape.input(rot, grad=False))
+            loss = sbd._mean_blockness_batched(u, fv, n)
+            value = float(loss.value[0, 0])
+            if it == 0:
+                start_losses.append(value)
+            if value < best_loss:
+                best_loss, best_u = value, u.value @ u0
             history.append(best_loss)
             tape.backward(loss)
-            adam_step(adam, {"p": p}, {"p": tape.grad(pv)})
+            assert tape.grads[fv.index] is not None  # the family's gradient was formed
+            g = tape.grad(xv)
+            p = np.zeros((count, 1))
+            adam_step(adam, {"p": p}, {"p": (g - g.T)[rows, cols].reshape(count, 1)})
+            half = 0.5 * (p.T @ scatter).reshape(n, n)
+            rot = np.linalg.solve(eye - half, (eye + half) @ rot)
     blocks = sbd.detect_blocks([best_u @ m @ best_u.T for m in mats], threshold=threshold)
-    return best_u, history, blocks
+    return best_u, history, blocks, start_losses
 
 
-@pytest.mark.parametrize("family, seed", [("c04", 0), ("c04", 3), ("general", 0)])
-def test_fit_sbd_matches_free_parameter_reference_bitwise(family, seed):
-    # Adam on S with the gradient G - G^T moves S's upper triangle exactly as
-    # on the free parameters, whose gradient is G_rc - G_cr
-    if family == "c04":
-        mats, iters, restarts = c04_family(), 120, 4
-    else:
+def noisy_c04_family():
+    rng = np.random.default_rng(23)
+    return [m + 0.05 * rng.normal(size=(8, 8)) for m in c04_family()[:24]]
+
+
+def planted_224_family():
+    rng = np.random.default_rng(24)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    mats = []
+    for _ in range(16):
+        m = np.zeros((8, 8))
+        m[:2, :2] = rot2(rng.uniform(0.3, 1.4))
+        m[2:4, 2:4] = rot2(rng.uniform(0.3, 1.4))
+        m[4:, 4:] = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        mats.append(q @ m @ q.T)
+    return mats
+
+
+@pytest.mark.parametrize("family, seed, iters, restarts", [
+    ("general", 0, 150, 2), ("noisy-c04", 1, 120, 2), ("planted-224", 2, 120, 3)])
+def test_fit_sbd_matches_the_tape_retraction_reference_bitwise(family, seed, iters, restarts):
+    # D from the skew gradient G - G^T moves its upper triangle exactly as the
+    # free parameters with gradient G_rc - G_cr, and the fit's plain kernels,
+    # which form no family gradient, give the tape's bits
+    if family == "general":
         rng = np.random.default_rng(19)
-        mats, iters, restarts = [rng.normal(size=(6, 6)) for _ in range(8)], 150, 2
+        mats = [rng.normal(size=(6, 6)) for _ in range(8)]
+    else:
+        mats = noisy_c04_family() if family == "noisy-c04" else planted_224_family()
     result = sbd.fit_sbd(mats, iters=iters, seed=seed, restarts=restarts)
-    u, history, blocks = reference_fit_sbd(mats, iters, 0.05, seed, restarts)
+    u, history, blocks, start_losses = reference_fit_sbd(mats, iters, 0.05, seed, restarts)
+    # the loop moves the best basis away from every start
+    assert history[-1] < min(start_losses)
     assert np.array_equal(result.u, u)
     assert result.loss_history == history
     assert result.blocks == blocks
+
+
+def test_fit_sbd_takes_one_eigensolver_call_per_fit_and_skew_steps(monkeypatch):
+    eighs, steps = [], []
+    real_eigh, real_adam = np.linalg.eigh, sbd.adam_step
+
+    def eigh(*args, **kwargs):
+        eighs.append(args)
+        return real_eigh(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit takes no matrix exponential")
+
+    def adam(state, params, grads):
+        out = real_adam(state, params, grads)
+        (delta,) = params.values()
+        steps.append(delta.copy())
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(sbd, "expm_skew_np", refuse)
+    monkeypatch.setattr(sbd, "expm_skew_grad", refuse)
+    monkeypatch.setattr(sbd, "adam_step", adam)
+    for iters, restarts in [(1, 1), (7, 3), (40, 2)]:
+        eighs.clear()
+        sbd.fit_sbd(c04_family()[:8], iters=iters, seed=0, restarts=restarts)
+        assert len(eighs) == 1  # the spectral start
+    assert len(steps) == 1 + 7 * 3 + 40 * 2
+    assert any(delta.any() for delta in steps)
+    for delta in steps:
+        assert np.array_equal(delta + delta.T, np.zeros_like(delta))
+
+
+@pytest.mark.parametrize("family", ["c04", "general"])
+def test_fit_sbd_iterates_stay_orthogonal(family, monkeypatch):
+    if family == "c04":
+        mats = c04_family()
+    else:
+        rng = np.random.default_rng(19)
+        mats = [rng.normal(size=(6, 6)) for _ in range(8)]
+    n = mats[0].shape[0]
+    worst = []
+    real = sbd.mean_blockness_np
+
+    def forward(u, side, buf):
+        worst.append(np.abs(u @ u.T - np.eye(n)).max())
+        return real(u, side, buf)
+
+    monkeypatch.setattr(sbd, "mean_blockness_np", forward)
+    result = sbd.fit_sbd(mats, iters=1000, seed=0, restarts=4)
+    assert len(worst) == 4000 and max(worst) <= 1e-12
+    assert np.abs(result.u @ result.u.T - np.eye(n)).max() <= 1e-12
 
 
 def test_restrict_to_blocks():
