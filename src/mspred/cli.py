@@ -1,14 +1,23 @@
 """Config-driven experiment runner.
 
 Subcommands: generate, train, eval, sbd, report. Every command takes
---config PATH; artifact paths are fixed names inside the output
-directory, so a pipeline is:
+--config PATH and --out DIR; artifact paths are fixed names inside the
+output directory, so a pipeline is:
 
     mspred generate --config exp.json
     mspred train    --config exp.json
     mspred eval     --config exp.json
     mspred sbd      --config exp.json
     mspred report   --config exp.json
+
+Each command takes only the overrides it reads: generate --seed; train
+--variant, --order and --iters; eval --horizons and --oracle; sbd
+--oracle; report none. Eval and sbd read the rest of the run from the
+files that generate and train wrote: master_seed, mode and the generator
+section from the dataset header, the train section from the checkpoint's
+stored config. The oracle, and a checkpoint saved without a config, keep
+the config file's train section. So the config_hash of their reports,
+their seed lanes and their estimator name the run that made the model.
 
 Exit codes: 0 ok, 2 invalid config or malformed input file, 3 training
 abort, 4 shape mismatch, 5 missing inputs. MSP_LOG={error,info,debug}
@@ -138,44 +147,52 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_eval_inputs(cfg, args):
-    """Dataset, model, resolved train config and estimator that eval and sbd analyse.
+def _load_eval_inputs(args):
+    """The run that eval and sbd analyse: its config, dataset, model and estimator.
 
     The model is the checkpoint, or the generator's oracle with --oracle.
-    A checkpoint without a stored config is read with the run config's.
-    The estimator is the ``order`` and ``transition`` keywords of every
-    fit: the run's own, or for the oracle, which has no neural head,
-    "lstsq" at the run's order.
+    The run's config is the config file's, with ``master_seed``, ``mode``
+    and the generator section taken from the dataset header and the train
+    section from the checkpoint, parsed once, so every seed lane and the
+    config hash name the run that made the model. The oracle, and a
+    checkpoint saved without its config, keep the config file's train
+    section. The estimator is the ``order`` and ``transition`` keywords
+    of every fit: the run's own, or for the oracle, which has no neural
+    head, "lstsq" at the run's order.
 
     Raises:
         FileNotFoundError: the dataset or checkpoint is missing.
         DimensionError: the checkpoint does not fit the dataset, or its
             neural transition head was built for another ``T_c``.
     """
+    cfg = _load_config(args)
     dataset = datagen.load_dataset(os.path.join(cfg.out_dir, DATASET_FILE))
+    doc = {**cfg.document, "master_seed": dataset.master_seed,
+           "generator": {**dataset.spec.to_dict(), "mode": dataset.mode}}
     if args.oracle:
         log.info("using the oracle model (debug flag)")
-        params, train_cfg = mm.OracleModel(dataset.spec), cfg.train.resolved()
+        params = mm.OracleModel(dataset.spec)
     else:
-        params, train_cfg = tr.load_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE))
+        params, stored = tr.load_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE))
         if params.obs_dim != dataset.spec.obs_dim:
             raise DimensionError(f"checkpoint expects obs_dim={params.obs_dim} "
                                  f"but dataset has {dataset.spec.obs_dim}")
-        train_cfg = (train_cfg if train_cfg is not None else cfg.train).resolved()
-        if params.mstar and params.mstar[0][0].shape[0] != train_cfg.T_c * params.obs_dim:
+        if stored is not None:
+            doc["train"] = stored.to_dict()
+        elif params.mstar and params.T_c != cfg.train.T_c:
             raise DimensionError(f"the checkpoint's transition head reads T_c={params.T_c} "
-                                 f"frames, the config has T_c={train_cfg.T_c}")
-    transition = "lstsq" if args.oracle else train_cfg.transition
-    return dataset, params, train_cfg, {"order": train_cfg.order, "transition": transition}
+                                 f"frames, the config has T_c={cfg.train.T_c}")
+    run = cfgmod.from_dict(doc)
+    transition = "lstsq" if args.oracle else run.train.transition
+    return run, dataset, params, {"order": run.train.order, "transition": transition}
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    dataset, params, train_cfg, estimator = _load_eval_inputs(cfg, args)
+    cfg, dataset, params, estimator = _load_eval_inputs(args)
     ev = cfg.eval_spec
     horizons = ev["horizons"]
     spec = dataset.spec
-    T_c = train_cfg.T_c
+    T_c = cfg.train.T_c
 
     def batch_spec(count: int, frames: int) -> datagen.GeneratorSpec:
         """``count`` sequences of at least ``frames`` frames and the mode's
@@ -190,17 +207,17 @@ def cmd_eval(args) -> int:
     lp_curve = mm.horizon_errors_np(params, eval_obs, T_c, horizons, fit=eval_fit, **estimator)
     target_var = float(eval_obs[:, T_c].var(axis=0).sum())
     # an order-2 fit's transitions are its last velocity operators, step T_c - 2
-    step = T_c - 2 if train_cfg.order == 2 else 0
+    step = T_c - 2 if cfg.train.order == 2 else 0
     reg_scores = an.regress_transition_params(
         eval_fit.transitions, an.velocity_targets(eval_batch, step), seed=cfg.master_seed)
 
     # one paired batch: equivariance reads its first pair_count pairs, the
     # spectrum distances the first spectrum_pairs
     pair_count, spectrum_pairs = ev["pair_count"], ev["spectrum_pairs"]
-    paired = datagen.make_paired(batch_spec(max(pair_count, spectrum_pairs), T_c + train_cfg.T_p),
+    paired = datagen.make_paired(batch_spec(max(pair_count, spectrum_pairs), T_c + cfg.train.T_p),
                                  datagen.mix64(cfg.master_seed, _PAIR_SEED_LANE), cfg.mode)
     first_fit, second_fit = an.paired_fits(params, paired, T_c, **estimator)
-    equi = an.equivariance_error(params, paired.head(pair_count), T_c, train_cfg.T_p,
+    equi = an.equivariance_error(params, paired.head(pair_count), T_c, cfg.train.T_p,
                                  fits=(first_fit.head(pair_count), second_fit.head(pair_count)),
                                  **estimator)
     spec_dists = an.spectrum_distances(first_fit.transitions[:spectrum_pairs],
@@ -211,7 +228,7 @@ def cmd_eval(args) -> int:
                                      ev["probe_offsets"])
     homo = an.homogeneity_check(params, probe, T_c, **estimator)
     # the targets' names say which step they read: v, or at order 2 the last step d
-    tag = "d" if train_cfg.order == 2 else "v"
+    tag = "d" if cfg.train.order == 2 else "v"
     factor_names = ([f"cos_{tag}{j}" for j in range(spec.k)]
                     + [f"sin_{tag}{j}" for j in range(spec.k)])
 
@@ -220,7 +237,7 @@ def cmd_eval(args) -> int:
         "kind": "eval_report",
         "config_hash": cfg.config_hash,
         "version": __version__,
-        "oracle_model": bool(getattr(args, "oracle", False)),
+        "oracle_model": args.oracle,
         "target_variance": target_var,
         "horizons": {"t_p": list(range(1, horizons + 1)),
                      "lp": [float(x) for x in lp_curve]},
@@ -242,12 +259,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sbd(args) -> int:
-    cfg = _load_config(args)
-    dataset, params, train_cfg, estimator = _load_eval_inputs(cfg, args)
+    cfg, dataset, params, estimator = _load_eval_inputs(args)
     sp = cfg.sbd_spec
     spec = dataset.spec
     count = min(sp["num_transitions"], dataset.num_sequences)
-    mats = mm.batch_transitions_np(params, dataset.observations[:count], train_cfg.T_c,
+    mats = mm.batch_transitions_np(params, dataset.observations[:count], cfg.train.T_c,
                                    **estimator)
     result = sbdmod.fit_sbd(list(mats), iters=sp["iters"], lr=sp["lr"],
                             seed=sp["seed"], threshold=sp["threshold"],
@@ -259,11 +275,11 @@ def cmd_sbd(args) -> int:
     factor_energies = []
     per_factor_files = []
     factor_spec = datagen.with_num_sequences(
-        datagen.with_length(spec, train_cfg.T_c + 1), 32)
+        datagen.with_length(spec, cfg.train.T_c + 1), 32)
     for j in range(spec.k):
         fb = datagen.make_single_factor(
             factor_spec, datagen.mix64(cfg.master_seed, _FACTOR_SEED_LANE + j), j)
-        fmats = mm.batch_transitions_np(params, fb.observations, train_cfg.T_c, **estimator)
+        fmats = mm.batch_transitions_np(params, fb.observations, cfg.train.T_c, **estimator)
         fvs = result.conjugate(fmats)
         energy = np.abs(fvs - eye).mean(axis=0)
         factor_energies.append(energy)
@@ -334,50 +350,44 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# each subcommand's handler, help and the overrides it reads; eval and sbd
+# take the rest of the run from the dataset and the checkpoint
+_COMMANDS = {
+    "generate": (cmd_generate, "write the dataset file", ("seed",)),
+    "train": (cmd_train, "train and write checkpoint + metrics", ("variant", "order", "iters")),
+    "eval": (cmd_eval, "write the evaluation report", ("horizons", "oracle")),
+    "sbd": (cmd_sbd, "block-diagonalize learned transitions", ("oracle",)),
+    "report": (cmd_report, "render SVG charts from run artifacts", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mspred",
                                      description="sequence-equivariance experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, oracle=False):
+    overrides = {
+        "seed": {"type": int, "help": "override master seed"},
+        "variant": {"choices": list(mm.VARIANTS), "help": "override training variant"},
+        "order": {"type": int, "choices": (1, 2), "help": "override transition order"},
+        "iters": {"type": int, "help": "override training iteration count"},
+        "horizons": {"type": int, "help": "override evaluation horizon count"},
+        "oracle": {"action": "store_true",
+                   "help": "debug: evaluate the exact generator-derived model"},
+    }
+    for command, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--variant", default=None,
-                       choices=list(mm.VARIANTS), help="override training variant")
-        p.add_argument("--order", type=int, default=None, choices=(1, 2),
-                       help="override transition order")
-        p.add_argument("--horizons", type=int, default=None,
-                       help="override evaluation horizon count")
-        p.add_argument("--iters", type=int, default=None,
-                       help="override training iteration count")
-        if oracle:
-            p.add_argument("--oracle", action="store_true",
-                           help="debug: evaluate the exact generator-derived model")
-
-    common(sub.add_parser("generate", help="write the dataset file"))
-    common(sub.add_parser("train", help="train and write checkpoint + metrics"))
-    common(sub.add_parser("eval", help="write the evaluation report"), oracle=True)
-    common(sub.add_parser("sbd", help="block-diagonalize learned transitions"),
-           oracle=True)
-    common(sub.add_parser("report", help="render SVG charts from run artifacts"))
+        for flag in flags:
+            p.add_argument(f"--{flag}", **overrides[flag])
     return parser
-
-
-_COMMANDS = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sbd": cmd_sbd,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except FileNotFoundError as exc:
         log.error("missing input: %s", exc)
         return EXIT_MISSING

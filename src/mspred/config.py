@@ -2,8 +2,12 @@
 
 A run is fully determined by its config, so the config is canonicalized
 (defaults materialized, keys sorted) before hashing; the SHA-256 of that
-canonical JSON, without ``out_dir`` and with ``NUMERICS_VERSION``,
-identifies every artifact the run produces, wherever it is written.
+canonical JSON, without ``out_dir`` and with ``NUMERICS_VERSION``, names
+the run, wherever it is written. ``mspred eval`` and ``mspred sbd``
+rebuild that config with ``from_dict`` from the dataset header (master
+seed, mode, generator) and the checkpoint's stored train section, so
+their reports carry the hash of the run that made the model, whatever
+overrides ``generate`` and ``train`` took.
 Unknown keys are rejected rather than ignored. The ``generator``
 section's keys and defaults are those of ``datagen.velocity_spec()``
 plus ``mode`` ("velocity"); the ``train`` section's are ``TrainConfig``'s

@@ -495,7 +495,7 @@ def estimate_second_order(latents: Sequence[Var]) -> TransitionEstimate:
     return TransitionEstimate(order=2, m_star=acc, m_last=m_last)
 
 
-def estimate(latents: Sequence[Var], *, order: int = 1, transition: str = "lstsq",
+def estimate(latents: Sequence[Var], *, order: int, transition: str,
              head: Var | None = None) -> TransitionEstimate:
     """The estimator that ``transition`` names, on (N, a, m) latents.
 

@@ -352,9 +352,8 @@ def read_metrics(path) -> list[dict]:
             if line.strip():
                 try:
                     row = json.loads(line)  # a JSONDecodeError is a ValueError
-                    MetricsRecord(**row)  # names a missing or unknown key
-                    MetricsRecord.from_dict(row)  # names a value not of its field's type
-                except (ValueError, TypeError, ValidationError) as exc:
+                    MetricsRecord.from_dict(row)  # names a missing, unknown or mistyped key
+                except (ValueError, ValidationError) as exc:
                     raise FormatError(f"{path} line {number}: {exc}") from exc
                 out.append(row)
     return out

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import jsonschema
@@ -399,7 +400,7 @@ def test_sbd_fits_an_order_2_model_with_its_own_estimator(tmp_path):
                                              "accel_range": [-0.08, 0.08]})
     cli.main(["generate", "--config", str(path)])
     assert cli.main(["train", "--config", str(path), "--order", "2"]) == 0
-    assert cli.main(["sbd", "--config", str(path), "--order", "2"]) == 0
+    assert cli.main(["sbd", "--config", str(path)]) == 0
     result = json.loads((tmp_path / "run" / cli.SBD_RESULT_FILE).read_text())
     assert result["estimator"] == {"transition": "lstsq", "order": 2}
     # the family is the last velocity operators of the second-order fit
@@ -416,8 +417,8 @@ def test_eval_and_report_run_on_an_order_2_acceleration_model(tmp_path):
                                              "accel_range": [-0.08, 0.08]})
     assert cli.main(["generate", "--config", str(path)]) == 0
     assert cli.main(["train", "--config", str(path), "--order", "2"]) == 0
-    assert cli.main(["eval", "--config", str(path), "--order", "2"]) == 0
-    assert cli.main(["report", "--config", str(path), "--order", "2"]) == 0
+    assert cli.main(["eval", "--config", str(path)]) == 0
+    assert cli.main(["report", "--config", str(path)]) == 0
     report = json.loads((tmp_path / "run" / cli.EVAL_REPORT_FILE).read_text())
     jsonschema.validate(report, EVAL_REPORT_SCHEMA)
     # the horizon curve is the second-order fit's, on the eval batch
@@ -444,7 +445,7 @@ def test_eval_names_the_regression_targets_by_their_step(tmp_path, order, names)
     assert cli.main(["generate", "--config", str(path)]) == 0
     assert cli.main(["train", "--config", str(path), "--order", str(order),
                      "--iters", "2"]) == 0
-    assert cli.main(["eval", "--config", str(path), "--order", str(order)]) == 0
+    assert cli.main(["eval", "--config", str(path)]) == 0
     report = json.loads((tmp_path / "run" / cli.EVAL_REPORT_FILE).read_text())
     jsonschema.validate(report, EVAL_REPORT_SCHEMA)
     assert report["regression"]["targets"] == names
@@ -460,7 +461,7 @@ def test_eval_runs_an_order_1_model_on_acceleration_data(tmp_path, horizons):
                         eval={"horizons": horizons})
     assert cli.main(["generate", "--config", str(path)]) == 0
     assert cli.main(["train", "--config", str(path), "--order", "1"]) == 0
-    assert cli.main(["eval", "--config", str(path), "--order", "1"]) == 0
+    assert cli.main(["eval", "--config", str(path)]) == 0
     report = json.loads((tmp_path / "run" / cli.EVAL_REPORT_FILE).read_text())
     jsonschema.validate(report, EVAL_REPORT_SCHEMA)
     cfg = cfgmod.load(path)
@@ -527,7 +528,7 @@ def _text_loss_in_last_row(path):
 
 @pytest.mark.parametrize("name, corrupt, named", [
     (cli.METRICS_FILE, _truncate_last_line, ("line 3: Expecting",)),
-    (cli.METRICS_FILE, _drop_loss_of_last_row, ("line 3: ", "argument: 'loss'")),
+    (cli.METRICS_FILE, _drop_loss_of_last_row, ("line 3: missing key(s) ['loss']",)),
     (cli.METRICS_FILE, _text_loss_in_last_row, ("line 3: loss must be a finite number",)),
     (cli.EVAL_REPORT_FILE, lambda p: p.write_text('{"horizons": '), ("JSONDecodeError",)),
 ], ids=["truncated-metrics", "metrics-row-without-loss", "metrics-row-with-text-loss",
@@ -565,6 +566,88 @@ def test_variant_and_seed_overrides(tmp_path):
     _, cfg = tr.load_checkpoint(tmp_path / "run" / cli.CHECKPOINT_FILE)
     assert cfg.variant == "rec_model"
     assert cfg.iterations == 4
+
+
+# the overrides each subcommand reads, besides --config and --out
+SUBCOMMAND_FLAGS = {
+    "generate": {"--seed"},
+    "train": {"--variant", "--order", "--iters"},
+    "eval": {"--horizons", "--oracle"},
+    "sbd": {"--oracle"},
+    "report": set(),
+}
+FLAG_VALUES = {"--seed": ["9"], "--variant": ["msp"], "--order": ["2"], "--iters": ["2"],
+               "--horizons": ["3"], "--oracle": []}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_each_subcommand_takes_only_the_overrides_it_reads(command, capsys):
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+    assert listed == {"--config", "--out", *SUBCOMMAND_FLAGS[command]}
+    base = [command, "--config", "exp.json", "--out", "elsewhere"]
+    for flag, value in FLAG_VALUES.items():
+        if flag in SUBCOMMAND_FLAGS[command]:
+            parser.parse_args([*base, flag, *value])
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*base, flag, *value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_eval_and_sbd_read_the_run_from_its_dataset_and_checkpoint(tmp_path):
+    path = write_config(tmp_path)
+    assert cli.main(["generate", "--config", str(path), "--seed", "9"]) == 0
+    assert cli.main(["train", "--config", str(path), "--iters", "2"]) == 0
+    for command in ("eval", "sbd"):
+        assert cli.main([command, "--config", str(path)]) == 0
+    run = cfgmod.with_overrides(cfgmod.load(path), seed=9, iters=2)
+    assert run.config_hash != cfgmod.load(path).config_hash
+    out = tmp_path / "run"
+    report = json.loads((out / cli.EVAL_REPORT_FILE).read_text())
+    result = json.loads((out / cli.SBD_RESULT_FILE).read_text())
+    assert report["config_hash"] == result["config_hash"] == run.config_hash
+    # the eval batch is drawn from the seed-9 lane that generate used
+    params, _ = tr.load_checkpoint(out / cli.CHECKPOINT_FILE)
+    t_c, horizons = run.train.T_c, run.eval_spec["horizons"]
+    eval_batch = datagen.make_dataset(datagen.with_length(
+        datagen.with_num_sequences(run.generator, run.eval_spec["eval_sequences"]),
+        t_c + horizons), datagen.mix64(9, cli._EVAL_SEED_LANE), run.mode)
+    direct = mm.horizon_errors_np(params, eval_batch.observations, t_c, horizons, order=1,
+                                  transition="lstsq")
+    assert report["horizons"]["lp"] == [float(x) for x in direct]
+    # a config file that names the overridden values makes the same artifacts
+    named = write_config(tmp_path, name="named.json", master_seed=9,
+                         out_dir=str(tmp_path / "named"), train={"iterations": 2})
+    for command in ("generate", "train", "eval", "sbd"):
+        assert cli.main([command, "--config", str(named)]) == 0
+    for name in (cli.CHECKPOINT_FILE, cli.EVAL_REPORT_FILE, cli.SBD_RESULT_FILE):
+        assert (tmp_path / "named" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_oracle_eval_and_sbd_fit_at_the_config_files_order(tmp_path):
+    path = write_config(tmp_path, generator={"T": 10, "mode": "acceleration",
+                                             "accel_range": [-0.08, 0.08]},
+                        train={"order": 2, "T_c": 4, "T_p": 2})
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    for command in ("eval", "sbd"):
+        assert cli.main([command, "--config", str(path), "--oracle"]) == 0
+    report = json.loads((tmp_path / "run" / cli.EVAL_REPORT_FILE).read_text())
+    result = json.loads((tmp_path / "run" / cli.SBD_RESULT_FILE).read_text())
+    cfg = cfgmod.load(path)
+    assert report["config_hash"] == result["config_hash"] == cfg.config_hash
+    assert result["estimator"] == {"transition": "lstsq", "order": 2}
+    assert report["regression"]["targets"] == ["cos_d0", "sin_d0"]
+    eval_batch = datagen.make_dataset(datagen.with_length(
+        datagen.with_num_sequences(cfg.generator, cfg.eval_spec["eval_sequences"]), 4 + 2),
+        datagen.mix64(cfg.master_seed, cli._EVAL_SEED_LANE), cfg.mode)
+    direct = mm.horizon_errors_np(mm.OracleModel(cfg.generator), eval_batch.observations, 4, 2,
+                                  order=2, transition="lstsq")
+    assert report["horizons"]["lp"] == [float(x) for x in direct]
 
 
 def separate_sections_report(path):
