@@ -18,10 +18,16 @@ section from the dataset header, the train section from the checkpoint's
 stored config. The oracle, and a checkpoint saved without a config, keep
 the config file's train section. So the config_hash of their reports,
 their seed lanes and their estimator name the run that made the model.
+Eval reads only the dataset's header, never its observations; sbd reads
+the observations of the sequences it fits. A checkpoint that train wrote
+records the header of the dataset it trained on, and eval and sbd refuse
+(exit 2) a dataset whose header differs, naming the first field that
+does; a checkpoint without that record is read with any dataset.
 
-Exit codes: 0 ok, 2 invalid config or malformed input file, 3 training
-abort, 4 shape mismatch, 5 missing inputs. MSP_LOG={error,info,debug}
-controls stderr verbosity; machine-readable output goes to files only.
+Exit codes: 0 ok, 2 invalid config, malformed input file or a dataset other
+than the checkpoint's, 3 training abort, 4 shape mismatch, 5 missing
+inputs. MSP_LOG={error,info,debug} controls stderr verbosity;
+machine-readable output goes to files only.
 
 The eval report is a JSON object with keys: kind ("eval_report"),
 config_hash, version, horizons {t_p: [...], lp: [...]},
@@ -66,6 +72,7 @@ from .errors import (
     DimensionError,
     FormatError,
     MspredError,
+    ProvenanceError,
     TrainingAbort,
     ValidationError,
 )
@@ -148,35 +155,44 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args):
-    """The run that eval and sbd analyse: its config, dataset, model and estimator.
+    """The run that eval and sbd analyse: its config, dataset header, model and estimator.
 
-    The model is the checkpoint, or the generator's oracle with --oracle.
-    The run's config is the config file's, with ``master_seed``, ``mode``
-    and the generator section taken from the dataset header and the train
-    section from the checkpoint, parsed once, so every seed lane and the
-    config hash name the run that made the model. The oracle, and a
-    checkpoint saved without its config, keep the config file's train
-    section. The estimator is the ``order`` and ``transition`` keywords
-    of every fit: the run's own, or for the oracle, which has no neural
-    head, "lstsq" at the run's order.
+    Only the dataset's header is read, never its observations. The model
+    is the checkpoint, or the generator's oracle with --oracle. The run's
+    config is the config file's, with ``master_seed``, ``mode`` and the
+    generator section taken from the dataset header and the train section
+    from the checkpoint, parsed once, so every seed lane and the config
+    hash name the run that made the model. The oracle, and a checkpoint
+    saved without its config, keep the config file's train section. The
+    estimator is the ``order`` and ``transition`` keywords of every fit:
+    the run's own, or for the oracle, which has no neural head, "lstsq" at
+    the run's order.
 
     Raises:
         FileNotFoundError: the dataset or checkpoint is missing.
         DimensionError: the checkpoint does not fit the dataset, or its
             neural transition head was built for another ``T_c``.
+        ProvenanceError: the checkpoint records the header of the dataset
+            it was trained on, and the dataset's header differs from it.
     """
     cfg = _load_config(args)
-    dataset = datagen.load_dataset(os.path.join(cfg.out_dir, DATASET_FILE))
-    doc = {**cfg.document, "master_seed": dataset.master_seed,
-           "generator": {**dataset.spec.to_dict(), "mode": dataset.mode}}
+    header = datagen.read_dataset_header(os.path.join(cfg.out_dir, DATASET_FILE))
+    doc = {**cfg.document, "master_seed": header.master_seed,
+           "generator": {**header.spec.to_dict(), "mode": header.mode}}
     if args.oracle:
         log.info("using the oracle model (debug flag)")
-        params = mm.OracleModel(dataset.spec)
+        params = mm.OracleModel(header.spec)
     else:
         params, stored = tr.load_checkpoint(os.path.join(cfg.out_dir, CHECKPOINT_FILE))
-        if params.obs_dim != dataset.spec.obs_dim:
+        if params.obs_dim != header.spec.obs_dim:
             raise DimensionError(f"checkpoint expects obs_dim={params.obs_dim} "
-                                 f"but dataset has {dataset.spec.obs_dim}")
+                                 f"but dataset has {header.spec.obs_dim}")
+        recorded = params.trained_on
+        if recorded is not None and recorded != header:
+            mine, found = recorded.fields(), header.fields()
+            key = next(key for key in mine if mine[key] != found[key])
+            raise ProvenanceError(f"{DATASET_FILE} has {key} {found[key]!r}, but the "
+                                  f"checkpoint was trained on {key} {mine[key]!r}")
         if stored is not None:
             doc["train"] = stored.to_dict()
         elif params.mstar and params.T_c != cfg.train.T_c:
@@ -184,14 +200,14 @@ def _load_eval_inputs(args):
                                  f"frames, the config has T_c={cfg.train.T_c}")
     run = cfgmod.from_dict(doc)
     transition = "lstsq" if args.oracle else run.train.transition
-    return run, dataset, params, {"order": run.train.order, "transition": transition}
+    return run, header, params, {"order": run.train.order, "transition": transition}
 
 
 def cmd_eval(args) -> int:
-    cfg, dataset, params, estimator = _load_eval_inputs(args)
+    cfg, header, params, estimator = _load_eval_inputs(args)
     ev = cfg.eval_spec
     horizons = ev["horizons"]
-    spec = dataset.spec
+    spec = header.spec
     T_c = cfg.train.T_c
 
     def batch_spec(count: int, frames: int) -> datagen.GeneratorSpec:
@@ -259,9 +275,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sbd(args) -> int:
-    cfg, dataset, params, estimator = _load_eval_inputs(args)
+    cfg, header, params, estimator = _load_eval_inputs(args)
     sp = cfg.sbd_spec
-    spec = dataset.spec
+    spec = header.spec
+    # the family is the first num_transitions sequences of the dataset itself
+    dataset = datagen.load_dataset(os.path.join(cfg.out_dir, DATASET_FILE))
     count = min(sp["num_transitions"], dataset.num_sequences)
     mats = mm.batch_transitions_np(params, dataset.observations[:count], cfg.train.T_c,
                                    **estimator)

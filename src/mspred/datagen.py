@@ -286,6 +286,44 @@ def mixing_map(spec: GeneratorSpec) -> MixingMap:
     return _shared_mixing_map(spec.k, spec.obs_dim, spec.mixing_seed)
 
 
+@dataclass(frozen=True)
+class DatasetHeader:
+    """What a dataset file says of the run that made it: everything but its arrays.
+
+    ``mspred eval`` needs no more of a dataset; a checkpoint written by
+    ``mspred train`` records the header of the dataset it trained on.
+    """
+
+    spec: GeneratorSpec
+    master_seed: int
+    mode: str
+
+    def to_dict(self) -> dict:
+        return {"spec": self.spec.to_dict(), "master_seed": int(self.master_seed),
+                "mode": self.mode}
+
+    @classmethod
+    def parse(cls, doc: dict, what: str) -> "DatasetHeader":
+        """Inverse of ``to_dict`` (further keys are ignored); the spec must
+        parse and validate in its mode. ``what`` names the source in the
+        FormatError raised for a missing or invalid field."""
+        try:
+            spec = GeneratorSpec.from_dict(doc["spec"])
+            master_seed = require_int(doc["master_seed"], "master_seed")
+            mode = doc["mode"]
+            spec.validate(mode)
+        except KeyError as exc:
+            raise FormatError(f"{what} missing field: {exc}") from exc
+        except ValidationError as exc:
+            raise FormatError(f"{what} field {exc.field}: {exc}") from exc
+        return cls(spec, master_seed, mode)
+
+    def fields(self) -> dict:
+        """Every field by name, a spec field as ``spec.<key>``."""
+        return {"master_seed": self.master_seed, "mode": self.mode,
+                **{f"spec.{key}": value for key, value in self.spec.to_dict().items()}}
+
+
 @dataclass
 class SequenceBatch:
     """Observation sequences plus the hidden generator state that made them.
@@ -304,6 +342,10 @@ class SequenceBatch:
     @property
     def num_sequences(self) -> int:
         return self.observations.shape[0]
+
+    @property
+    def header(self) -> DatasetHeader:
+        return DatasetHeader(self.spec, self.master_seed, self.mode)
 
     def angles_at(self, t) -> np.ndarray:
         """Hidden angles theta0 + v t + alpha t(t-1)/2 at integer time t."""
@@ -556,12 +598,8 @@ def save_dataset(batch: SequenceBatch, path) -> str:
     Returns the hex SHA-256 of the file, hashed from the chunks as they are
     written, so the file is never read back.
     """
-    header = {
-        "spec": batch.spec.to_dict(),
-        "master_seed": int(batch.master_seed),
-        "mode": batch.mode,
-        "shapes": {name: list(getattr(batch, name).shape) for name in _TENSOR_ORDER},
-    }
+    header = {**batch.header.to_dict(),
+              "shapes": {name: list(getattr(batch, name).shape) for name in _TENSOR_ORDER}}
     digest = hashlib.sha256()
     container.write(path, DATASET_MAGIC, header, [getattr(batch, name) for name in _TENSOR_ORDER],
                     digest=digest)
@@ -575,24 +613,34 @@ def _dataset_layout(header: dict) -> list:
     return [(name, shapes[name]) for name in _TENSOR_ORDER]
 
 
-def load_dataset(path) -> SequenceBatch:
-    """Read an MSPDAT01 file; its spec must parse, validate and fix every array's shape."""
-    header, arrays = container.read(path, DATASET_MAGIC, "dataset", _dataset_layout)
-    try:
-        spec = GeneratorSpec.from_dict(header["spec"])
-        master_seed = require_int(header["master_seed"], "master_seed")
-        mode = header["mode"]
-        spec.validate(mode)
-    except KeyError as exc:
-        raise FormatError(f"dataset header missing field: {exc}") from exc
-    except ValidationError as exc:
-        raise FormatError(f"dataset header field {exc.field}: {exc}") from exc
-    if arrays["observations"].shape != (spec.num_sequences, spec.T, spec.obs_dim):
+def _read_header(fh) -> tuple[DatasetHeader, list]:
+    """The checked header of an open MSPDAT01 file and its array layout."""
+    doc, layout = container.read_header(fh, DATASET_MAGIC, "dataset", _dataset_layout)
+    header = DatasetHeader.parse(doc, "dataset header")
+    spec, shapes = header.spec, dict(layout)
+    if shapes["observations"] != [spec.num_sequences, spec.T, spec.obs_dim]:
         raise FormatError("observation shape disagrees with spec")
     for name in ("theta0", "velocity", "acceleration"):
-        if arrays[name].shape != (spec.num_sequences, spec.k):
+        if shapes[name] != [spec.num_sequences, spec.k]:
             raise FormatError(f"{name} shape disagrees with spec")
-    return SequenceBatch(**arrays, spec=spec, master_seed=master_seed, mode=mode)
+    return header, layout
+
+
+def read_dataset_header(path) -> DatasetHeader:
+    """The header of an MSPDAT01 file, checked exactly as ``load_dataset``
+    checks it (the payload's length by the file's size), without reading
+    the observations."""
+    with open(path, "rb") as fh:
+        return _read_header(fh)[0]
+
+
+def load_dataset(path) -> SequenceBatch:
+    """Read an MSPDAT01 file; its spec must parse, validate and fix every array's shape."""
+    with open(path, "rb") as fh:
+        header, layout = _read_header(fh)
+        arrays = container.read_payload(fh, layout, "dataset")
+    return SequenceBatch(**arrays, spec=header.spec, master_seed=header.master_seed,
+                         mode=header.mode)
 
 
 def with_num_sequences(spec: GeneratorSpec, num_sequences: int) -> GeneratorSpec:

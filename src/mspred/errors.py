@@ -56,6 +56,11 @@ class FormatError(MspredError):
     """A serialized artifact (dataset, checkpoint, config) is malformed."""
 
 
+class ProvenanceError(MspredError):
+    """Two artifacts of one run disagree on where they came from: a
+    checkpoint records another dataset than the one it is analysed with."""
+
+
 class TrainingAbort(MspredError):
     """Training hit a non-finite loss or gradient and stopped.
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .autodiff import cholesky_lower  # noqa: F401  re-exported: the benchmark tracer wraps it here
-from .datagen import mix64, mixing_map
+from .datagen import DatasetHeader, mix64, mixing_map
 from .errors import (ContractError, DictForm, DimensionError, NumericError,
                      SingularityError, ValidationError)
 
@@ -179,7 +179,9 @@ class ModelParams:
 
     Layers apply ``x @ W + b`` with tanh between hidden layers and a
     linear final layer. ``mstar`` is present only for the neural
-    transition ablation.
+    transition ablation. ``trained_on`` is the header of the dataset that
+    ``training.train`` fitted the parameters to, None for parameters made
+    any other way; a checkpoint records it.
 
     Every weight and bias lives in one contiguous float64 vector,
     ``flat``, laid out in ``named_tensors()`` order, which is also the
@@ -196,6 +198,7 @@ class ModelParams:
     enc: tuple = field(repr=False)
     dec: tuple = field(repr=False)
     mstar: tuple | None = field(default=None, repr=False)
+    trained_on: DatasetHeader | None = field(default=None, repr=False, compare=False)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -21,7 +21,7 @@ from . import analysis
 from . import autodiff as ad
 from . import container
 from . import model as mm
-from .datagen import SequenceBatch, mix64
+from .datagen import DatasetHeader, SequenceBatch, mix64
 from .errors import (ContractError, DictForm, FormatError, NumericError, SingularityError,
                      TrainingAbort, ValidationError, require_int)
 
@@ -159,7 +159,8 @@ def _holdout_lp(params, obs, cfg):
 def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
     """Run the configured variant on a dataset.
 
-    Returns (final ModelParams, list of MetricsRecord). Minibatches are
+    Returns (final ModelParams, list of MetricsRecord); the parameters'
+    ``trained_on`` is the dataset's header. Minibatches are
     drawn by an epoch-wise seeded permutation; the learning rate drops
     from ``lr`` to ``lr_final`` at ``decay_at`` iterations.
 
@@ -195,6 +196,7 @@ def train(cfg: mm.TrainConfig, dataset: SequenceBatch):
                               "training sequences", field="batch_size")
 
     params = mm.ModelParams.initialize(cfg, obs_dim=obs.shape[2])
+    params.trained_on = dataset.header
     tensors = params.named_tensors()
     adam = AdamState(list(tensors), [t.shape for t in tensors.values()],
                      lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
@@ -245,6 +247,8 @@ def save_checkpoint(params: mm.ModelParams, path, config: mm.TrainConfig | None 
 
     The payload is ``params.flat`` as one array: its layout is the
     manifest's tensor list, back to back in ``named_tensors()`` order.
+    ``params.trained_on``, when set, is recorded as the manifest's
+    ``dataset`` entry; without it the manifest has no such key.
     """
     entries = []
     offset = 0
@@ -259,6 +263,8 @@ def save_checkpoint(params: mm.ModelParams, path, config: mm.TrainConfig | None 
                              "mstar": len(params.mstar) if params.mstar else 0}},
         "tensors": entries,
     }
+    if params.trained_on is not None:
+        manifest["dataset"] = params.trained_on.to_dict()
     container.write(path, CHECKPOINT_MAGIC, manifest, [params.flat])
 
 
@@ -275,7 +281,9 @@ def _checkpoint_layout(manifest: dict) -> list:
 
 def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
     """Read an MSPCKP01 file; every tensor must belong to a layer whose widths chain,
-    and a stored config must parse as ``TrainConfig.from_dict`` and fit the model."""
+    and a stored config must parse as ``TrainConfig.from_dict`` and fit the model.
+    A recorded dataset header becomes the parameters' ``trained_on``; it
+    must parse as a dataset file's header does."""
     manifest, tensors = container.read(path, CHECKPOINT_MAGIC, "checkpoint", _checkpoint_layout)
     used = set()
 
@@ -308,8 +316,11 @@ def load_checkpoint(path) -> tuple[mm.ModelParams, mm.TrainConfig | None]:
         dec = collect("dec", layer_counts["dec"], a * m, obs_dim)
         mstar = (collect("mstar", layer_counts["mstar"], t_c * obs_dim, a * a)
                  if layer_counts["mstar"] else None)
+        record = manifest.get("dataset")
+        trained_on = (None if record is None
+                      else DatasetHeader.parse(record, "checkpoint dataset record"))
         params = mm.ModelParams(a=a, m=m, obs_dim=obs_dim, T_c=t_c, enc=enc, dec=dec,
-                                mstar=mstar)
+                                mstar=mstar, trained_on=trained_on)
         stored = manifest["config"]
     except ValidationError as exc:
         raise FormatError(f"checkpoint manifest {exc}") from exc

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import jsonschema
@@ -550,12 +551,16 @@ def test_eval_on_a_truncated_dataset_exits_2_as_malformed_input(tmp_path, capsys
     for command in ("generate", "train"):
         assert cli.main([command, "--config", str(path)]) == 0
     data_file = tmp_path / "run" / cli.DATASET_FILE
-    data_file.write_bytes(data_file.read_bytes()[:5])
-    capsys.readouterr()
-    assert cli.main(["eval", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "error: dataset truncated before header" in err
-    assert "config error" not in err and "Traceback" not in err
+    raw = data_file.read_bytes()
+    # eval reads only the header, and the file's size still tells a short payload
+    for blob, message in ((raw[:5], "dataset truncated before header"),
+                          (raw[:-8], "dataset payload for 'acceleration' truncated")):
+        data_file.write_bytes(blob)
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "config error" not in err and "Traceback" not in err
 
 
 def test_variant_and_seed_overrides(tmp_path):
@@ -627,6 +632,60 @@ def test_eval_and_sbd_read_the_run_from_its_dataset_and_checkpoint(tmp_path):
         assert cli.main([command, "--config", str(named)]) == 0
     for name in (cli.CHECKPOINT_FILE, cli.EVAL_REPORT_FILE, cli.SBD_RESULT_FILE):
         assert (tmp_path / "named" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_eval_and_sbd_refuse_a_dataset_the_checkpoint_was_not_trained_on(tmp_path, capsys):
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["generate", "--config", str(path), "--seed", "9"]) == 0
+    assert cli.main(["train", "--config", str(path), "--iters", "6"]) == 0
+    params, stored = tr.load_checkpoint(out / cli.CHECKPOINT_FILE)
+    assert params.trained_on == datagen.read_dataset_header(out / cli.DATASET_FILE)
+    others = [(path, ["--seed", "10"], "master_seed 10", "master_seed 9"),
+              (write_config(tmp_path, name="more.json", generator={"num_sequences": 25}),
+               ["--seed", "9"], "spec.num_sequences 25", "spec.num_sequences 24"),
+              (write_config(tmp_path, name="mixing.json", generator={"mixing_seed": 6}),
+               ["--seed", "9"], "spec.mixing_seed 6", "spec.mixing_seed 5")]
+    for config, flags, found, recorded in others:
+        assert cli.main(["generate", "--config", str(config), *flags]) == 0
+        for command in ("eval", "sbd"):
+            capsys.readouterr()
+            assert cli.main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{cli.DATASET_FILE} has {found}, but the checkpoint was trained on {recorded}" in err
+            assert "config error" not in err and "Traceback" not in err
+    assert not (out / cli.EVAL_REPORT_FILE).exists() and not (out / cli.SBD_RESULT_FILE).exists()
+    # the dataset it was trained on again, byte for byte
+    assert cli.main(["generate", "--config", str(path), "--seed", "9"]) == 0
+    for command in ("eval", "sbd"):
+        assert cli.main([command, "--config", str(path)]) == 0
+    # a checkpoint that records no dataset is evaluated against any dataset, as before
+    params.trained_on = None
+    tr.save_checkpoint(params, out / cli.CHECKPOINT_FILE, config=stored)
+    assert cli.main(["generate", "--config", str(path), "--seed", "10"]) == 0
+    for command in ("eval", "sbd"):
+        assert cli.main([command, "--config", str(path)]) == 0
+
+
+def test_eval_memory_does_not_grow_with_the_dataset(tmp_path):
+    # desk observations, a small model and small eval batches: eval reads
+    # only the dataset header, so 4500 more sequences (2.6 MB) cost it nothing
+    peaks = {}
+    for count in (500, 5000):
+        path = write_config(tmp_path, out_dir=str(tmp_path / str(count)),
+                            generator={"k": 3, "obs_dim": 24, "num_sequences": count})
+        assert cli.main(["generate", "--config", str(path)]) == 0
+        cfg = cfgmod.load(path)
+        tr.save_checkpoint(mm.ModelParams.initialize(cfg.train, obs_dim=24),
+                           tmp_path / str(count) / cli.CHECKPOINT_FILE, config=cfg.train)
+        assert cli.main(["eval", "--config", str(path)]) == 0  # warm every cache
+        tracemalloc.start()
+        try:
+            assert cli.main(["eval", "--config", str(path)]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5000] - peaks[500] < 0.25 * 2**20, peaks
 
 
 def test_oracle_eval_and_sbd_fit_at_the_config_files_order(tmp_path):

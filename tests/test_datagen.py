@@ -18,6 +18,7 @@ from mspred.datagen import (
     make_paired,
     make_single_factor,
     mix64,
+    read_dataset_header,
     save_dataset,
     velocity_spec,
 )
@@ -369,31 +370,23 @@ def test_single_factor_out_of_range_names_factor():
         assert exc.value.field == "factor"
 
 
+# the header reader checks the framing exactly as load_dataset does, payload length included
+READERS = (load_dataset, read_dataset_header)
+
+
 def test_dataset_file_rejects_corruption(tmp_path):
     batch = make_dataset(small_spec(), master_seed=17)
     path = tmp_path / "d.mspdat"
     save_dataset(batch, path)
     raw = path.read_bytes()
-
-    bad_magic = tmp_path / "bad_magic.mspdat"
-    bad_magic.write_bytes(b"NOTMAGIC" + raw[8:])
-    with pytest.raises(FormatError):
-        load_dataset(bad_magic)
-
-    truncated = tmp_path / "trunc.mspdat"
-    truncated.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(FormatError):
-        load_dataset(truncated)
-
-    tiny = tmp_path / "tiny.mspdat"
-    tiny.write_bytes(raw[:6])
-    with pytest.raises(FormatError):
-        load_dataset(tiny)
-
-    trailing = tmp_path / "trailing.mspdat"
-    trailing.write_bytes(raw + b"\x00" * 8)
-    with pytest.raises(FormatError):
-        load_dataset(trailing)
+    corrupt = {"bad_magic": b"NOTMAGIC" + raw[8:], "trunc": raw[: len(raw) // 2],
+               "short_payload": raw[:-8], "tiny": raw[:6], "trailing": raw + b"\x00" * 8}
+    for name, blob in corrupt.items():
+        bad = tmp_path / f"{name}.mspdat"
+        bad.write_bytes(blob)
+        for reader in READERS:
+            with pytest.raises(FormatError):
+                reader(bad)
 
 
 def _tampered_header(tmp_path, edit):
@@ -426,8 +419,22 @@ def _tampered_header(tmp_path, edit):
         "overflowing-shape", "unknown-array", "fractional-k", "boolean-obs-dim",
         "boolean-mixing-seed", "missing-spec-key", "unknown-spec-key"])
 def test_dataset_file_rejects_bad_header(tmp_path, edit):
-    with pytest.raises(FormatError):
-        load_dataset(_tampered_header(tmp_path, edit))
+    tampered = _tampered_header(tmp_path, edit)
+    for reader in READERS:
+        with pytest.raises(FormatError):
+            reader(tampered)
+
+
+def test_header_reader_reads_the_header_and_no_payload(tmp_path, monkeypatch):
+    batch = make_dataset(small_spec(T=5, accel_range=(-0.1, 0.1)), master_seed=-3,
+                         mode="acceleration")
+    path = tmp_path / "d.mspdat"
+    save_dataset(batch, path)
+    monkeypatch.setattr(datagen.container, "read_payload", None)
+    header = read_dataset_header(path)
+    assert header == batch.header == datagen.DatasetHeader(batch.spec, -3, "acceleration")
+    assert header.to_dict() == {"spec": batch.spec.to_dict(), "master_seed": -3,
+                                "mode": "acceleration"}
 
 
 def test_splitmix_known_values():

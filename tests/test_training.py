@@ -500,6 +500,45 @@ def test_checkpoint_manifest_missing_or_unknown_fields_are_format_errors(tmp_pat
             tr.load_checkpoint(_tampered_manifest(tmp_path, small_config(), edit))
 
 
+def test_trained_parameters_record_their_dataset_through_a_checkpoint(tmp_path):
+    ds = small_dataset(seed=7)
+    params, _ = tr.train(small_config(iterations=2), ds)
+    assert params.trained_on == ds.header
+    path = tmp_path / "t.mspckp"
+    tr.save_checkpoint(params, path)
+    raw = path.read_bytes()
+    manifest = json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+    assert manifest["dataset"] == {"spec": ds.spec.to_dict(), "master_seed": 7,
+                                   "mode": "velocity"}
+    loaded, _ = tr.load_checkpoint(path)
+    assert loaded.trained_on == ds.header and loaded.copy().trained_on == ds.header
+    # initialized parameters record none, and their manifest has no such key
+    fresh = tmp_path / "f.mspckp"
+    tr.save_checkpoint(mm.ModelParams.initialize(small_config(), obs_dim=4), fresh)
+    assert tr.load_checkpoint(fresh)[0].trained_on is None
+    assert b'"dataset"' not in fresh.read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["dataset"].pop("master_seed"),
+    lambda d: d["dataset"].update(master_seed=1.5),
+    lambda d: d["dataset"].update(mode="bogus"),
+    lambda d: d["dataset"]["spec"].update(k=0),
+    lambda d: d["dataset"]["spec"].update(noise=0.1),
+    lambda d: d.update(dataset=[1, 2]),
+], ids=["missing-master-seed", "fractional-master-seed", "bogus-mode", "zero-k",
+        "unknown-spec-key", "not-an-object"])
+def test_checkpoint_rejects_a_bad_dataset_record(tmp_path, edit):
+    params, _ = tr.train(small_config(iterations=1), small_dataset())
+
+    def record_then_edit(manifest):
+        manifest["dataset"] = params.trained_on.to_dict()
+        edit(manifest)
+
+    with pytest.raises(FormatError):
+        tr.load_checkpoint(_tampered_manifest(tmp_path, small_config(), record_then_edit))
+
+
 def _set_entry(name, slot, value):
     def edit(manifest):
         for entry in manifest["tensors"]:
